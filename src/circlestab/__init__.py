@@ -59,11 +59,7 @@ from .maps import (
     Rotation,
     RotationNumber,
     TunedFamily,
-    attractor_repeller_family,
-    discretize,
-    eval_map,
     map_from_json,
-    map_to_json,
     rotation_number,
     tune_rotation_number,
     weighted_birkhoff_weights,

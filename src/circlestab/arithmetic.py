@@ -13,6 +13,7 @@ working precision long before the integers overflow.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -59,17 +60,32 @@ def lacunary_alpha(terms: int = 3) -> Fraction:
     return sum(Fraction(1, 2 ** (4 ** i)) for i in range(1, terms + 1))
 
 
+def _pointwise(fn):
+    """Scalar-or-array convention for pointwise evaluations.
+
+    The point is the last positional argument, so this fits plain
+    functions f(x) and methods f(self, x) alike.  fn sees it as a float
+    ndarray; a scalar point gets a float back, an array point the
+    ndarray fn returns.
+    """
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        *head, x = args
+        out = fn(*head, np.asarray(x, dtype=float), **kwargs)
+        return float(out) if np.ndim(x) == 0 else out
+
+    return wrapped
+
+
+@_pointwise
 def frac(x):
     """Fractional part mapped into [0, 1); works on scalars and arrays.
 
     x % 1.0 already lands in [0, 1) except that a tiny negative input can
     round the result up to exactly 1.0, which we fold back to 0.
     """
-    r = np.asarray(x, dtype=float) % 1.0
-    r = np.where(r >= 1.0, 0.0, r)
-    if np.ndim(x) == 0:
-        return float(r)
-    return r
+    r = x % 1.0
+    return np.where(r >= 1.0, 0.0, r)
 
 
 def canonicalize(x: float) -> CirclePoint:

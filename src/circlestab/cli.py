@@ -14,9 +14,7 @@ import io
 import json
 import logging
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -100,25 +98,6 @@ def resolve_alpha(spec: Union[str, float]) -> Tuple[float, str]:
     return float(spec), repr(float(spec))
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CIRCLESTAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _fork_join(fn, params):
-    """Map over ladder points, concurrently when CIRCLESTAB_THREADS > 1.
-
-    Output order follows the input ladder regardless of thread count.
-    """
-    workers = _thread_count()
-    if workers > 1 and len(params) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, params))
-    return [fn(p) for p in params]
-
-
 def _map_hash(m) -> str:
     return hashlib.sha256(m.to_json().encode()).hexdigest()[:16]
 
@@ -137,10 +116,10 @@ class ScalingRecord:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.size_param > 0:
-            raise ValueError("size_param must be positive")
-        if self.w_distance < 0:
-            raise ValueError("w_distance must be nonnegative")
+        if not 0 < self.size_param < math.inf:
+            raise ValueError("size_param must be positive and finite")
+        if not 0 <= self.w_distance < math.inf:
+            raise ValueError("w_distance must be nonnegative and finite")
         if self.measure_kind not in MEASURE_KINDS:
             raise ValueError(f"measure_kind must be one of {MEASURE_KINDS}")
 
@@ -208,8 +187,6 @@ class ExperimentConfig:
         if self.family not in STABILITY_FAMILIES + DISCRETIZATION_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         lad = list(self.ladder)
-        if not lad:
-            return self
         diffs = np.diff(np.asarray(lad, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("ladder must be strictly monotone")
@@ -311,24 +288,20 @@ def stability_scan(config: ExperimentConfig) -> ScanResult:
                 "physical", config.seed, meta))
         return recs
 
+    return _scan_ladder(one, config.ladder)
+
+
+def _scan_ladder(one, ladder) -> ScanResult:
+    """Records of one(p) for each ladder point p, in ladder order; a
+    point that fails is logged into the failures and the scan goes on."""
     out = ScanResult()
-    for j, res in zip(config.ladder,
-                      _fork_join(_catching(one), list(config.ladder))):
-        if isinstance(res, str):
-            out.failures.append((j, res))
-        else:
-            out.extend(res)
-    return out
-
-
-def _catching(fn):
-    def wrapped(p):
+    for p in ladder:
         try:
-            return fn(p)
+            out.extend(one(p))
         except (CircleStabError, ValueError, ArithmeticError) as exc:
             log.warning("ladder point %r failed: %s", p, exc)
-            return f"{type(exc).__name__}: {exc}"
-    return wrapped
+            out.failures.append((p, f"{type(exc).__name__}: {exc}"))
+    return out
 
 
 def discretization_scan(config: ExperimentConfig) -> ScanResult:
@@ -370,14 +343,7 @@ def discretization_scan(config: ExperimentConfig) -> ScanResult:
         return [ScalingRecord(config.family, 1.0 / N, w, kind,
                               config.seed, meta) for kind, w in rows]
 
-    out = ScanResult()
-    for N, res in zip(config.ladder,
-                      _fork_join(_catching(one), list(config.ladder))):
-        if isinstance(res, str):
-            out.failures.append((N, res))
-        else:
-            out.extend(res)
-    return out
+    return _scan_ladder(one, config.ladder)
 
 
 # ------------------------------------------------------------ regression

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .arithmetic import frac
+from .arithmetic import _pointwise, frac
 
 __all__ = ["FourierSeries", "FourierDensity", "pairing"]
 
@@ -107,18 +107,16 @@ class FourierSeries:
 
     # -------------------------------------------------- evaluation
 
+    @_pointwise
     def eval(self, x):
         """u(x), real; scalar or ndarray x."""
-        xs = np.asarray(x, dtype=float)
-        out = np.full(xs.shape, self.mean)
+        out = np.full(x.shape, self.mean)
         for n in range(1, self.n_max + 1):
             cn = self._c[n]
             if cn == 0:
                 continue
-            ph = 2.0 * math.pi * (np.asarray(frac(n * xs)))
+            ph = 2.0 * math.pi * (np.asarray(frac(n * x)))
             out = out + 2.0 * (cn.real * np.cos(ph) - cn.imag * np.sin(ph))
-        if np.ndim(x) == 0:
-            return float(out)
         return out
 
     __call__ = eval
@@ -213,20 +211,18 @@ class FourierDensity(FourierSeries):
     def is_probability(self) -> bool:
         return self._c[0].real == 1.0
 
+    @_pointwise
     def cdf(self, x):
         """F(x) = integral_0^x density, closed form; scalar or ndarray."""
-        xs = np.asarray(x, dtype=float)
-        out = self._c[0].real * xs
+        out = self._c[0].real * x
         for n in range(1, self.n_max + 1):
             cn = self._c[n]
             if cn == 0:
                 continue
-            ph = 2.0 * math.pi * np.asarray(frac(n * xs))
+            ph = 2.0 * math.pi * np.asarray(frac(n * x))
             # integral of 2(Re c cos(2 pi n t) - Im c sin(2 pi n t))
             out = out + (cn.real * np.sin(ph) + cn.imag * (np.cos(ph) - 1.0)) \
                 / (math.pi * n)
-        if np.ndim(x) == 0:
-            return float(out)
         return out
 
 

@@ -17,7 +17,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .arithmetic import canonicalize, frac
+from .arithmetic import _pointwise, canonicalize
 from .errors import ResourceLimitError
 from .maps import (
     CircleMap,
@@ -178,18 +178,16 @@ class DiffeoInvariantDensity:
         self.h = h
         self._inv0 = h.inverse(0.0)
 
+    @_pointwise
     def density(self, x):
-        xs = np.asarray(x, dtype=float)
-        val = 1.0 / self.h.deriv(self.h.inverse(xs))
-        return float(val) if np.ndim(x) == 0 else val
+        return 1.0 / self.h.deriv(self.h.inverse(x))
 
     eval = density
     __call__ = density
 
+    @_pointwise
     def cdf(self, x):
-        xs = np.asarray(x, dtype=float)
-        val = self.h.inverse(xs) - self._inv0
-        return float(val) if np.ndim(x) == 0 else val
+        return self.h.inverse(x) - self._inv0
 
     @property
     def is_probability(self) -> bool:

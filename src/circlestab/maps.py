@@ -6,7 +6,9 @@ Each map knows its canonical evaluation on [0,1), a degree-1 lift
 F(x+1) = F(x)+1, and the displacement F(x)-x used by the rotation
 number estimator.  Orbits of Rotation and ConjugatedRotation have
 closed-form vectorized paths (one rounding per point instead of one
-per step); everything else iterates a scalar step closure.
+per step); everything else iterates a scalar step closure.  The
+rotation number evaluates the displacement on such an orbit as one
+array.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .arithmetic import DiophantineProfile, canonicalize, frac
+from .arithmetic import DiophantineProfile, _pointwise, canonicalize, frac
 from .errors import ConvergenceError, TuningError
 from .fourier import FourierSeries
 
@@ -32,11 +34,7 @@ __all__ = [
     "Rotation",
     "RotationNumber",
     "TunedFamily",
-    "attractor_repeller_family",
-    "discretize",
-    "eval_map",
     "map_from_json",
-    "map_to_json",
     "rotation_number",
     "tune_rotation_number",
     "weighted_birkhoff_weights",
@@ -98,13 +96,13 @@ class Rotation(CircleMap):
     def __init__(self, alpha: float):
         self.alpha = canonicalize(float(alpha))
 
+    @_pointwise
     def eval(self, x):
-        return frac(np.asarray(x, dtype=float) + self.alpha) \
-            if np.ndim(x) else frac(float(x) + self.alpha)
+        return frac(x + self.alpha)
 
+    @_pointwise
     def lift(self, x):
-        return np.asarray(x, dtype=float) + self.alpha if np.ndim(x) \
-            else float(x) + self.alpha
+        return x + self.alpha
 
     def scalar_step(self):
         a = self.alpha
@@ -128,14 +126,16 @@ class TunedFamily(CircleMap):
         self.u = u
         self.epsilon = float(epsilon)
         self.c = float(c)
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.c)):
+            raise ValueError("epsilon and c must be finite")
 
+    @_pointwise
     def eval(self, x):
         return frac(self.lift(x))
 
+    @_pointwise
     def lift(self, x):
-        xs = np.asarray(x, dtype=float)
-        val = xs + self.c + self.epsilon * self.u.eval(xs)
-        return float(val) if np.ndim(x) == 0 else val
+        return x + self.c + self.epsilon * self.u.eval(x)
 
     def is_diffeo(self) -> bool:
         return abs(self.epsilon) * self.u.derivative().sup_norm_bound() < 1.0
@@ -192,15 +192,15 @@ class AttractorRepeller(CircleMap):
         return -self.bump_strength * np.sin(
             2.0 * math.pi * np.asarray(frac(self.q * np.asarray(y, dtype=float))))
 
+    @_pointwise
     def eval(self, x):
-        y = frac(np.asarray(x, dtype=float) + self._rot)
-        val = frac(y + self.delta * self._bump(y))
-        return float(val) if np.ndim(x) == 0 else val
+        y = frac(x + self._rot)
+        return frac(y + self.delta * self._bump(y))
 
+    @_pointwise
     def lift(self, x):
-        y = np.asarray(x, dtype=float) + self._rot
-        val = y + self.delta * self._bump(frac(y))
-        return float(val) if np.ndim(x) == 0 else val
+        y = x + self._rot
+        return y + self.delta * self._bump(frac(y))
 
     def attracting_orbit(self) -> np.ndarray:
         """Gamma_att = multiples of p_j/q_j, i.e. the grid {i/q_j}."""
@@ -241,9 +241,10 @@ class ConjugacyDiffeo:
         if len(a) != len(b):
             raise ValueError("a and b must have equal length")
         s = float(np.sum(np.abs(a)) + np.sum(np.abs(b)))
-        if s >= 1.0:
+        if not s < 1.0:  # also rejects nan and inf coefficients
             raise ValueError(
-                f"sum(|a_n|+|b_n|) = {s:.3g} >= 1: not an admissible diffeo")
+                f"sum(|a_n|+|b_n|) = {s:.3g} is not < 1: not an admissible "
+                "diffeo")
         self.a, self.b = a, b
         self.coeff_sum = s
 
@@ -261,37 +262,36 @@ class ConjugacyDiffeo:
                          + self.b[n - 1] * np.cos(ph)) / (2.0 * math.pi * n)
         return out
 
+    @_pointwise
     def eval(self, x):
         """h(x) as a lift value (degree 1: h(x+1) = h(x)+1)."""
-        xs = np.asarray(x, dtype=float)
-        val = xs + self.displacement_fn(xs)
-        return float(val) if np.ndim(x) == 0 else val
+        return x + self.displacement_fn(x)
 
     __call__ = eval
 
+    @_pointwise
     def deriv(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = np.ones(xs.shape)
+        out = np.ones(x.shape)
         for n in range(1, len(self.a) + 1):
-            ph = 2.0 * math.pi * np.asarray(frac(n * xs))
+            ph = 2.0 * math.pi * np.asarray(frac(n * x))
             out = out + self.a[n - 1] * np.cos(ph) - self.b[n - 1] * np.sin(ph)
-        return float(out) if np.ndim(x) == 0 else out
+        return out
 
-    def inverse(self, y, tol: float = 1e-14, max_iter: int = 50):
+    @_pointwise
+    def inverse(self, y, *, tol: float = 1e-14, max_iter: int = 50):
         """z with h(z) = y, computed by Newton; exact to ~1e-13 or better."""
-        ys = np.asarray(y, dtype=float)
-        z = np.array(ys, dtype=float, copy=True)
+        z = y.copy()
         for _ in range(max_iter):
-            r = z + self.displacement_fn(z) - ys
+            r = z + self.displacement_fn(z) - y
             if np.all(np.abs(r) <= tol):
                 break
             z = z - r / self.deriv(z)
         else:
-            worst = float(np.max(np.abs(z + self.displacement_fn(z) - ys)))
+            worst = float(np.max(np.abs(z + self.displacement_fn(z) - y)))
             raise ConvergenceError(
                 f"Newton for h^-1 did not reach {tol} in {max_iter} steps",
                 estimate=float(np.ravel(z)[0]), error_bound=worst)
-        return float(z) if np.ndim(y) == 0 else z
+        return z
 
     def to_dict(self):
         return {"a": self.a.tolist(), "b": self.b.tolist()}
@@ -307,15 +307,13 @@ class ConjugatedRotation(CircleMap):
         self.alpha = canonicalize(float(alpha))
         self.h = h
 
+    @_pointwise
     def eval(self, x):
-        val = frac(self.h.eval(frac(self.h.inverse(np.asarray(x, dtype=float)))
-                               + self.alpha))
-        return float(val) if np.ndim(x) == 0 else val
+        return frac(self.h.eval(frac(self.h.inverse(x)) + self.alpha))
 
+    @_pointwise
     def lift(self, x):
-        xs = np.asarray(x, dtype=float)
-        val = self.h.eval(self.h.inverse(xs) + self.alpha)
-        return float(val) if np.ndim(x) == 0 else val
+        return self.h.eval(self.h.inverse(x) + self.alpha)
 
     def scalar_step(self):
         h, a = self.h, self.alpha
@@ -353,16 +351,14 @@ class Discretized(CircleMap):
         j = np.floor(np.asarray(t, dtype=float) * self.N).astype(np.int64)
         return np.minimum(j, self.N - 1)  # t<1 can round N*t up to N
 
+    @_pointwise
     def eval(self, x):
-        j = self._project(self.inner.eval(np.asarray(x, dtype=float)))
-        val = j.astype(float) / self.N
-        return float(val) if np.ndim(x) == 0 else val
+        j = self._project(self.inner.eval(x))
+        return j.astype(float) / self.N
 
+    @_pointwise
     def lift(self, x):
-        xs = np.asarray(x, dtype=float)
-        fl = np.floor(xs)
-        val = fl + self.eval(np.asarray(frac(xs)))
-        return float(val) if np.ndim(x) == 0 else val
+        return np.floor(x) + self.eval(frac(x))
 
     def grid_image(self, i=None) -> np.ndarray:
         """Integer image array: node i -> node image[i], for all i < N.
@@ -398,17 +394,17 @@ class Composition(CircleMap):
     def __init__(self, maps: List[CircleMap]):
         self.maps = list(maps)
 
+    @_pointwise
     def eval(self, x):
-        val = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         for m in reversed(self.maps):
-            val = m.eval(val)
-        return val
+            x = m.eval(x)
+        return x
 
+    @_pointwise
     def lift(self, x):
-        val = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         for m in reversed(self.maps):
-            val = m.lift(val)
-        return val
+            x = m.lift(x)
+        return x
 
     def scalar_step(self):
         steps = [m.scalar_step() for m in reversed(self.maps)]
@@ -428,23 +424,7 @@ class Composition(CircleMap):
                 "maps": [m.to_dict() for m in self.maps]}
 
 
-# ------------------------------------------------------------------ free ops
-
-def eval_map(m: CircleMap, x):
-    """The eval operation: T(x) as a canonical circle point."""
-    return m.eval(x)
-
-
-def discretize(m: CircleMap, N: int) -> Discretized:
-    """T_N = P_N o T on the grid E_N; sup|T - T_N| <= 1/N."""
-    return Discretized(m, N)
-
-
-def attractor_repeller_family(profile: DiophantineProfile, j: int,
-                              bump_strength: float) -> AttractorRepeller:
-    """The lower-bound perturbation family at convergent j of the profile."""
-    return AttractorRepeller(profile.alpha, j, profile, bump_strength)
-
+# --------------------------------------------------------- serialization
 
 def map_from_dict(d: dict) -> CircleMap:
     v = d["variant"]
@@ -464,10 +444,6 @@ def map_from_dict(d: dict) -> CircleMap:
     if v == "Composition":
         return Composition([map_from_dict(md) for md in d["maps"]])
     raise ValueError(f"unknown map variant {v!r}")
-
-
-def map_to_json(m: CircleMap) -> str:
-    return m.to_json()
 
 
 def map_from_json(s: str) -> CircleMap:
@@ -518,22 +494,7 @@ def rotation_number(m: CircleMap, iters: int = 1 << 15,
     if iters < 4:
         raise ValueError("iters must be >= 4")
 
-    if isinstance(m, ConjugatedRotation):
-        # displacement sampled along the conjugated orbit, vectorized
-        # displacement F(x)-x at x = h(y) equals H(y+alpha) - H(y)
-        y0 = frac(m.h.inverse(0.0))
-        i = np.arange(iters, dtype=float)
-        ys = frac(y0 + i * m.alpha)
-        disps = m.h.eval(ys + m.alpha) - m.h.eval(ys)
-    else:
-        step_disp = _scalar_displacement(m)
-        disps = np.empty(iters)
-        x = 0.0
-        for k in range(iters):
-            d = step_disp(x)
-            disps[k] = d
-            x = (x + d) % 1.0
-
+    disps = m.displacement(np.concatenate(([0.0], m.orbit(0.0, iters - 1))))
     est = _wb_mean(disps)
     est_half = _wb_mean(disps[: iters // 2])
     plain = float(np.mean(disps))
@@ -546,25 +507,6 @@ def rotation_number(m: CircleMap, iters: int = 1 << 15,
             f"rotation number did not reach tol={tol:g} in {iters} iterations",
             estimate=est, error_bound=err)
     return RotationNumber(est, err)
-
-
-def _scalar_displacement(m: CircleMap):
-    """Closure x -> F(x) - x for scalar x, specialized per variant."""
-    if isinstance(m, TunedFamily):
-        ufn = m.u.as_scalar_fn()
-        c, eps = m.c, m.epsilon
-        return lambda x: c + eps * ufn(x)
-    if isinstance(m, AttractorRepeller):
-        rot, d, b, q = m._rot, m.delta, m.bump_strength, m.q
-        twopi = 2.0 * math.pi
-        sin = math.sin
-
-        def disp(x: float) -> float:
-            y = x + rot
-            return rot - d * b * sin(twopi * ((q * y) % 1.0))
-
-        return disp
-    return lambda x: m.lift(x) - x
 
 
 def tune_rotation_number(u: FourierSeries, epsilon: float, target_alpha: float,

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .arithmetic import canonicalize, frac
+from .arithmetic import _pointwise, canonicalize, frac
 from .errors import ResourceLimitError
 from .fourier import FourierDensity
 from .maps import CircleMap
@@ -64,9 +64,9 @@ class LebesgueMeasure:
     def __repr__(self):
         return "LebesgueMeasure()"
 
+    @_pointwise
     def cdf(self, x):
-        xs = np.asarray(x, dtype=float)
-        return float(xs) if np.ndim(x) == 0 else xs.copy()
+        return x.copy()
 
 
 class AtomicMeasure:
@@ -84,10 +84,10 @@ class AtomicMeasure:
             raise ValueError("positions and weights must be equal-length 1d")
         if np.any(~np.isfinite(p)):
             raise ValueError("non-finite positions")
-        if np.any(w <= 0):
+        if not np.all(w > 0):  # also rejects nan weights
             raise ValueError("weights must be positive")
         total = float(np.sum(w))
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
         p = np.asarray(frac(p))
         order = np.argsort(p, kind="stable")
@@ -399,23 +399,21 @@ class BVObservable:
         """1_{[a,b]} on the circle (a <= b as canonical reps, else wraps)."""
         a, b = canonicalize(a), canonicalize(b)
 
+        @_pointwise
         def ev(x):
-            xs = np.asarray(frac(np.asarray(x, dtype=float)))
+            xs = np.asarray(frac(x))
             if a <= b:
-                out = ((xs >= a) & (xs <= b)).astype(float)
-            else:
-                out = ((xs >= a) | (xs <= b)).astype(float)
-            return float(out) if np.ndim(x) == 0 else out
+                return ((xs >= a) & (xs <= b)).astype(float)
+            return ((xs >= a) | (xs <= b)).astype(float)
 
         length = (b - a) if a <= b else (1.0 - a + b)
         return cls("indicator", ev, 2.0, length, f"1_[{a:g},{b:g}]")
 
     @classmethod
     def constant(cls, value: float) -> "BVObservable":
+        @_pointwise
         def ev(x):
-            xs = np.asarray(x, dtype=float)
-            out = np.full(xs.shape, float(value))
-            return float(out) if np.ndim(x) == 0 else out
+            return np.full(x.shape, float(value))
 
         return cls("constant", ev, 0.0, value, f"const {value:g}")
 
@@ -425,10 +423,10 @@ class BVObservable:
         """amplitude * cos(2 pi k x) (or sin); V = 4 |amplitude| k."""
         k = int(k)
 
+        @_pointwise
         def ev(x):
-            ph = 2.0 * math.pi * np.asarray(frac(k * np.asarray(x, dtype=float)))
-            out = amplitude * (np.sin(ph) if phase_sin else np.cos(ph))
-            return float(out) if np.ndim(x) == 0 else out
+            ph = 2.0 * math.pi * np.asarray(frac(k * x))
+            return amplitude * (np.sin(ph) if phase_sin else np.cos(ph))
 
         name = "sin" if phase_sin else "cos"
         return cls("trig", ev, 4.0 * abs(amplitude) * k, 0.0,
@@ -440,11 +438,11 @@ class BVObservable:
         """Continuous piecewise-linear tent peaking at `center`."""
         c = canonicalize(center)
 
+        @_pointwise
         def ev(x):
-            d = np.asarray(frac(np.asarray(x, dtype=float) - c))
+            d = np.asarray(frac(x - c))
             d = np.minimum(d, 1.0 - d)  # circle distance to center
-            out = height * (1.0 - 2.0 * d)
-            return float(out) if np.ndim(x) == 0 else out
+            return height * (1.0 - 2.0 * d)
 
         # mean: E[dist to c] = 1/4 under Lebesgue, so integral = height/2
         return cls("piecewise_linear", ev, 2.0 * abs(height), height / 2.0,
@@ -491,6 +489,18 @@ def prop30_observable(terms: int = 3) -> BVObservable:
     freqs = [2 ** (4 ** i) for i in range(1, terms + 1)]
     amps = [Fraction(1, f * f) for f in freqs]
 
+    @_pointwise
+    def ev_float(x):
+        out = np.zeros(x.shape)
+        for a, f in zip(amps, freqs):
+            if f > 2 ** 52:
+                # f*x mod 1 is meaningless in doubles, and the term's
+                # amplitude (2^-128 for f = 2^64) is below resolution
+                continue
+            ph = np.asarray(frac(float(f) * x))
+            out = out + float(a) * np.cos(2.0 * math.pi * ph)
+        return out
+
     def ev(x):
         if isinstance(x, Fraction):
             s = 0.0
@@ -499,16 +509,7 @@ def prop30_observable(terms: int = 3) -> BVObservable:
                 ph -= math.floor(ph)  # exact Fraction reduction
                 s += float(a) * math.cos(2.0 * math.pi * float(ph))
             return s
-        xs = np.asarray(x, dtype=float)
-        out = np.zeros(xs.shape)
-        for a, f in zip(amps, freqs):
-            if f > 2 ** 52:
-                # f*x mod 1 is meaningless in doubles, and the term's
-                # amplitude (2^-128 for f = 2^64) is below resolution
-                continue
-            ph = np.asarray(frac(float(f) * xs))
-            out = out + float(a) * np.cos(2.0 * math.pi * ph)
-        return float(out) if np.ndim(x) == 0 else out
+        return ev_float(x)
 
     V = sum(Fraction(4, f) for f in freqs)
     obs = BVObservable("trig", ev, float(V), 0.0,

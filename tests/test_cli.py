@@ -22,7 +22,9 @@ from circlestab.cli import (
     write_records_csv,
 )
 from circlestab.errors import InsufficientDataError
-from circlestab.maps import AttractorRepeller
+from circlestab.fourier import FourierSeries
+from circlestab.maps import AttractorRepeller, ConjugacyDiffeo, TunedFamily
+from circlestab.measures import AtomicMeasure
 
 
 def cli(argv):
@@ -61,6 +63,30 @@ def test_csv_round_trip_and_order():
         read_records_csv("wrong,header\n1,2\n")
 
 
+CSV_HEADER = "family_id,size_param,w_distance,measure_kind,seed\n"
+NONFINITE_INPUTS = {
+    "atomic nan weight": lambda: AtomicMeasure([0.1, 0.2], [math.nan, 1.0]),
+    "atomic inf weight": lambda: AtomicMeasure([0.1, 0.2], [math.inf, 0.5]),
+    "diffeo nan a": lambda: ConjugacyDiffeo([math.nan]),
+    "diffeo inf b": lambda: ConjugacyDiffeo([0.1], [math.inf]),
+    "tuned nan eps": lambda: TunedFamily(FourierSeries.cosine(), math.nan, 0),
+    "tuned inf c": lambda: TunedFamily(FourierSeries.cosine(), 0, math.inf),
+    "record nan w": lambda: ScalingRecord("f", 0.1, math.nan, "physical"),
+    "record inf w": lambda: ScalingRecord("f", 0.1, math.inf, "physical"),
+    "record nan size": lambda: ScalingRecord("f", math.nan, 0.1, "physical"),
+    "record inf size": lambda: ScalingRecord("f", math.inf, 0.1, "physical"),
+    "csv nan w": lambda: read_records_csv(CSV_HEADER + "f,1,nan,physical,0"),
+    "csv inf size": lambda: read_records_csv(CSV_HEADER + "f,inf,1,physical,0"),
+}
+
+
+@pytest.mark.parametrize("build", NONFINITE_INPUTS.values(),
+                         ids=NONFINITE_INPUTS.keys())
+def test_constructors_reject_nonfinite(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_csv_17_digits():
     r = ScalingRecord("f", 1 / 3, 2 / 3, "physical")
     text = write_records_csv([r])
@@ -79,6 +105,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(ladder=(5, 6), bump_strength=1.5).validate()
     ExperimentConfig(ladder=(15, 10, 5), depth=20).validate()  # decreasing ok
+    # an empty ladder still gets every other field checked
+    with pytest.raises(ValueError):
+        ExperimentConfig(ladder=(), bump_strength=5.0).validate()
+    with pytest.raises(ValueError):
+        ExperimentConfig(family="diffeo", ladder=(), h_a=(0.7,),
+                         h_b=(0.4,)).validate()
 
 
 def test_config_json_round_trip():
@@ -179,15 +211,6 @@ def test_discretization_diffeo_records():
     w1000 = {r.measure_kind: r.w_distance for r in recs
              if r.metadata["N"] == 1000}
     assert w1000["physical"] < w100["physical"]
-
-
-def test_fork_join_thread_env(monkeypatch):
-    cfg = ExperimentConfig(family="rational_snap",
-                           ladder=tuple(range(5, 12)), depth=20)
-    seq = stability_scan(cfg)
-    monkeypatch.setenv("CIRCLESTAB_THREADS", "4")
-    par = stability_scan(cfg)
-    assert write_records_csv(seq) == write_records_csv(par)
 
 
 # ------------------------------------------------------------ holder fit

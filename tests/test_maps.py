@@ -14,9 +14,6 @@ from circlestab.maps import (
     Discretized,
     Rotation,
     TunedFamily,
-    attractor_repeller_family,
-    discretize,
-    eval_map,
     map_from_json,
     rotation_number,
     tune_rotation_number,
@@ -32,7 +29,7 @@ def sample_maps():
         Rotation(0.3),
         Rotation(GOLDEN_MEAN),
         TunedFamily(FourierSeries.cosine(), 0.05, 0.4),
-        attractor_repeller_family(PROF, 5, 1.0),
+        AttractorRepeller(PROF.alpha, 5, PROF, 1.0),
         ConjugatedRotation(GOLDEN_MEAN, H),
         Discretized(Rotation(GOLDEN_MEAN), 64),
         Composition([Rotation(0.1), ConjugatedRotation(GOLDEN_MEAN, H)]),
@@ -42,11 +39,11 @@ def sample_maps():
 # ------------------------------------------------------------- eval
 
 def test_eval_examples():
-    assert eval_map(Rotation(0.25), 0.5) == 0.75
-    assert eval_map(Discretized(Rotation(GOLDEN_MEAN), 10), 0.0) == 0.6
+    assert Rotation(0.25).eval(0.5) == 0.75
+    assert Discretized(Rotation(GOLDEN_MEAN), 10).eval(0.0) == 0.6
     for x in RNG.uniform(0, 1, 20):
-        assert eval_map(Composition([]), x) == x
-        assert eval_map(Composition([Rotation(0.0)]), x) == x
+        assert Composition([]).eval(x) == x
+        assert Composition([Rotation(0.0)]).eval(x) == x
 
 
 def test_lift_property_all_variants():
@@ -68,21 +65,21 @@ def test_orientation_preserving_lifts_strictly_increasing():
 # ------------------------------------------------------------- discretize
 
 def test_discretize_n1_constant_zero():
-    T = discretize(TunedFamily(FourierSeries.cosine(), 0.05, 0.4), 1)
+    T = Discretized(TunedFamily(FourierSeries.cosine(), 0.05, 0.4), 1)
     for x in RNG.uniform(0, 1, 20):
         assert T.eval(x) == 0.0
 
 
 def test_discretize_sup_distance():
     T = Rotation(GOLDEN_MEAN)
-    TN = discretize(T, 10)
+    TN = Discretized(T, 10)
     xs = RNG.uniform(0, 1, 10_000)
     d = np.abs(T.eval(xs) - TN.eval(xs))
     assert np.max(np.minimum(d, 1.0 - d)) <= 0.1
 
 
 def test_discretize_grid_compatible_rotation_is_permutation():
-    TN = discretize(Rotation(1.0 / 3.0), 3)
+    TN = Discretized(Rotation(1.0 / 3.0), 3)
     img = TN.grid_image()
     assert sorted(img.tolist()) == [0, 1, 2]
     assert img.tolist() == [1, 2, 0]
@@ -90,7 +87,7 @@ def test_discretize_grid_compatible_rotation_is_permutation():
 
 def test_discretize_grid_closure():
     for N in (7, 64, 1000):
-        TN = discretize(ConjugatedRotation(GOLDEN_MEAN, H), N)
+        TN = Discretized(ConjugatedRotation(GOLDEN_MEAN, H), N)
         nodes = np.arange(N) / N
         out = TN.eval(nodes)
         assert np.all(out * N == np.round(out * N))
@@ -100,19 +97,19 @@ def test_discretize_grid_closure():
 
 def test_discretize_rejects_bad_n():
     with pytest.raises(ValueError):
-        discretize(Rotation(0.1), 0)
+        Discretized(Rotation(0.1), 0)
 
 
 # ------------------------------------------------------- attractor-repeller
 
 def test_ar_attracting_orbit_is_q_grid():
-    T = attractor_repeller_family(PROF, 5, 1.0)
+    T = AttractorRepeller(PROF.alpha, 5, PROF, 1.0)
     assert T.q == 13 and T.p == 8
     assert np.allclose(np.sort(T.attracting_orbit()), np.arange(13) / 13, atol=0)
 
 
 def test_ar_orbit_converges_to_gamma_att():
-    T = attractor_repeller_family(PROF, 5, 1.0)
+    T = AttractorRepeller(PROF.alpha, 5, PROF, 1.0)
     x = 0.01
     for _ in range(1000):
         x = T.eval(x)
@@ -121,7 +118,7 @@ def test_ar_orbit_converges_to_gamma_att():
 
 
 def test_ar_sup_distance_to_rotation():
-    T = attractor_repeller_family(PROF, 5, 1.0)
+    T = AttractorRepeller(PROF.alpha, 5, PROF, 1.0)
     R = Rotation(GOLDEN_MEAN)
     xs = RNG.uniform(0, 1, 10_000)
     d = np.array([circle_dist(a, b) for a, b in zip(T.eval(xs), R.eval(xs))])
@@ -130,7 +127,7 @@ def test_ar_sup_distance_to_rotation():
 
 def test_ar_invariant_sets():
     for j in (3, 5, 8):
-        T = attractor_repeller_family(PROF, j, 1.0)
+        T = AttractorRepeller(PROF.alpha, j, PROF, 1.0)
         for orbit in (T.attracting_orbit(), T.repelling_orbit()):
             img = T.eval(orbit)
             for y in img:
@@ -139,7 +136,7 @@ def test_ar_invariant_sets():
 
 def test_ar_derivative_signs_at_orbits():
     # attractor multiplier < 1, repeller multiplier > 1
-    T = attractor_repeller_family(PROF, 5, 1.0)
+    T = AttractorRepeller(PROF.alpha, 5, PROF, 1.0)
     eps = 1e-7
     for g in T.attracting_orbit():
         mult = (T.lift(g + eps) - T.lift(g - eps)) / (2 * eps)
@@ -151,14 +148,14 @@ def test_ar_derivative_signs_at_orbits():
 
 def test_ar_validation():
     with pytest.raises(ValueError):
-        attractor_repeller_family(PROF, 99, 1.0)
+        AttractorRepeller(PROF.alpha, 99, PROF, 1.0)
     with pytest.raises(ValueError):
-        attractor_repeller_family(PROF, 5, 0.0)
+        AttractorRepeller(PROF.alpha, 5, PROF, 0.0)
     with pytest.raises(ValueError):
-        attractor_repeller_family(PROF, 5, 1.5)
+        AttractorRepeller(PROF.alpha, 5, PROF, 1.5)
     # shallow convergent: delta * b * 2 pi q >= 1, not a diffeomorphism
     with pytest.raises(ValueError):
-        attractor_repeller_family(PROF, 1, 1.0)
+        AttractorRepeller(PROF.alpha, 1, PROF, 1.0)
 
 
 # ------------------------------------------------------- rotation number
