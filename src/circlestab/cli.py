@@ -359,9 +359,9 @@ def holder_fit(records, bootstrap: int = 1000,
                seed: int = 12345) -> HolderFit:
     """OLS of log w_distance on log size_param, bootstrap CI on the slope.
 
-    Accepts ScalingRecords or bare (size, w) pairs; zero distances are
-    excluded with a notice.  Reordering the input cannot change the
-    result: points are canonicalized before fitting.
+    Accepts ScalingRecords or bare finite (size > 0, w) pairs; zero
+    distances are excluded with a notice.  Reordering the input cannot
+    change the result: points are canonicalized before fitting.
     """
     pts = []
     dropped = 0
@@ -370,6 +370,8 @@ def holder_fit(records, bootstrap: int = 1000,
             s, w = r.size_param, r.w_distance
         else:
             s, w = float(r[0]), float(r[1])
+            if not (0 < s < math.inf and w < math.inf):  # also rejects nan
+                raise ValueError(f"bad (size, w) pair {(s, w)!r}")
         if w <= 0.0:
             dropped += 1
             continue

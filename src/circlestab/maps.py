@@ -51,7 +51,8 @@ class CircleMap:
         """T(x) in [0,1); scalar or ndarray."""
         raise NotImplementedError
 
-    __call__ = eval
+    def __call__(self, x):
+        return self.eval(x)
 
     def lift(self, x):
         """Degree-1 lift F(x); scalar or ndarray."""

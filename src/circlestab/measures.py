@@ -72,9 +72,11 @@ class LebesgueMeasure:
 class AtomicMeasure:
     """Finitely supported probability measure sum w_i delta_{p_i}.
 
-    Positions are canonicalized and sorted strictly increasing; atoms
-    closer than 1e-15 (also across the 0/1 wrap) are merged with weights
-    added.  Weights must be positive and sum to 1 within 1e-12.
+    Positions are canonicalized and sorted strictly increasing: sorted
+    atoms whose consecutive gaps are <= MERGE_TOL form one run, however
+    wide the chain, and merge into its first position with weights added
+    in order; the last atom folds into the first if within MERGE_TOL
+    across the 0/1 wrap.  Weights must be positive and sum to 1 +- 1e-12.
     """
 
     def __init__(self, positions, weights):
@@ -92,21 +94,15 @@ class AtomicMeasure:
         p = np.asarray(frac(p))
         order = np.argsort(p, kind="stable")
         p, w = p[order], w[order]
-        # merge coincident runs
-        keep_p: list = []
-        keep_w: list = []
-        for pi, wi in zip(p, w):
-            if keep_p and pi - keep_p[-1] <= MERGE_TOL:
-                keep_w[-1] += wi
-            else:
-                keep_p.append(pi)
-                keep_w.append(wi)
-        # wraparound pair 1-eps ~ 0
-        if len(keep_p) > 1 and (keep_p[0] + 1.0) - keep_p[-1] <= MERGE_TOL:
-            keep_w[0] += keep_w.pop()
-            keep_p.pop()
-        self.positions = np.array(keep_p)
-        self.weights = np.array(keep_w)
+        starts = np.append(True, np.diff(p) > MERGE_TOL)
+        # bincount adds each run's weights in index order, not pairwise
+        w = np.bincount(np.cumsum(starts) - 1, weights=w)
+        p = p[starts]
+        if len(p) > 1 and (p[0] + 1.0) - p[-1] <= MERGE_TOL:
+            w[0] += w[-1]
+            p, w = p[:-1], w[:-1]
+        self.positions = p
+        self.weights = w
 
     @classmethod
     def dirac(cls, x: float) -> "AtomicMeasure":
@@ -180,37 +176,34 @@ def _w_atomic_atomic(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
 
 def _w_atomic_lebesgue(mu: AtomicMeasure) -> float:
-    # G = F_mu - x is linear of slope -1 between atoms; on the segment
-    # after atom k it sweeps [W_k - p_{k+1}, W_k - p_k] with |G'| = 1,
-    # so G pushes Lebesgue to a mixture of uniforms on those intervals.
+    """W(mu, m) = min_c integral |G - c| for the CDF gap G = F_mu - x.
+
+    G is linear of slope -1 between atoms; on the segment after atom k
+    it sweeps [W_k - p_{k+1}, W_k - p_k] with |G'| = 1, so G pushes
+    Lebesgue to a mixture of uniforms on those intervals, and c is the
+    median of the mixture, whose mass is taken at all interval ends at once.
+    """
     p, w = mu.positions, mu.weights
     W = np.cumsum(w)
     p_next = np.append(p[1:], p[0] + 1.0)
     hi = W - p
     lo = W - p_next
-    L = p_next - p  # interval lengths, sum exactly 1
-
-    # median of the mixture: mass(t) = sum clip(t - lo, 0, L)
     lo_s = np.sort(lo)
     hi_s = np.sort(hi)
     clo = np.cumsum(np.append(0.0, lo_s))
     chi = np.cumsum(np.append(0.0, hi_s))
 
-    def mass(t: float) -> float:
-        i = int(np.searchsorted(lo_s, t, side="right"))
-        j = int(np.searchsorted(hi_s, t, side="right"))
-        return (t * i - clo[i]) - (t * j - chi[j])
-
+    # mass(t) = sum clip(t - lo, 0, hi - lo) at every interval end t
     ends = np.unique(np.concatenate([lo, hi]))
-    masses = np.array([mass(t) for t in ends])  # increasing
+    i = np.searchsorted(lo_s, ends, side="right")
+    j = np.searchsorted(hi_s, ends, side="right")
+    masses = (ends * i - clo[i]) - (ends * j - chi[j])  # increasing
     k = int(np.searchsorted(masses, 0.5))
     if k == 0:
         c = float(ends[0])
     else:
-        t0 = float(ends[k - 1])
-        dens = (np.searchsorted(lo_s, t0, side="right")
-                - np.searchsorted(hi_s, t0, side="right"))
-        c = t0 + (0.5 - masses[k - 1]) / max(dens, 1)
+        dens = i[k - 1] - j[k - 1]
+        c = float(ends[k - 1]) + (0.5 - masses[k - 1]) / max(dens, 1)
     # integral of |g - c| over each uniform piece, F(t) = t|t|/2
     F = lambda t: 0.5 * t * np.abs(t)
     return float(np.sum(F(hi - c) - F(lo - c)))
@@ -340,7 +333,7 @@ def _extreme_discrepancy_exact(x_sorted: np.ndarray) -> float:
 
 
 def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
-    """Extreme discrepancy sup_{arcs} |count/N - length| of a point set.
+    """Extreme discrepancy sup_{arcs} |count/N - length| of finite points.
 
     mode: 'auto' (exact up to N = 1e4, enclosure beyond), 'exact', or
     'enclosure'.  The enclosure is [D*, 2 D*] from the exact star
@@ -349,6 +342,8 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if len(pts) == 0:
         raise ValueError("empty point set")
+    if not np.all(np.abs(pts) < math.inf):  # also rejects nan
+        raise ValueError("non-finite points")
     if mode not in ("auto", "exact", "enclosure"):
         raise ValueError(f"unknown mode {mode!r}")
     x = np.sort(np.asarray(frac(pts)))

@@ -24,7 +24,12 @@ from circlestab.cli import (
 from circlestab.errors import InsufficientDataError
 from circlestab.fourier import FourierSeries
 from circlestab.maps import AttractorRepeller, ConjugacyDiffeo, TunedFamily
-from circlestab.measures import AtomicMeasure
+from circlestab.measures import (
+    AtomicMeasure,
+    BVObservable,
+    discrepancy,
+    dk_check,
+)
 
 
 def cli(argv):
@@ -85,6 +90,25 @@ NONFINITE_INPUTS = {
 def test_constructors_reject_nonfinite(build):
     with pytest.raises(ValueError):
         build()
+
+
+NONFINITE_SAMPLES = {
+    "discrepancy nan": lambda: discrepancy([0.1, math.nan]),
+    "discrepancy inf": lambda: discrepancy([0.1, math.inf]),
+    "dk_check nan": lambda: dk_check(BVObservable.constant(1.0),
+                                     [0.1, math.nan]),
+    "holder_fit nan w": lambda: holder_fit([(1, 1), (2, 2), (3, math.nan)]),
+    "holder_fit inf w": lambda: holder_fit([(1, 1), (2, 2), (3, math.inf)]),
+    "holder_fit nan size": lambda: holder_fit([(1, 1), (2, 2), (math.nan, 3)]),
+    "holder_fit inf size": lambda: holder_fit([(1, 1), (2, 2), (math.inf, 3)]),
+}
+
+
+@pytest.mark.parametrize("run", NONFINITE_SAMPLES.values(),
+                         ids=NONFINITE_SAMPLES.keys())
+def test_samples_reject_nonfinite(run):
+    with pytest.raises(ValueError):
+        run()
 
 
 def test_csv_17_digits():

@@ -1,0 +1,166 @@
+"""The array kernels of the measures layer against the per-element code
+they replaced, kept here as oracles: W to Lebesgue with one `mass(t)`
+call per breakpoint, the atom-by-atom merge of `AtomicMeasure` and
+`x % 1.0` for `frac`.  Equality is bit for bit."""
+
+import functools
+import operator
+
+import numpy as np
+import pytest
+
+from circlestab.arithmetic import GOLDEN_MEAN, frac
+from circlestab.measures import (
+    MERGE_TOL,
+    AtomicMeasure,
+    LebesgueMeasure,
+    cesaro_average,
+    wasserstein,
+)
+
+M = LebesgueMeasure()
+
+
+def w_lebesgue_loop(mu):
+    """W(mu, m) with one Python mass(t) call per breakpoint."""
+    p, w = mu.positions, mu.weights
+    W = np.cumsum(w)
+    p_next = np.append(p[1:], p[0] + 1.0)
+    hi = W - p
+    lo = W - p_next
+    lo_s = np.sort(lo)
+    hi_s = np.sort(hi)
+    clo = np.cumsum(np.append(0.0, lo_s))
+    chi = np.cumsum(np.append(0.0, hi_s))
+
+    def mass(t):
+        i = int(np.searchsorted(lo_s, t, side="right"))
+        j = int(np.searchsorted(hi_s, t, side="right"))
+        return (t * i - clo[i]) - (t * j - chi[j])
+
+    ends = np.unique(np.concatenate([lo, hi]))
+    masses = np.array([mass(t) for t in ends])
+    k = int(np.searchsorted(masses, 0.5))
+    if k == 0:
+        c = float(ends[0])
+    else:
+        t0 = float(ends[k - 1])
+        dens = (np.searchsorted(lo_s, t0, side="right")
+                - np.searchsorted(hi_s, t0, side="right"))
+        c = t0 + (0.5 - masses[k - 1]) / max(dens, 1)
+    F = lambda t: 0.5 * t * np.abs(t)
+    return float(np.sum(F(hi - c) - F(lo - c)))
+
+
+def merge_loop(positions, weights):
+    """Atom-by-atom merge: each atom is compared with its run's first."""
+    p = np.asarray(positions, dtype=float) % 1.0
+    p = np.where(p >= 1.0, 0.0, p)
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(p, kind="stable")
+    keep_p, keep_w = [], []
+    for pi, wi in zip(p[order], w[order]):
+        if keep_p and pi - keep_p[-1] <= MERGE_TOL:
+            keep_w[-1] += wi
+        else:
+            keep_p.append(pi)
+            keep_w.append(wi)
+    if len(keep_p) > 1 and (keep_p[0] + 1.0) - keep_p[-1] <= MERGE_TOL:
+        keep_w[0] += keep_w.pop()
+        keep_p.pop()
+    return np.array(keep_p), np.array(keep_w)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# ------------------------------------------------------------ W to Lebesgue
+
+def test_w_lebesgue_equals_mass_loop_on_random_measures():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        k = int(rng.integers(1, 40))
+        mu = AtomicMeasure(rng.uniform(0, 1, k), rng.dirichlet(np.ones(k)))
+        assert wasserstein(mu, M) == w_lebesgue_loop(mu)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10_000, 100_000])
+def test_w_lebesgue_equals_mass_loop_on_cesaro(n):
+    mu = cesaro_average(AtomicMeasure.dirac(0.0), GOLDEN_MEAN, n)
+    assert len(mu) == n
+    assert wasserstein(M, mu) == w_lebesgue_loop(mu)
+
+
+# ------------------------------------------------------------ merging
+
+def test_merge_equals_loop_on_nine_coincident_atoms():
+    run = 0.5 * np.random.default_rng(1).dirichlet(np.ones(9))
+    # the case where a pairwise sum of the run would differ
+    assert functools.reduce(operator.add, run.tolist()) != np.sum(run)
+    pos = np.concatenate([0.25 + np.arange(9) * 1e-16, [0.75]])
+    w = np.append(run, 0.5)
+    mu = AtomicMeasure(pos, w)
+    p, wl = merge_loop(pos, w)
+    assert len(mu) == 2
+    assert np.array_equal(bits(mu.positions), bits(p))
+    assert np.array_equal(bits(mu.weights), bits(wl))
+
+
+def test_merge_equals_loop_on_wraparound():
+    pos = [1.0 - 4e-16, 0.0, 3e-17, 0.4, -1e-17, 1.0 - 2e-16]
+    w = [0.125, 0.25, 0.125, 0.25, 0.125, 0.125]
+    mu = AtomicMeasure(pos, w)
+    p, wl = merge_loop(pos, w)
+    assert len(mu) == 2
+    assert np.array_equal(bits(mu.positions), bits(p))
+    assert np.array_equal(bits(mu.weights), bits(wl))
+
+
+def test_merge_equals_loop_on_random_near_coincident_atoms():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        k = int(rng.integers(1, 30))
+        base = rng.choice([0.0, 0.3, 1.0 - 1e-16], k)
+        # every cluster spans at most 8e-16, so no chain is wider than
+        # MERGE_TOL and the two merge rules agree
+        pos = base + rng.integers(-2, 3, k) * 2e-16
+        w = rng.dirichlet(np.ones(k))
+        mu = AtomicMeasure(pos, w)
+        p, wl = merge_loop(pos, w)
+        assert np.array_equal(bits(mu.positions), bits(p))
+        assert np.array_equal(bits(mu.weights), bits(wl))
+
+
+def test_merge_rule_is_consecutive_gap():
+    # gaps of 8e-16 each, 1.6e-15 from first to last: one chain, one atom
+    pos = [0.3, 0.3 + 8e-16, 0.3 + 16e-16]
+    assert np.all(np.diff(pos) <= MERGE_TOL) and pos[2] - pos[0] > MERGE_TOL
+    mu = AtomicMeasure(pos, [0.25, 0.25, 0.5])
+    assert mu.positions.tolist() == [0.3]
+    assert mu.weights.tolist() == [1.0]
+    # the atom-by-atom rule split the same chain in two
+    assert len(merge_loop(pos, [0.25, 0.25, 0.5])[0]) == 2
+
+
+# ------------------------------------------------------------ frac
+
+FRAC_INPUTS = [-2.75, -1.0, -0.3, -1e-17, -5e-324, -0.0, 0.0, 5e-324, 0.3,
+               1.0, 3.0, 1e10 + 0.25, -1e10 - 0.25, 2.0 ** 53 + 2,
+               -(2.0 ** 53 + 2), 1e300, -1e300]
+
+
+def test_frac_equals_mod_one_bitwise():
+    x = np.array(FRAC_INPUTS)
+    r = x % 1.0
+    want = np.where(r >= 1.0, 0.0, r)
+    assert np.array_equal(bits(frac(x)), bits(want))
+    assert np.array_equal(bits([frac(v) for v in FRAC_INPUTS]), bits(want))
+    assert frac(-1e-17) == 0.0 and frac(-0.0) == 0.0
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_frac_nonfinite_gives_nan(x):
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(frac(x))
+        assert np.all(np.isnan(frac(np.array([x, x]))))

@@ -25,17 +25,19 @@ PROF = continued_fraction(GOLDEN_MEAN, 20)
 H = ConjugacyDiffeo([0.2, 0.05], [0.0, 0.1])
 
 
+MAPS = [
+    Rotation(GOLDEN_MEAN),
+    TunedFamily(FourierSeries.cosine(), 0.05, 0.4),
+    AttractorRepeller(PROF.alpha, 5, PROF, 1.0),
+    ConjugatedRotation(GOLDEN_MEAN, H),
+    Discretized(ConjugatedRotation(GOLDEN_MEAN, H), 64),
+    Composition([Rotation(0.1), ConjugatedRotation(GOLDEN_MEAN, H)]),
+]
+
+
 def _callables():
-    maps = [
-        Rotation(GOLDEN_MEAN),
-        TunedFamily(FourierSeries.cosine(), 0.05, 0.4),
-        AttractorRepeller(PROF.alpha, 5, PROF, 1.0),
-        ConjugatedRotation(GOLDEN_MEAN, H),
-        Discretized(ConjugatedRotation(GOLDEN_MEAN, H), 64),
-        Composition([Rotation(0.1), ConjugatedRotation(GOLDEN_MEAN, H)]),
-    ]
     out = [("frac", frac)]
-    for m in maps:
+    for m in MAPS:
         out += [(f"{m.variant}.eval", m.eval), (f"{m.variant}.lift", m.lift)]
     density = DiffeoInvariantDensity(H)
     out += [
@@ -95,6 +97,13 @@ def test_array_values_equal_scalar_values_bitwise(name, fn):
 def test_batch_dependent_values_agree_within_newton_tolerance(name):
     _, scalars, arr = _scalar_and_array(dict(CALLABLES)[name])
     assert np.max(np.abs(arr.ravel() - np.array(scalars))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", MAPS + [H],
+                         ids=[m.variant for m in MAPS] + ["ConjugacyDiffeo"])
+def test_calling_a_map_evaluates_it(m):
+    assert m(0.3) == m.eval(0.3) and type(m(0.3)) is float
+    assert np.array_equal(m(XS), m.eval(XS))
 
 
 def test_lebesgue_cdf_returns_a_copy():

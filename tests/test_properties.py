@@ -1,0 +1,72 @@
+"""Property-based laws of the measures layer (hypothesis, derandomized so
+every run draws the same examples)."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from circlestab.arithmetic import frac
+from circlestab.measures import (
+    MERGE_TOL,
+    AtomicMeasure,
+    LebesgueMeasure,
+    wasserstein,
+)
+
+M = LebesgueMeasure()
+LAWS = settings(derandomize=True, max_examples=150, deadline=None,
+                database=None)
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+# clustered positions: a few centres plus offsets of a few ulps, so merges
+# within a cluster and across the 0/1 wrap get exercised
+offsets = st.integers(-6, 6).map(lambda k: k * 1e-16)
+clustered = st.tuples(st.sampled_from([0.0, 0.3, 1.0 - 1e-16]), offsets).map(
+    sum)
+positions = st.lists(st.one_of(unit, clustered), min_size=1, max_size=40)
+raw_weights = st.floats(1e-3, 1.0)
+
+
+@st.composite
+def atomic_inputs(draw):
+    p = np.array(draw(positions))
+    w = np.array(draw(st.lists(raw_weights, min_size=len(p),
+                               max_size=len(p))))
+    return p, w / np.sum(w)
+
+
+@LAWS
+@given(atomic_inputs(), unit)
+def test_w_to_lebesgue_is_rotation_invariant(pw, t):
+    p, w = pw
+    rotated = AtomicMeasure(p + t, w)
+    assert math.isclose(wasserstein(rotated, M),
+                        wasserstein(AtomicMeasure(p, w), M), abs_tol=1e-12)
+
+
+@LAWS
+@given(st.integers(1, 5000))
+def test_w_uniform_grid_to_lebesgue_is_quarter_spacing(n):
+    mu = AtomicMeasure.uniform(np.arange(n) / n)
+    assert math.isclose(wasserstein(mu, M), 1.0 / (4 * n), abs_tol=1e-14)
+
+
+@LAWS
+@given(atomic_inputs())
+def test_atomic_positions_separated_and_mass_kept(pw):
+    p, w = pw
+    mu = AtomicMeasure(p, w)
+    assert np.all((mu.positions >= 0.0) & (mu.positions < 1.0))
+    assert np.all(np.diff(mu.positions) > MERGE_TOL)
+    if len(mu) > 1:
+        assert (mu.positions[0] + 1.0) - mu.positions[-1] > MERGE_TOL
+    assert math.isclose(np.sum(mu.weights), np.sum(w), abs_tol=1e-14)
+
+
+@LAWS
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_frac_lies_in_unit_interval(x):
+    r = frac(x)
+    assert 0.0 <= r < 1.0
+    assert frac(np.array([x]))[0] == r
