@@ -18,7 +18,16 @@ from .arithmetic import (
     diophantine_type_estimate,
     lacunary_alpha,
 )
-from .cli import (
+from .cli import run_cli
+from .errors import (
+    CircleStabError,
+    ConvergenceError,
+    InsufficientDataError,
+    ResourceLimitError,
+    SmallDivisorError,
+    TuningError,
+)
+from .experiments import (
     ExperimentConfig,
     HolderFit,
     ScalingRecord,
@@ -27,18 +36,9 @@ from .cli import (
     holder_fit,
     read_records_csv,
     resolve_alpha,
-    run_cli,
     run_dk_suite,
     stability_scan,
     write_records_csv,
-)
-from .errors import (
-    CircleStabError,
-    ConvergenceError,
-    InsufficientDataError,
-    ResourceLimitError,
-    SmallDivisorError,
-    TuningError,
 )
 from .fourier import FourierDensity, FourierSeries, pairing
 from .invariant import (

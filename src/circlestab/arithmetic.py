@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 

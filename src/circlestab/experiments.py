@@ -1,0 +1,432 @@
+"""Scaling experiments: scans, records, fits and the Denjoy-Koksma suite.
+
+Scaling scans measure W1 distances across parameter ladders (the
+perturbation size delta for stability families, the grid size N for
+discretizations); holder_fit regresses the exponent on log-log axes
+with a bootstrap CI; records go to and come from a fixed-schema CSV.
+Reruns with the same config and seed are byte-identical.
+"""
+
+import csv
+import hashlib
+import io
+import json
+import logging
+import math
+from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
+from typing import List, NamedTuple, Sequence, Tuple, Union
+
+import numpy as np
+
+from .arithmetic import (
+    GOLDEN_MEAN,
+    SQRT2_MINUS_ONE,
+    continued_fraction,
+    frac,
+    lacunary_alpha,
+)
+from .errors import CircleStabError, InsufficientDataError
+from .invariant import (
+    analyze_functional_graph,
+    birkhoff_measure,
+    invariant_measure_of_diffeo,
+)
+from .maps import (
+    AttractorRepeller,
+    ConjugacyDiffeo,
+    ConjugatedRotation,
+    Discretized,
+    Rotation,
+)
+from .measures import (
+    SMOOTH_CELLS,
+    AtomicMeasure,
+    LebesgueMeasure,
+    atomize_by_cdf,
+    bv_library,
+    dk_check,
+    pushforward,
+    wasserstein,
+)
+
+__all__ = [
+    "MEASURE_KINDS",
+    "ScalingRecord",
+    "ScanResult",
+    "ExperimentConfig",
+    "resolve_alpha",
+    "stability_scan",
+    "discretization_scan",
+    "HolderFit",
+    "holder_fit",
+    "write_records_csv",
+    "read_records_csv",
+    "run_dk_suite",
+]
+
+log = logging.getLogger("circlestab")
+
+MEASURE_KINDS = ("physical", "worst-cycle", "best-cycle", "birkhoff")
+INVARIANCE_TOL = 1e-9  # constructed measures must be fixed to this W
+
+ALPHA_PRESETS = {
+    "golden": GOLDEN_MEAN,
+    "sqrt2": SQRT2_MINUS_ONE,
+    "lacunary": float(lacunary_alpha()),
+}
+
+
+def resolve_alpha(spec: Union[str, float]) -> Tuple[float, str]:
+    """(value, label) for a preset name or a finite numeric literal."""
+    if isinstance(spec, str):
+        key = spec.strip().lower()
+        if key in ALPHA_PRESETS:
+            return ALPHA_PRESETS[key], key
+        try:
+            value, label = float(key), key
+        except ValueError:
+            raise ValueError(
+                f"unknown alpha spec {spec!r}; presets: "
+                f"{sorted(ALPHA_PRESETS)}")
+    else:
+        value, label = float(spec), repr(float(spec))
+    if not math.isfinite(value):
+        raise ValueError(f"alpha must be finite, got {spec!r}")
+    return value, label
+
+
+def _map_hash(m) -> str:
+    return hashlib.sha256(m.to_json().encode()).hexdigest()[:16]
+
+
+# ------------------------------------------------------------ records
+
+@dataclass(frozen=True)
+class ScalingRecord:
+    """One (parameter, W) sample of a scaling scan."""
+
+    family_id: str
+    size_param: float
+    w_distance: float
+    measure_kind: str
+    seed: int = 0
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0 < self.size_param < math.inf:
+            raise ValueError("size_param must be positive and finite")
+        if not 0 <= self.w_distance < math.inf:
+            raise ValueError("w_distance must be nonnegative and finite")
+        if self.measure_kind not in MEASURE_KINDS:
+            raise ValueError(f"measure_kind must be one of {MEASURE_KINDS}")
+
+
+class ScanResult(list):
+    """List of ScalingRecord; per-point failures ride along in-band."""
+
+    def __init__(self, records=(), failures=()):
+        super().__init__(records)
+        self.failures: List[Tuple[float, str]] = list(failures)
+
+
+def write_records_csv(records: Sequence[ScalingRecord]) -> str:
+    """Fixed schema, 17 significant digits, deterministic row order."""
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(["family_id", "size_param", "w_distance", "measure_kind",
+                 "seed"])
+    key = lambda r: (r.family_id, r.size_param, r.measure_kind, r.w_distance)
+    for r in sorted(records, key=key):
+        wr.writerow([r.family_id, format(r.size_param, ".17g"),
+                     format(r.w_distance, ".17g"), r.measure_kind, r.seed])
+    return buf.getvalue()
+
+
+def read_records_csv(text: str) -> List[ScalingRecord]:
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != ["family_id", "size_param", "w_distance",
+                               "measure_kind", "seed"]:
+        raise ValueError("bad CSV header for scaling records")
+    return [ScalingRecord(family_id=r[0], size_param=float(r[1]),
+                          w_distance=float(r[2]), measure_kind=r[3],
+                          seed=int(r[4]))
+            for r in rows[1:] if r]
+
+
+# ------------------------------------------------------------ config
+
+STABILITY_FAMILIES = ("attractor_repeller", "rational_snap")
+DISCRETIZATION_FAMILIES = ("rotation", "diffeo")
+
+
+def _is_a(v, kind) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+@dataclass
+class ExperimentConfig:
+    """Declarative description of one scan."""
+
+    alpha: Union[str, float] = "golden"
+    family: str = "attractor_repeller"
+    ladder: Tuple = ()
+    depth: int = 30
+    bump_strength: float = 1.0
+    h_a: Tuple[float, ...] = (0.2,)
+    h_b: Tuple[float, ...] = ()
+    orbit_len: int = 0       # > 0 adds birkhoff records to stability scans
+    burn_in: int = 1000
+    seed: int = 0
+
+    def validate(self) -> "ExperimentConfig":
+        if not (isinstance(self.alpha, str) or _is_a(self.alpha, Real)):
+            raise ValueError("alpha must be a preset name or a number")
+        if not isinstance(self.family, str):
+            raise ValueError("family must be a string")
+        for name in ("depth", "orbit_len", "burn_in", "seed"):
+            if not _is_a(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
+        if not _is_a(self.bump_strength, Real):
+            raise ValueError("bump_strength must be a number")
+        for name, kind, what in (("ladder", Integral, "integers"),
+                                 ("h_a", Real, "numbers"),
+                                 ("h_b", Real, "numbers")):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list))
+                    and all(_is_a(v, kind) for v in value)):
+                raise ValueError(f"{name} must be a list of {what}")
+        resolve_alpha(self.alpha)
+        if self.family not in STABILITY_FAMILIES + DISCRETIZATION_FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        lad = list(self.ladder)
+        diffs = np.diff(np.asarray(lad, dtype=float))
+        if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
+            raise ValueError("ladder must be strictly monotone")
+        if not 0.0 < self.bump_strength <= 1.0:
+            raise ValueError("bump_strength must lie in (0, 1]")
+        if self.family in STABILITY_FAMILIES and lad:
+            if min(lad) < 0:
+                raise ValueError("convergent indices must be >= 0")
+            if self.depth < max(lad) + 2:
+                raise ValueError(
+                    f"depth {self.depth} too shallow for ladder max "
+                    f"{max(lad)} (need >= {max(lad) + 2})")
+        if self.family in DISCRETIZATION_FAMILIES and lad:
+            if min(lad) < 1:
+                raise ValueError("grid sizes must be >= 1")
+        ConjugacyDiffeo(self.h_a or (0.0,), self.h_b or None)
+        return self
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExperimentConfig":
+        d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
+        extra = set(d) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ValueError(f"unknown config keys: {sorted(extra)}")
+        for k in ("ladder", "h_a", "h_b"):
+            if isinstance(d.get(k), list):
+                d[k] = tuple(d[k])
+        return cls(**d).validate()
+
+
+# ------------------------------------------------------------ scans
+
+def _verified_uniform(mapping, positions) -> AtomicMeasure:
+    """Uniform measure on a finite orbit, checked to be invariant."""
+    mu = AtomicMeasure.uniform(positions)
+    miss = wasserstein(pushforward(mapping, mu), mu)
+    if miss > INVARIANCE_TOL:
+        raise CircleStabError(
+            f"constructed measure moves under the map: W = {miss:.3g}")
+    return mu
+
+
+def stability_scan(config: ExperimentConfig) -> ScanResult:
+    """W(m, mu_delta) over the convergent ladder of a stability family.
+
+    attractor_repeller records both invariant orbit measures (the
+    attractor as "physical", the repeller as "worst-cycle"); the
+    rational snap T_delta = R_{p/q} records the grid orbit measure.
+    """
+    config.validate()
+    if config.family not in STABILITY_FAMILIES:
+        raise ValueError(f"{config.family!r} is not a stability family")
+    alpha, label = resolve_alpha(config.alpha)
+    if not config.ladder:
+        return ScanResult()
+    profile = continued_fraction(alpha, config.depth)
+    m = LebesgueMeasure()
+
+    def one(j):
+        cv = profile.convergents[j]
+        base_meta = {"alpha": label, "j": j, "p": cv.p, "q": cv.q}
+        recs = []
+        if config.family == "attractor_repeller":
+            ar = AttractorRepeller(alpha, j, profile, config.bump_strength)
+            meta = dict(base_meta, map_hash=_map_hash(ar))
+            att = _verified_uniform(ar, ar.attracting_orbit())
+            rep = _verified_uniform(ar, ar.repelling_orbit())
+            recs.append(ScalingRecord(
+                "attractor_repeller", cv.delta, wasserstein(m, att),
+                "physical", config.seed, meta))
+            recs.append(ScalingRecord(
+                "attractor_repeller", cv.delta, wasserstein(m, rep),
+                "worst-cycle", config.seed, meta))
+            if config.orbit_len > 0:
+                bm = birkhoff_measure(ar, 0.123, config.orbit_len,
+                                      config.burn_in)
+                recs.append(ScalingRecord(
+                    "attractor_repeller", cv.delta, wasserstein(m, bm),
+                    "birkhoff", config.seed, meta))
+        else:  # rational_snap
+            snap = Rotation(cv.p / cv.q)
+            meta = dict(base_meta, map_hash=_map_hash(snap))
+            mu = _verified_uniform(snap, snap.orbit(0.0, cv.q))
+            recs.append(ScalingRecord(
+                "rational_snap", cv.delta, wasserstein(m, mu),
+                "physical", config.seed, meta))
+        return recs
+
+    return _scan_ladder(one, config.ladder)
+
+
+def _scan_ladder(one, ladder) -> ScanResult:
+    """Records of one(p) for each ladder point p, in ladder order; a
+    point that fails is logged into the failures and the scan goes on."""
+    out = ScanResult()
+    for p in ladder:
+        try:
+            out.extend(one(p))
+        except (CircleStabError, ValueError, ArithmeticError) as exc:
+            log.warning("ladder point %r failed: %s", p, exc)
+            out.failures.append((p, f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def discretization_scan(config: ExperimentConfig) -> ScanResult:
+    """W(mu_0, invariant measures of T_N) over an N ladder.
+
+    Records the basin-weighted physical measure and both cycle extremes
+    per N; mu_0 is Lebesgue for rotations and h_* m for diffeos
+    (atomized once for the whole scan).
+    """
+    config.validate()
+    if config.family not in DISCRETIZATION_FAMILIES:
+        raise ValueError(f"{config.family!r} is not a discretization family")
+    alpha, label = resolve_alpha(config.alpha)
+    if not config.ladder:
+        return ScanResult()
+
+    if config.family == "rotation":
+        base = Rotation(alpha)
+        mu0 = LebesgueMeasure()
+    else:
+        base = ConjugatedRotation(alpha,
+                                  ConjugacyDiffeo(config.h_a,
+                                                  config.h_b or None))
+        mu0 = atomize_by_cdf(invariant_measure_of_diffeo(base).cdf,
+                             SMOOTH_CELLS)
+
+    def one(N):
+        N = int(N)
+        T = Discretized(base, N)
+        analysis = analyze_functional_graph(T, N)
+        meta = {"alpha": label, "N": N, "map_hash": _map_hash(T),
+                "cycles": analysis.cycle_count}
+        ws = [wasserstein(mu0, cm) for cm in analysis.cycle_measures]
+        rows = [
+            ("physical", wasserstein(mu0, analysis.physical_measure)),
+            ("worst-cycle", max(ws)),
+            ("best-cycle", min(ws)),
+        ]
+        return [ScalingRecord(config.family, 1.0 / N, w, kind,
+                              config.seed, meta) for kind, w in rows]
+
+    return _scan_ladder(one, config.ladder)
+
+
+# ------------------------------------------------------------ regression
+
+class HolderFit(NamedTuple):
+    slope: float
+    intercept: float
+    r2: float
+    ci: Tuple[float, float]
+
+
+def holder_fit(records, bootstrap: int = 1000,
+               seed: int = 12345) -> HolderFit:
+    """OLS of log w_distance on log size_param, bootstrap CI on the slope.
+
+    Accepts ScalingRecords or bare finite (size > 0, w) pairs; zero
+    distances are excluded with a notice.  Reordering the input cannot
+    change the result: points are canonicalized before fitting.
+    """
+    pts = []
+    dropped = 0
+    for r in records:
+        if isinstance(r, ScalingRecord):
+            s, w = r.size_param, r.w_distance
+        else:
+            s, w = float(r[0]), float(r[1])
+            if not (0 < s < math.inf and w < math.inf):  # also rejects nan
+                raise ValueError(f"bad (size, w) pair {(s, w)!r}")
+        if w <= 0.0:
+            dropped += 1
+            continue
+        pts.append((s, w))
+    if dropped:
+        log.warning("holder_fit: excluded %d zero-W record(s)", dropped)
+    if len(pts) < 3:
+        raise InsufficientDataError(
+            f"need >= 3 positive records, have {len(pts)}")
+    pts.sort()
+    lx = np.log([p[0] for p in pts])
+    ly = np.log([p[1] for p in pts])
+
+    slope, intercept = np.polyfit(lx, ly, 1)
+    res = ly - (slope * lx + intercept)
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(res ** 2)) / ss_tot
+
+    rng = np.random.default_rng(seed)
+    slopes = []
+    n = len(pts)
+    for _ in range(bootstrap):
+        idx = rng.integers(0, n, n)
+        bx, by = lx[idx], ly[idx]
+        if np.ptp(bx) == 0.0:
+            continue
+        slopes.append(np.polyfit(bx, by, 1)[0])
+    if slopes:
+        lo, hi = np.percentile(slopes, [2.5, 97.5])
+    else:
+        lo = hi = slope
+    return HolderFit(float(slope), float(intercept), float(r2),
+                     (float(lo), float(hi)))
+
+
+# ------------------------------------------------------------ DK suite
+
+def run_dk_suite(cases: int = 1000, seed: int = 0,
+                 alpha: Union[str, float] = "golden"):
+    """Randomized Denjoy-Koksma check on orbits of 10..1e5 points;
+    returns (violations, checked)."""
+    a, _ = resolve_alpha(alpha)
+    rng = np.random.default_rng(seed)
+    lib = bv_library()
+    bad = 0
+    for _ in range(cases):
+        x0 = rng.uniform()
+        N = int(rng.integers(10, 10 ** 5 + 1))
+        f = lib[int(rng.integers(0, len(lib)))]
+        orb = frac(x0 + np.arange(1, N + 1) * a)
+        if not dk_check(f, orb).ok:
+            bad += 1
+    return bad, cases

@@ -101,10 +101,6 @@ class FourierSeries:
             return complex(self._c[n])
         return complex(np.conj(self._c[-n]))
 
-    def coeffs_nonneg(self) -> np.ndarray:
-        """Copy of the stored half-spectrum, index = frequency n >= 0."""
-        return self._c.copy()
-
     # -------------------------------------------------- evaluation
 
     @_pointwise

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 

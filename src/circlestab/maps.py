@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import List, Optional
 
 import numpy as np
@@ -137,9 +136,6 @@ class TunedFamily(CircleMap):
     @_pointwise
     def lift(self, x):
         return x + self.c + self.epsilon * self.u.eval(x)
-
-    def is_diffeo(self) -> bool:
-        return abs(self.epsilon) * self.u.derivative().sup_norm_bound() < 1.0
 
     def scalar_step(self):
         ufn = self.u.as_scalar_fn()
@@ -284,9 +280,10 @@ class ConjugacyDiffeo:
         z = y.copy()
         for _ in range(max_iter):
             r = z + self.displacement_fn(z) - y
-            if np.all(np.abs(r) <= tol):
+            done = np.abs(r) <= tol  # each point stops on its own
+            if np.all(done):
                 break
-            z = z - r / self.deriv(z)
+            z = np.where(done, z, z - r / self.deriv(z))
         else:
             worst = float(np.max(np.abs(z + self.displacement_fn(z) - y)))
             raise ConvergenceError(

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
 
 MERGE_TOL = 1e-15          # atoms closer than this coincide
 EXACT_DISCREPANCY_CAP = 10_000
+DISCREPANCY_POINT_CAP = 10_000_000  # orbit points the CLI ladder may ask for
 SMOOTH_CELLS = 1 << 21     # atomization resolution for CDF-only measures
 CESARO_ATOM_CAP = 20_000_000
 
@@ -121,9 +122,6 @@ class AtomicMeasure:
         return (isinstance(other, AtomicMeasure)
                 and np.array_equal(self.positions, other.positions)
                 and np.array_equal(self.weights, other.weights))
-
-    def integrate(self, f: Callable) -> float:
-        return float(np.dot(self.weights, np.asarray(f(self.positions))))
 
     # ------------------------------------------------ serialization
 
@@ -227,10 +225,10 @@ def atomize_by_cdf(cdf: Callable, cells: int = SMOOTH_CELLS) -> AtomicMeasure:
     return AtomicMeasure(mids[keep], massw)
 
 
-def _as_atomic(mu, cells: int) -> AtomicMeasure:
+def _as_atomic(mu) -> AtomicMeasure:
     if isinstance(mu, AtomicMeasure):
         return mu
-    return atomize_by_cdf(mu.cdf, cells)
+    return atomize_by_cdf(mu.cdf, SMOOTH_CELLS)
 
 
 def _check_probability(mu) -> None:
@@ -246,23 +244,23 @@ def _check_probability(mu) -> None:
     raise TypeError(f"not a measure: {mu!r}")
 
 
-def wasserstein(mu, nu, cells: int = SMOOTH_CELLS) -> float:
+def wasserstein(mu, nu) -> float:
     """Circular W1 distance between probability measures.
 
     Exact for atomic/Lebesgue arguments; measures supplied through a CDF
     (FourierDensity, diffeomorphism invariant measures) are atomized on
-    `cells` midpoint cells first (error <= 1/(2*cells) per smooth side).
+    M = SMOOTH_CELLS midpoint cells first (error <= 1/(2M) per smooth side).
     """
     _check_probability(mu)
     _check_probability(nu)
     if isinstance(mu, LebesgueMeasure) and isinstance(nu, LebesgueMeasure):
         return 0.0
     if isinstance(mu, LebesgueMeasure):
-        return wasserstein(nu, mu, cells)
+        return wasserstein(nu, mu)
     # mu is atomic or cdf-like; nu decides the branch
     if isinstance(nu, LebesgueMeasure):
-        return _w_atomic_lebesgue(_as_atomic(mu, cells))
-    return _w_atomic_atomic(_as_atomic(mu, cells), _as_atomic(nu, cells))
+        return _w_atomic_lebesgue(_as_atomic(mu))
+    return _w_atomic_atomic(_as_atomic(mu), _as_atomic(nu))
 
 
 # --------------------------------------------------------------- operators

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import linprog
 
 from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction, frac
-from circlestab.cli import (
+from circlestab.experiments import (
     ExperimentConfig,
     discretization_scan,
     holder_fit,

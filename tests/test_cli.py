@@ -3,12 +3,19 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import circlestab
 
 from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction
-from circlestab.cli import (
+from circlestab.cli import run_cli
+from circlestab.errors import InsufficientDataError
+from circlestab.experiments import (
     ExperimentConfig,
     HolderFit,
     ScalingRecord,
@@ -16,12 +23,10 @@ from circlestab.cli import (
     holder_fit,
     read_records_csv,
     resolve_alpha,
-    run_cli,
     run_dk_suite,
     stability_scan,
     write_records_csv,
 )
-from circlestab.errors import InsufficientDataError
 from circlestab.fourier import FourierSeries
 from circlestab.maps import AttractorRepeller, ConjugacyDiffeo, TunedFamily
 from circlestab.measures import (
@@ -153,6 +158,9 @@ def test_resolve_alpha():
     assert resolve_alpha("0.25")[0] == 0.25
     with pytest.raises(ValueError):
         resolve_alpha("nonsense")
+    for spec in ("nan", "inf", "-inf", math.inf):
+        with pytest.raises(ValueError):
+            resolve_alpha(spec)
 
 
 # ------------------------------------------------------------ scans
@@ -337,3 +345,149 @@ def test_cli_exit_codes(tmp_path):
 def test_dk_suite_function():
     bad, total = run_dk_suite(cases=100, seed=5)
     assert bad == 0 and total == 100
+
+
+# ------------------------------------------------------------ flags
+
+# small sizes with which each subcommand runs and exits 0 (scan.csv is
+# in the fuzz directory below)
+SMALL = {
+    "stability": ["--j-max", "8"],
+    "discretize": ["--ladder", "5", "50"],
+    "discrepancy": ["--ladder", "100"],
+    "dk-check": ["--cases", "5"],
+    "response": ["--eps", "0.01", "--orbit-len", "1000"],
+    "holder-fit": ["--input", "scan.csv"],
+    "profile-alpha": ["--depth", "5"],
+}
+UNREAD_FLAGS = [(cmd, flag) for cmd, flags in (
+    ("discrepancy", ("--seed", "--json", "--config")),
+    ("dk-check", ("--output", "--json", "--config")),
+    ("response", ("--seed", "--output", "--config")),
+    ("profile-alpha", ("--seed", "--output", "--config")),
+) for flag in flags]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
+                         ids=[f"{c} {f}" for c, f in UNREAD_FLAGS])
+def test_subcommand_rejects_flags_it_does_not_read(command, flag, tmp_path):
+    value = "1" if flag == "--seed" else str(tmp_path / "unused")
+    code, _, err = cli([command, *SMALL[command], flag, value])
+    assert code == 1 and "unrecognized arguments" in err
+
+
+BASE_CONFIG = {"family": "attractor_repeller", "ladder": [5, 6], "depth": 10}
+WRONG_TYPES = {
+    "ladder 5": dict(BASE_CONFIG, ladder=5),
+    "depth x": dict(BASE_CONFIG, depth="x"),
+    "bump_strength '1'": dict(BASE_CONFIG, bump_strength="1"),
+    "h_a 0.2": dict(BASE_CONFIG, h_a=0.2),
+    "orbit_len '5'": dict(BASE_CONFIG, orbit_len="5"),
+    "seed 1.5": dict(BASE_CONFIG, seed=1.5),
+    "alpha [0.5]": dict(BASE_CONFIG, alpha=[0.5]),
+    "not an object": 5,
+}
+
+
+@pytest.mark.parametrize("doc", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_config_rejects_wrong_types(doc, tmp_path):
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_json(json.dumps(doc))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = cli(["stability", "--config", str(path)])
+    assert code == 1 and err.startswith("config error")
+
+
+def test_cli_discrepancy_caps_the_ladder():
+    # far beyond any allocation, so only the cap can give this exit
+    code, _, err = cli(["discrepancy", "--ladder", str(10 ** 15)])
+    assert code == 2 and "exceeds the cap" in err
+
+
+def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(circlestab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                       env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "circlestab.cli", "profile-alpha",
+         "--depth", "5"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["partial_quotients"] == [1] * 5
+
+
+# ------------------------------------------------------------ fuzzed argv
+
+SCAN_FLAGS = ["--alpha", "--seed", "--output", "--json", "--config",
+              "--family"]
+OWN_FLAGS = {
+    "stability": SCAN_FLAGS + ["--j-min", "--j-max", "--bump", "--depth"],
+    "discretize": SCAN_FLAGS + ["--ladder", "--h-amp"],
+    "discrepancy": ["--alpha", "--output", "--ladder", "--mode"],
+    "dk-check": ["--alpha", "--seed", "--suite", "--cases"],
+    "response": ["--alpha", "--json", "--eps", "--orbit-len", "--burn-in"],
+    "holder-fit": ["--input"],
+    "profile-alpha": ["--alpha", "--json", "--depth"],
+    "bogus": [],
+}
+ALL_FLAGS = sorted(set().union(*OWN_FLAGS.values())) + ["--help", "--bogus"]
+# relative paths resolve in the fuzz directory: config.json is rewritten
+# for every example and scan.csv holds valid records.  "diffeo" is left
+# out because its reference measure alone takes seconds to build.
+VALUES = ["nan", "inf", "-1", "0", "1", "5", "0.5", "x", "golden",
+          "rotation", "rational_snap", "enclosure", "default", "config.json",
+          "scan.csv", "missing.csv", ".", None]
+# a valid eps costs seconds of tuning, so the fuzzed response never has one
+FUZZ_SMALL = dict(SMALL, response=["--eps", "0", "--orbit-len", "1000"])
+CONFIG_KEYS = ["alpha", "family", "ladder", "depth", "bump_strength", "h_a",
+               "h_b", "orbit_len", "burn_in", "seed", "bogus"]
+CONFIG_VALUES = [math.nan, math.inf, -1, 0, 1, 5, 0.5, "x", "1", "golden",
+                 "rotation", "attractor_repeller", "rational_snap", [5, 6],
+                 [0.2], [], None, True]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(list(OWN_FLAGS)))
+    # drawn flags come after the small sizes, so a drawn value wins
+    argv = [command, *FUZZ_SMALL.get(command, [])]
+    if command in ("stability", "discretize") and draw(st.booleans()):
+        argv += ["--config", "config.json"]
+    # half of the flags from the command's own, half from all of them
+    flags = st.sampled_from(OWN_FLAGS[command] or ALL_FLAGS) | \
+        st.sampled_from(ALL_FLAGS)
+    for flag, value in draw(st.lists(st.tuples(flags, st.sampled_from(VALUES)),
+                                     max_size=4)):
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+fuzzed_config = st.one_of(
+    st.dictionaries(st.sampled_from(CONFIG_KEYS),
+                    st.sampled_from(CONFIG_VALUES),
+                    max_size=4).map(json.dumps),
+    st.sampled_from(["", "not json", "5", "[1]"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "scan.csv").write_text(write_records_csv(
+        [ScalingRecord("f", 10.0 ** -k, 10.0 ** -k / 2, "physical")
+         for k in range(1, 5)]))
+    return path
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(argv=fuzzed_argv(), config=fuzzed_config)
+def test_fuzzed_argv_exits_0_1_or_2(argv, config, fuzz_dir):
+    (fuzz_dir / "config.json").write_text(config)
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        code = cli(argv)[0]
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)

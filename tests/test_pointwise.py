@@ -1,7 +1,6 @@
 """The scalar-or-array convention shared by every pointwise evaluation:
 a scalar point gives a Python float, an array gives an ndarray of the
-same shape, and the array values are the scalar values bit for bit
-(except for the batch-dependent callables listed below)."""
+same shape, and the array values are the scalar values bit for bit."""
 
 import numpy as np
 import pytest
@@ -58,9 +57,9 @@ def _callables():
 CALLABLES = _callables()
 IDS = [n for n, _ in CALLABLES]
 
-# Everything that runs ConjugacyDiffeo.inverse: an array call takes Newton
-# steps until the whole batch is within tolerance, so a point in a batch
-# can be refined further than the same point on its own.
+# Everything that runs ConjugacyDiffeo.inverse: each point of a batch
+# stops its Newton steps on its own, so it takes the same steps as the
+# point on its own would.
 BATCH_DEPENDENT = {"ConjugatedRotation.eval", "ConjugatedRotation.lift",
                    "Composition.eval", "Composition.lift",
                    "ConjugacyDiffeo.inverse",
@@ -83,11 +82,7 @@ def test_scalar_gives_float_array_gives_same_shape(name, fn):
     assert isinstance(arr, np.ndarray) and arr.shape == xs.shape
 
 
-@pytest.mark.parametrize("name,fn", [
-    pytest.param(n, f, marks=pytest.mark.xfail(
-        strict=True, reason="Newton in ConjugacyDiffeo.inverse stops "
-                            "per batch, not per point"))
-    if n in BATCH_DEPENDENT else (n, f) for n, f in CALLABLES], ids=IDS)
+@pytest.mark.parametrize("name,fn", CALLABLES, ids=IDS)
 def test_array_values_equal_scalar_values_bitwise(name, fn):
     _, scalars, arr = _scalar_and_array(fn)
     assert np.array_equal(arr.ravel(), np.array(scalars))
