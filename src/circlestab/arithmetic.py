@@ -18,13 +18,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import CircleStabError, InsufficientDataError
+from .errors import CircleStabError, InsufficientDataError, SmallDivisorError
 
 __all__ = [
+    "DIVISOR_FLOOR",
     "GOLDEN_MEAN",
     "SQRT2_MINUS_ONE",
     "CirclePoint",
@@ -42,6 +43,9 @@ __all__ = [
 # (sqrt(5)-1)/2 and sqrt(2)-1, the two bounded-quotient test irrationals
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT2_MINUS_ONE = math.sqrt(2.0) - 1.0
+
+# smallest |e^{2 pi i n alpha} - 1| a homological solve divides by
+DIVISOR_FLOOR = 1e-13
 
 # A canonical circle point is just a float in [0, 1).
 CirclePoint = float
@@ -105,6 +109,37 @@ def circle_dist(x: float, y: float) -> float:
     """Distance on R/Z: min(|x-y| mod 1, 1 - |x-y| mod 1), always <= 1/2."""
     d = abs(canonicalize(x) - canonicalize(y))
     return min(d, 1.0 - d)
+
+
+def _reduced_half_phase_sin_cos(alpha: float, n: int) -> Tuple[float, float]:
+    """(sin, cos) of pi*r where r = n*alpha reduced to [-1/2, 1/2] exactly."""
+    r = Fraction(alpha) * n
+    r -= math.floor(r)
+    rf = float(r)
+    if rf > 0.5:
+        rf -= 1.0
+    return math.sin(math.pi * rf), math.cos(math.pi * rf)
+
+
+def _divisor(alpha: float, n: int) -> complex:
+    """e^{2 pi i n alpha} - 1 in the cancellation-free half-angle form.
+
+    The phase n*alpha is reduced exactly (a float alpha is a binary
+    rational), so the magnitude 2|sin(pi n alpha)| is correct to machine
+    precision even when n*alpha is large.
+    """
+    s, c = _reduced_half_phase_sin_cos(alpha, n)
+    return complex(-2.0 * s * s, 2.0 * s * c)
+
+
+def _checked_divisor(alpha: float, n: int) -> complex:
+    d = _divisor(alpha, n)
+    if abs(d) < DIVISOR_FLOOR:
+        raise SmallDivisorError(
+            f"|1 - e^(2 pi i n alpha)| = {abs(d):.3g} < {DIVISOR_FLOOR:g} "
+            f"at n = {n}: alpha too close to rational with denominator {n}",
+            frequency=n, magnitude=abs(d))
+    return d
 
 
 class TruncationError(CircleStabError):

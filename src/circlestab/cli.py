@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arithmetic import continued_fraction, frac
-from .errors import CircleStabError, ResourceLimitError
+from .errors import CircleStabError, InsufficientDataError, ResourceLimitError
 from .experiments import (
     DISCRETIZATION_FAMILIES,
     STABILITY_FAMILIES,
@@ -144,12 +144,12 @@ def _cmd_scan(args) -> int:
                             for p, msg in records.failures]}
     try:
         summary["fit"] = holder_fit(records)._asdict()
-    except ValueError:  # InsufficientDataError is one
+    except InsufficientDataError:
         summary["fit"] = None
     _write(args.json_out, json.dumps(summary, indent=2), sys.stderr)
-    if records or not cfg.ladder:
+    if summary["fit"] or not cfg.ladder:
         return 0
-    return 2  # every ladder point failed
+    return 2  # every ladder point failed, or too few sizes to fit
 
 
 def _cmd_discrepancy(args) -> int:

@@ -36,8 +36,10 @@ class ConvergenceError(CircleStabError):
 
 
 class TuningError(ConvergenceError):
-    """Parameter tuning (bisection on the rotation number) did not bracket
-    or did not contract to tolerance within its iteration budget."""
+    """Rotation-number tuning failed: the Newton solve for the conjugacy
+    did not converge (error_bound is its grid residual), or direct
+    iteration of the tuned map missed the target (error_bound is the
+    miss)."""
 
 
 class SmallDivisorError(CircleStabError, ZeroDivisionError):

@@ -38,6 +38,7 @@ from .maps import (
     ConjugatedRotation,
     Discretized,
     Rotation,
+    _check_orbit_len,
 )
 from .measures import (
     SMOOTH_CELLS,
@@ -216,6 +217,7 @@ class ExperimentConfig:
             if min(lad) < 1:
                 raise ValueError("grid sizes must be >= 1")
         ConjugacyDiffeo(self.h_a or (0.0,), self.h_b or None)
+        _check_orbit_len(self.orbit_len, self.burn_in)
         return self
 
     def to_json(self) -> str:
@@ -386,6 +388,9 @@ def holder_fit(records, bootstrap: int = 1000,
     if len(pts) < 3:
         raise InsufficientDataError(
             f"need >= 3 positive records, have {len(pts)}")
+    if len({s for s, _ in pts}) < 2:
+        raise InsufficientDataError(
+            "need records at >= 2 distinct sizes to fit a slope")
     pts.sort()
     lx = np.log([p[0] for p in pts])
     ly = np.log([p[1] for p in pts])

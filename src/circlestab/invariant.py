@@ -164,7 +164,7 @@ def birkhoff_average(mapping: CircleMap, f: Callable, n: int,
     if not weighted:
         return float(np.mean(vals))
     w = weighted_birkhoff_weights(n)
-    return float(np.dot(w, vals) / np.sum(w))
+    return float(np.einsum("i,i->", w, vals) / np.sum(w))
 
 
 class DiffeoInvariantDensity:

@@ -15,15 +15,22 @@ from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .arithmetic import DiophantineProfile, _pointwise, canonicalize, frac
-from .errors import ConvergenceError, TuningError
+from .arithmetic import (
+    DiophantineProfile,
+    _checked_divisor,
+    _pointwise,
+    canonicalize,
+    frac,
+)
+from .errors import ConvergenceError, ResourceLimitError, TuningError
 from .fourier import FourierSeries
 
 __all__ = [
+    "ORBIT_LEN_CAP",
     "AttractorRepeller",
     "CircleMap",
     "Composition",
@@ -38,6 +45,17 @@ __all__ = [
     "tune_rotation_number",
     "weighted_birkhoff_weights",
 ]
+
+ORBIT_LEN_CAP = 10 ** 8  # orbit points plus burn-in steps one orbit may take
+
+
+def _check_orbit_len(n: int, burn_in: int = 0) -> None:
+    """ResourceLimitError, before allocating, for an orbit over the cap."""
+    if n + burn_in > ORBIT_LEN_CAP:
+        raise ResourceLimitError(
+            f"orbit of {n} points after {burn_in} burn-in steps exceeds "
+            f"the cap {ORBIT_LEN_CAP}", requested=n + burn_in,
+            limit=ORBIT_LEN_CAP)
 
 
 class CircleMap:
@@ -67,6 +85,7 @@ class CircleMap:
 
     def orbit(self, x0: float, n: int, burn_in: int = 0) -> np.ndarray:
         """[T^(burn_in+1) x0, ..., T^(burn_in+n) x0] as a float array."""
+        _check_orbit_len(n, burn_in)
         step = self.scalar_step()
         x = canonicalize(x0)
         for _ in range(burn_in):
@@ -110,6 +129,7 @@ class Rotation(CircleMap):
 
     def orbit(self, x0, n, burn_in=0):
         # closed form x_i = x0 + i*alpha mod 1, one rounding per point
+        _check_orbit_len(n, burn_in)
         i = np.arange(burn_in + 1, burn_in + n + 1, dtype=float)
         return frac(canonicalize(x0) + i * self.alpha)
 
@@ -319,6 +339,7 @@ class ConjugatedRotation(CircleMap):
 
     def orbit(self, x0, n, burn_in=0):
         # closed form via the conjugacy: x_i = h(y0 + i*alpha mod 1)
+        _check_orbit_len(n, burn_in)
         y0 = frac(self.h.inverse(canonicalize(x0)))
         i = np.arange(burn_in + 1, burn_in + n + 1, dtype=float)
         return frac(self.h.eval(frac(y0 + i * self.alpha)))
@@ -467,7 +488,9 @@ class RotationNumber(float):
 
 def _wb_mean(values: np.ndarray) -> float:
     w = weighted_birkhoff_weights(len(values))
-    return float(np.dot(w, values) / np.sum(w))
+    # einsum, unlike a BLAS dot, sums in an order that does not depend on
+    # the thread count
+    return float(np.einsum("i,i->", w, values) / np.sum(w))
 
 
 def rotation_number(m: CircleMap, iters: int = 1 << 15,
@@ -507,49 +530,155 @@ def rotation_number(m: CircleMap, iters: int = 1 << 15,
     return RotationNumber(est, err)
 
 
+# Fourier-Newton solve of f o h = h o R_alpha (de la Llave, "A tutorial
+# on KAM theory", 2001; Figueras-Haro-Luque, Found. Comput. Math. 17, 2017)
+_NEWTON_GRID = 256          # first grid size M; doubled while Newton fails
+_NEWTON_GRID_MAX = 1 << 13
+_NEWTON_STEPS = 30          # Newton steps per grid
+_NEWTON_TOL = 1e-14         # grid residual, relative to 1 + |eps| sup|u|
+_CONTINUATION_HALVINGS = 8  # of the eps step, before giving up
+
+
+class _Conjugacy(NamedTuple):
+    """h = id + eta with <eta> = 0 and offset c, at one eps."""
+
+    eta_hat: np.ndarray  # rfft coefficients of eta (norm="forward")
+    c: float
+    residual: float      # sup |E| over the grid
+    M: int               # grid size
+
+
+def _newton_conjugacy(u, eps, alpha, M, start, divisors):
+    """Quasi-Newton for f o h = h o R_alpha, f = x + c + eps*u, on M points.
+
+    E = eta + c + eps*u(theta + eta) - alpha - eta(. + alpha).  A step
+    solves W(theta + alpha) - W(theta) = (E + dc)/h'(theta + alpha), with
+    dc making the right side mean zero, then sets eta += h'*W and
+    c += dc; W's mean keeps <eta> = 0 and every step keeps |n| <= M/3.
+    Returns (converged, the iterate of least residual).
+    """
+    K = M // 3
+    d = divisors(K)
+    shift = 1.0 + d  # e^{2 pi i n alpha}
+    deriv = 2j * math.pi * np.arange(K + 1)
+    theta = np.arange(M) / M
+    eta_hat = np.zeros(K + 1, dtype=complex)
+    k = min(K + 1, len(start.eta_hat))
+    eta_hat[:k] = start.eta_hat[:k]
+    c = start.c
+    tol = _NEWTON_TOL * (1.0 + abs(eps) * u.sup_norm_bound())
+
+    def grid(coeffs):
+        return np.fft.irfft(coeffs, M, norm="forward")
+
+    best = start._replace(residual=math.inf)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(_NEWTON_STEPS):
+                eta = grid(eta_hat)
+                E = eta - grid(eta_hat * shift) + (c - alpha) \
+                    + eps * u.eval(theta + eta)
+                res = float(np.max(np.abs(E)))
+                if res < best.residual:
+                    best = _Conjugacy(eta_hat, c, res, M)
+                if res <= tol:
+                    return True, best
+                dh = 1.0 + grid(deriv * eta_hat)
+                dh_shift = 1.0 + grid(deriv * eta_hat * shift)
+                if not np.min(dh_shift) > 0.0:  # h is no diffeomorphism
+                    break
+                inv = 1.0 / dh_shift
+                dc = -float(np.mean(E * inv) / np.mean(inv))
+                w_hat = np.fft.rfft((E + dc) * inv, norm="forward")[:K + 1]
+                w_hat[0] = 0.0
+                w_hat[1:] /= d[1:]
+                w = grid(w_hat)
+                w -= np.mean(dh * w)
+                eta_hat = eta_hat + np.fft.rfft(dh * w, norm="forward")[:K + 1]
+                eta_hat[0] = 0.0
+                c += dc
+    except FloatingPointError:  # the iterates blew up
+        pass
+    return False, best
+
+
+def _solve_conjugacy(u, eps, alpha) -> float:
+    """Offset c of the Newton solve at eps; TuningError if it fails.
+
+    Each solve starts on 256 points, or on the grid of its warm start,
+    and doubles the grid, warm-started, up to 2^13 while Newton fails.  If that fails at eps, the solve
+    continues in eps from eps = 0 (h = id, c = alpha): each step starts
+    from the last solved eps, and a failed step is halved, at most 8
+    times.  The error carries the best iterate found at eps itself.
+    """
+    cache = {}
+
+    def divisors(K):
+        if K not in cache:
+            cache[K] = np.array([0j] + [_checked_divisor(alpha, n)
+                                        for n in range(1, K + 1)])
+        return cache[K]
+
+    def on_grids(e, start):
+        M = start.M
+        while True:
+            ok, it = _newton_conjugacy(u, e, alpha, M, start, divisors)
+            if ok or M >= _NEWTON_GRID_MAX:
+                return ok, it
+            M, start = 2 * M, it
+
+    solved = _Conjugacy(np.zeros(1, dtype=complex), alpha, math.inf,
+                        _NEWTON_GRID)
+    ok, best = on_grids(eps, solved)
+    # fractions of eps; dyadic, so done + step reaches 1 exactly
+    done, step, halvings = 0.0, 0.5, 1
+    while not ok and halvings <= _CONTINUATION_HALVINGS:
+        t = done + step  # <= 1: done is a multiple of step
+        step_ok, it = on_grids(t * eps, solved)
+        if t == 1.0:
+            ok = step_ok
+            if it.residual < best.residual:
+                best = it
+        if step_ok:
+            done, solved = t, it
+        else:
+            step, halvings = step / 2, halvings + 1
+    if not ok:
+        raise TuningError(
+            f"Newton for the conjugacy did not converge at eps = {eps:g}: "
+            f"grid residual {best.residual:.3g}",
+            estimate=best.c, error_bound=best.residual)
+    return best.c
+
+
 def tune_rotation_number(u: FourierSeries, epsilon: float, target_alpha: float,
                          tol: float = 1e-12, iters: int = 1 << 16):
     """Offset c with rot(x + c + eps*u(x)) = target_alpha within tol.
 
-    rot is monotone nondecreasing and 1-Lipschitz in c, and lies in
-    [c - |eps| sup|u|, c + |eps| sup|u|], so bisection over that bracket
-    converges; once the bracket width drops below tol the Lipschitz
-    bound certifies |rot - target| <= tol regardless of estimator noise.
+    c comes from a Fourier-Newton solve of the conjugacy equation
+    f o h = h o R_alpha for (c, h) (see _solve_conjugacy), so it is an
+    estimate.  It is accepted only if direct iteration agrees: the
+    rotation number of the tuned map over `iters` steps must satisfy
+    |rot - target| + error_bound <= tol.  Raises TuningError, carrying
+    the best c and its grid residual or its direct-iteration miss, if
+    the solve does not converge or the check fails; this happens close
+    to the critical family, e.g. u = cos at eps = 0.159 (eps sup|u'| =
+    0.999) for the golden mean.  A target within DIVISOR_FLOOR of a
+    rational of denominator <= 2730 raises SmallDivisorError.
     Returns (TunedFamily, c).
     """
     target = float(target_alpha)
-    if abs(epsilon) * u.derivative().sup_norm_bound() >= 1.0:
+    if not abs(epsilon) * u.derivative().sup_norm_bound() < 1.0:
         raise ValueError("|epsilon| * sup|u'| must be < 1 for a diffeomorphism")
-    if epsilon == 0.0:
-        return TunedFamily(u, 0.0, target), target
-
-    M = u.sup_norm_bound()
-    lo = target - abs(epsilon) * M
-    hi = target + abs(epsilon) * M
-    if lo == hi:  # u identically zero
+    if epsilon == 0.0 or u.is_zero():
         return TunedFamily(u, epsilon, target), target
 
-    def rot_at(c):
-        return rotation_number(TunedFamily(u, epsilon, c), iters=iters, tol=None)
-
-    best_c, best_err = None, math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = rot_at(mid)
-        miss = abs(float(r) - target)
-        if miss < best_err:
-            best_c, best_err = mid, miss
-        if miss + r.error_bound <= tol:
-            return TunedFamily(u, epsilon, mid), mid
-        if hi - lo <= tol:
-            # Lipschitz certificate: the true solution lies in [lo, hi]
-            return TunedFamily(u, epsilon, mid), mid
-        if float(r) < target:
-            lo = mid
-        else:
-            hi = mid
-    raise TuningError(
-        f"bisection did not converge: bracket [{lo!r}, {hi!r}], "
-        f"best |rot - target| = {best_err:g}",
-        estimate=best_c if best_c is not None else 0.5 * (lo + hi),
-        error_bound=best_err)
+    c = _solve_conjugacy(u, float(epsilon), target)
+    fam = TunedFamily(u, epsilon, c)
+    r = rotation_number(fam, iters=iters, tol=None)
+    miss = abs(float(r) - target) + r.error_bound
+    if not miss <= tol:
+        raise TuningError(
+            f"direct iteration misses the target by {miss:.3g} > {tol:g} "
+            f"at c = {c!r}", estimate=c, error_bound=miss)
+    return fam, c

@@ -8,24 +8,28 @@ finite Fourier pairings against it.  The finite-difference validator
 tunes a family to constant rotation number and compares Birkhoff
 quotients against the formula.
 
-Divisors are computed with the phase n*alpha reduced exactly (a float
-alpha is a binary rational), so their magnitudes 2|sin(pi n alpha)| are
-correct to machine precision even when n*alpha is large.
+Divisors come from arithmetic._divisor, which reduces the phase n*alpha
+exactly, so their magnitudes are correct to machine precision even when
+n*alpha is large.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import DiophantineProfile
-from .errors import InsufficientDataError, SmallDivisorError, TuningError
+from .arithmetic import (
+    DIVISOR_FLOOR,
+    DiophantineProfile,
+    _checked_divisor,
+    _reduced_half_phase_sin_cos,
+)
+from .errors import InsufficientDataError, TuningError
 from .fourier import FourierDensity, FourierSeries, pairing
 from .invariant import birkhoff_average
-from .maps import tune_rotation_number
+from .maps import _check_orbit_len, tune_rotation_number
 
 __all__ = [
     "DIVISOR_FLOOR",
@@ -40,25 +44,6 @@ __all__ = [
     "AverageExpansion",
     "average_expansion",
 ]
-
-DIVISOR_FLOOR = 1e-13
-
-
-def _reduced_half_phase_sin_cos(alpha: float, n: int) -> Tuple[float, float]:
-    """(sin, cos) of pi*r where r = n*alpha reduced to [-1/2, 1/2] exactly."""
-    r = Fraction(alpha) * n
-    r -= math.floor(r)
-    rf = float(r)
-    if rf > 0.5:
-        rf -= 1.0
-    return math.sin(math.pi * rf), math.cos(math.pi * rf)
-
-
-def _divisor(alpha: float, n: int) -> complex:
-    """e^{2 pi i n alpha} - 1 in the cancellation-free half-angle form."""
-    s, c = _reduced_half_phase_sin_cos(alpha, n)
-    return complex(-2.0 * s * s, 2.0 * s * c)
-
 
 @dataclass(frozen=True)
 class SmallDivisorProfile:
@@ -87,16 +72,6 @@ def small_divisor_profile(alpha: float, n_max: int) -> SmallDivisorProfile:
         alpha=float(alpha), n_max=int(n_max), magnitudes=mags,
         min_magnitude=float(mags[k]), argmin_n=k + 1,
         degenerate=bool(np.any(mags == 0.0)))
-
-
-def _checked_divisor(alpha: float, n: int) -> complex:
-    d = _divisor(alpha, n)
-    if abs(d) < DIVISOR_FLOOR:
-        raise SmallDivisorError(
-            f"|1 - e^(2 pi i n alpha)| = {abs(d):.3g} < {DIVISOR_FLOOR:g} "
-            f"at n = {n}: alpha too close to rational with denominator {n}",
-            frequency=n, magnitude=abs(d))
-    return d
 
 
 def solve_homological(u: FourierSeries, alpha: float,
@@ -162,6 +137,7 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
         raise ValueError("eps ladder is empty")
     if any(e <= 0 for e in ladder):
         raise ValueError("eps values must be positive")
+    _check_orbit_len(orbit_len, burn_in)  # before any tuning
 
     psi0 = psi.mean
     records = []

@@ -405,6 +405,32 @@ def test_cli_discrepancy_caps_the_ladder():
     assert code == 2 and "exceeds the cap" in err
 
 
+def test_cli_response_caps_the_orbit():
+    code, _, err = cli(["response", "--eps", "0.01",
+                        "--orbit-len", str(10 ** 15)])
+    assert code == 2 and "exceeds the cap" in err
+
+
+def test_cli_config_caps_the_orbit(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, orbit_len=10 ** 15)))
+    code, _, err = cli(["stability", "--config", str(path)])
+    assert code == 2 and "exceeds the cap" in err
+
+
+def test_holder_fit_needs_two_sizes():
+    with pytest.raises(InsufficientDataError):
+        holder_fit([(0.5, 0.1), (0.5, 0.2), (0.5, 0.3)])
+
+
+def test_cli_scan_without_two_sizes_exits_2(capfd):
+    # one grid size gives three records at the same size: no slope
+    code = run_cli(["discretize", "--ladder", "1"])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert '"fit": null' in err and "DLASCL" not in err
+
+
 def test_module_entry_point_runs():
     src = os.path.dirname(os.path.dirname(circlestab.__file__))
     env = dict(os.environ)

@@ -5,6 +5,9 @@ call per breakpoint, the atom-by-atom merge of `AtomicMeasure` and
 
 import functools
 import operator
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +93,35 @@ def test_w_lebesgue_equals_mass_loop_on_cesaro(n):
     mu = cesaro_average(AtomicMeasure.dirac(0.0), GOLDEN_MEAN, n)
     assert len(mu) == n
     assert wasserstein(M, mu) == w_lebesgue_loop(mu)
+
+
+# ------------------------------------------------------------ W between atoms
+
+W_ATOMIC_SCRIPT = """
+import numpy as np
+from circlestab.measures import AtomicMeasure, _w_atomic_atomic
+rng = np.random.default_rng(5)
+n = 1 << 20
+mu = AtomicMeasure(rng.uniform(0, 1, n), rng.dirichlet(np.ones(n)))
+nu = AtomicMeasure(rng.uniform(0, 1, n), rng.dirichlet(np.ones(n)))
+print(repr(_w_atomic_atomic(mu, nu)))
+"""
+
+
+def test_w_atomic_atomic_does_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(
+        sys.modules[AtomicMeasure.__module__].__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", W_ATOMIC_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 # ------------------------------------------------------------ merging

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from circlestab.arithmetic import GOLDEN_MEAN, circle_dist, continued_fraction
-from circlestab.errors import ConvergenceError
+from circlestab.errors import ConvergenceError, ResourceLimitError
 from circlestab.fourier import FourierSeries
 from circlestab.maps import (
+    ORBIT_LEN_CAP,
     AttractorRepeller,
     Composition,
     ConjugacyDiffeo,
@@ -228,6 +229,18 @@ def test_tune_offset_sandwich():
 def test_tune_rejects_steep_family():
     with pytest.raises(ValueError):
         tune_rotation_number(FourierSeries.cosine(), 0.2, GOLDEN_MEAN)
+
+
+@pytest.mark.parametrize("m", [
+    TunedFamily(FourierSeries.cosine(), 0.05, 0.4), Rotation(GOLDEN_MEAN),
+    ConjugatedRotation(GOLDEN_MEAN, H)], ids=lambda m: m.variant)
+def test_orbit_length_is_capped_before_allocating(m):
+    # far beyond any allocation, so only the cap can give this error
+    with pytest.raises(ResourceLimitError) as ei:
+        m.orbit(0.0, 10 ** 15)
+    assert ei.value.limit == ORBIT_LEN_CAP
+    with pytest.raises(ResourceLimitError):
+        m.orbit(0.0, 10, burn_in=10 ** 15)
 
 
 # ------------------------------------------------------- conjugacy diffeo

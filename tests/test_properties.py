@@ -1,5 +1,5 @@
-"""Property-based laws of the measures layer (hypothesis, derandomized so
-every run draws the same examples)."""
+"""Property-based laws of the measures layer and the Holder fit
+(hypothesis, derandomized so every run draws the same examples)."""
 
 import math
 
@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from circlestab.arithmetic import frac
+from circlestab.experiments import holder_fit
 from circlestab.measures import (
     MERGE_TOL,
     AtomicMeasure,
@@ -70,3 +71,13 @@ def test_frac_lies_in_unit_interval(x):
     r = frac(x)
     assert 0.0 <= r < 1.0
     assert frac(np.array([x]))[0] == r
+
+
+@LAWS
+@given(st.lists(st.tuples(st.floats(1e-8, 1.0), st.floats(1e-8, 1.0)),
+                min_size=3, max_size=12, unique_by=lambda p: p[0]),
+       st.randoms(use_true_random=False))
+def test_holder_fit_ignores_input_order(pts, rnd):
+    shuffled = list(pts)
+    rnd.shuffle(shuffled)
+    assert holder_fit(pts, bootstrap=50) == holder_fit(shuffled, bootstrap=50)

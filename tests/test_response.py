@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction
-from circlestab.errors import InsufficientDataError, SmallDivisorError
+from circlestab.errors import (
+    InsufficientDataError,
+    ResourceLimitError,
+    SmallDivisorError,
+)
 from circlestab.fourier import FourierSeries, pairing
 from circlestab.response import (
     AverageExpansion,
@@ -192,6 +196,17 @@ def test_fd_response_validation():
         fd_response(u, G, u, [])
     with pytest.raises(ValueError):
         fd_response(u, G, u, [-1e-2])
+
+
+def test_fd_response_caps_the_orbit_before_tuning(monkeypatch):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuned before the orbit length was checked")
+
+    monkeypatch.setattr("circlestab.response.tune_rotation_number",
+                        no_tuning)
+    u = FourierSeries.cosine(1)
+    with pytest.raises(ResourceLimitError):
+        fd_response(u, G, u, [1e-2], orbit_len=10 ** 15)
 
 
 def test_response_report_json():

@@ -1,0 +1,101 @@
+"""The Fourier-Newton rotation-number tuner against the bisection it
+replaced, kept here as an oracle, plus its laws and its failure mode."""
+
+import math
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from circlestab.arithmetic import GOLDEN_MEAN, SQRT2_MINUS_ONE
+from circlestab.errors import TuningError
+from circlestab.fourier import FourierSeries
+from circlestab.maps import TunedFamily, rotation_number, tune_rotation_number
+
+
+def tune_bisect(u, epsilon, target, tol=1e-12, iters=1 << 16):
+    """The bisection tuner: rot is monotone in c and lies within
+    |eps| sup|u| of c; stops once an estimate is within tol or the
+    bracket is narrower than tol."""
+    M = u.sup_norm_bound()
+    lo = target - abs(epsilon) * M
+    hi = target + abs(epsilon) * M
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r = rotation_number(TunedFamily(u, epsilon, mid), iters=iters,
+                            tol=None)
+        if abs(float(r) - target) + r.error_bound <= tol or hi - lo <= tol:
+            return mid
+        if float(r) < target:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("bisection did not converge")
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_newton_offset_matches_bisection(eps):
+    u = FourierSeries.cosine()
+    fam, c = tune_rotation_number(u, eps, GOLDEN_MEAN)
+    assert fam.c == c
+    assert abs(c - tune_bisect(u, eps, GOLDEN_MEAN)) <= 1e-12
+
+
+@st.composite
+def trig_family(draw):
+    """(u, eps): up to 3 modes of frequency <= 3, eps sup|u'| <= 0.9."""
+    modes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3,
+                          unique=True))
+    coeff = st.floats(-1.0, 1.0)
+    coeffs = {0: draw(coeff)}
+    for n in modes:
+        coeffs[n] = complex(draw(coeff), draw(coeff))
+    u = FourierSeries(coeffs)
+    slope = u.derivative().sup_norm_bound()
+    if slope == 0.0:
+        return u, draw(st.floats(-1.0, 1.0))
+    return u, draw(st.floats(-0.9, 0.9)) / slope
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(family=trig_family(),
+       alpha=st.sampled_from([GOLDEN_MEAN, SQRT2_MINUS_ONE]))
+def test_tuned_rotation_number_hits_target(family, alpha):
+    u, eps = family
+    fam, _ = tune_rotation_number(u, eps, alpha)
+    r = rotation_number(fam, iters=1 << 17, tol=None)
+    assert abs(float(r) - alpha) <= 1e-11
+
+
+def test_continuation_reaches_what_the_grids_alone_do_not():
+    # x + c + eps cos(10 pi x) is the cos family at rotation number
+    # 5 alpha mod 1 = 0.09; Newton from h = id fails on every grid here
+    u = FourierSeries.cosine(5)
+    eps = 0.9 / (10 * math.pi)
+    fam, _ = tune_rotation_number(u, eps, GOLDEN_MEAN)
+    r = rotation_number(fam, iters=1 << 17, tol=None)
+    assert abs(float(r) - GOLDEN_MEAN) <= 1e-11
+
+
+def test_near_critical_family_raises_tuning_error():
+    # eps sup|u'| = 0.999: no grid up to 2^13 resolves the conjugacy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or NaN warnings
+        with pytest.raises(TuningError) as ei:
+            tune_rotation_number(FourierSeries.cosine(), 0.159, GOLDEN_MEAN)
+    assert math.isfinite(ei.value.error_bound)
+    assert abs(ei.value.estimate - GOLDEN_MEAN) <= 0.159
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_tune_rejects_bad_eps(eps):
+    with pytest.raises(ValueError):
+        tune_rotation_number(FourierSeries.cosine(), eps, GOLDEN_MEAN)
+
+
+def test_negative_eps_tunes():
+    u = FourierSeries.cosine()
+    _, c_plus = tune_rotation_number(u, 1e-2, GOLDEN_MEAN)
+    _, c_minus = tune_rotation_number(u, -1e-2, GOLDEN_MEAN)
+    # x + c - eps cos(2 pi x) is x + c + eps cos(2 pi (x + 1/2)) shifted
+    assert abs(c_plus - c_minus) <= 1e-14
