@@ -18,7 +18,6 @@ from .arithmetic import (
     diophantine_type_estimate,
     lacunary_alpha,
 )
-from .cli import run_cli
 from .errors import (
     CircleStabError,
     ConvergenceError,
@@ -70,7 +69,6 @@ from .measures import (
     DiscrepancyResult,
     DKCheck,
     LebesgueMeasure,
-    atomize_by_cdf,
     brute_force_variation,
     bv_library,
     cesaro_average,
@@ -95,3 +93,12 @@ from .response import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # run_cli is imported on first use, so that `python -m circlestab.cli`
+    # does not find circlestab.cli already imported by this package
+    if name == "run_cli":
+        from .cli import run_cli
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,10 +41,8 @@ from .maps import (
     _check_orbit_len,
 )
 from .measures import (
-    SMOOTH_CELLS,
     AtomicMeasure,
     LebesgueMeasure,
-    atomize_by_cdf,
     bv_library,
     dk_check,
     pushforward,
@@ -315,8 +313,8 @@ def discretization_scan(config: ExperimentConfig) -> ScanResult:
     """W(mu_0, invariant measures of T_N) over an N ladder.
 
     Records the basin-weighted physical measure and both cycle extremes
-    per N; mu_0 is Lebesgue for rotations and h_* m for diffeos
-    (atomized once for the whole scan).
+    per N; mu_0 is Lebesgue for rotations and h_* m for diffeos, whose
+    W goes to the continuous kernel (no atomization).
     """
     config.validate()
     if config.family not in DISCRETIZATION_FAMILIES:
@@ -332,8 +330,7 @@ def discretization_scan(config: ExperimentConfig) -> ScanResult:
         base = ConjugatedRotation(alpha,
                                   ConjugacyDiffeo(config.h_a,
                                                   config.h_b or None))
-        mu0 = atomize_by_cdf(invariant_measure_of_diffeo(base).cdf,
-                             SMOOTH_CELLS)
+        mu0 = invariant_measure_of_diffeo(base)
 
     def one(N):
         N = int(N)

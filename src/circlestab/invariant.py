@@ -17,7 +17,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .arithmetic import _pointwise, canonicalize
+from .arithmetic import canonicalize
 from .errors import ResourceLimitError
 from .maps import (
     CircleMap,
@@ -25,7 +25,7 @@ from .maps import (
     Discretized,
     weighted_birkhoff_weights,
 )
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, DiffeoInvariantDensity
 
 __all__ = [
     "GRID_NODE_CAP",
@@ -167,39 +167,9 @@ def birkhoff_average(mapping: CircleMap, f: Callable, n: int,
     return float(np.einsum("i,i->", w, vals) / np.sum(w))
 
 
-class DiffeoInvariantDensity:
-    """Invariant measure h_* m of T = h o R_alpha o h^{-1}.
-
-    Density 1/h'(h^{-1}(x)); CDF h^{-1}(x) - h^{-1}(0), which wasserstein
-    consumes directly (atomized on midpoint cells).
-    """
-
-    def __init__(self, h):
-        self.h = h
-        self._inv0 = h.inverse(0.0)
-
-    @_pointwise
-    def density(self, x):
-        return 1.0 / self.h.deriv(self.h.inverse(x))
-
-    eval = density
-    __call__ = density
-
-    @_pointwise
-    def cdf(self, x):
-        return self.h.inverse(x) - self._inv0
-
-    @property
-    def is_probability(self) -> bool:
-        return True
-
-    def __repr__(self):
-        return f"DiffeoInvariantDensity(h={self.h.to_dict()})"
-
-
 def invariant_measure_of_diffeo(
         mapping: ConjugatedRotation) -> DiffeoInvariantDensity:
-    """Exact invariant density of a conjugated rotation."""
+    """Exact invariant measure h_* m of a conjugated rotation."""
     if not isinstance(mapping, ConjugatedRotation):
         raise TypeError("invariant_measure_of_diffeo needs a "
                         "ConjugatedRotation")

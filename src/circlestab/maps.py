@@ -533,7 +533,7 @@ def rotation_number(m: CircleMap, iters: int = 1 << 15,
 # Fourier-Newton solve of f o h = h o R_alpha (de la Llave, "A tutorial
 # on KAM theory", 2001; Figueras-Haro-Luque, Found. Comput. Math. 17, 2017)
 _NEWTON_GRID = 256          # first grid size M; doubled while Newton fails
-_NEWTON_GRID_MAX = 1 << 13
+_NEWTON_GRID_MAX = 1 << 13  # times 2^ceil(log2 u.n_max): h resolves u's modes
 _NEWTON_STEPS = 30          # Newton steps per grid
 _NEWTON_TOL = 1e-14         # grid residual, relative to 1 + |eps| sup|u|
 _CONTINUATION_HALVINGS = 8  # of the eps step, before giving up
@@ -606,11 +606,13 @@ def _solve_conjugacy(u, eps, alpha) -> float:
     """Offset c of the Newton solve at eps; TuningError if it fails.
 
     Each solve starts on 256 points, or on the grid of its warm start,
-    and doubles the grid, warm-started, up to 2^13 while Newton fails.  If that fails at eps, the solve
+    and doubles the grid, warm-started, while Newton fails, up to
+    2^13 * 2^ceil(log2 u.n_max) points.  If that fails at eps, the solve
     continues in eps from eps = 0 (h = id, c = alpha): each step starts
     from the last solved eps, and a failed step is halved, at most 8
     times.  The error carries the best iterate found at eps itself.
     """
+    grid_max = _NEWTON_GRID_MAX << max(u.n_max - 1, 0).bit_length()
     cache = {}
 
     def divisors(K):
@@ -623,7 +625,7 @@ def _solve_conjugacy(u, eps, alpha) -> float:
         M = start.M
         while True:
             ok, it = _newton_conjugacy(u, e, alpha, M, start, divisors)
-            if ok or M >= _NEWTON_GRID_MAX:
+            if ok or M >= grid_max:
                 return ok, it
             M, start = 2 * M, it
 
@@ -664,7 +666,9 @@ def tune_rotation_number(u: FourierSeries, epsilon: float, target_alpha: float,
     the solve does not converge or the check fails; this happens close
     to the critical family, e.g. u = cos at eps = 0.159 (eps sup|u'| =
     0.999) for the golden mean.  A target within DIVISOR_FLOOR of a
-    rational of denominator <= 2730 raises SmallDivisorError.
+    rational p/q raises SmallDivisorError once a Newton grid of M points
+    resolves q, i.e. q <= M // 3: always for q <= 85, and up to 2730
+    (u.n_max = 1) or 21845 (u.n_max = 8) if the grid grows to its cap.
     Returns (TunedFamily, c).
     """
     target = float(target_alpha)

@@ -6,9 +6,13 @@ W is the circular 1-Wasserstein distance, computed exactly as
 min_c integral |F_mu - F_nu - c| dx (the sup-norm constraint of the
 underlying dual norm is inactive for probability pairs since any
 1-Lipschitz potential on a diameter-1/2 space recenters into [-1/4,1/4]).
-Atomic-atomic and atomic-Lebesgue cases are closed-form; a measure
-known only through its CDF is atomized on midpoints of M cells first,
-which perturbs W by at most 1/(2M).
+Atomic-atomic and atomic-Lebesgue cases are closed-form.  Against a
+continuous measure (a trig-polynomial density, or the invariant measure
+h_* m of a conjugated rotation) the integral is taken in the
+coordinates phi = F(x) of a measure with a closed-form quantile
+(Rabin-Delon-Gousseau, J. Math. Imaging Vis. 41, 2011; Cabrelli-Molter,
+J. Comput. Appl. Math. 57, 1995), by Gauss-Legendre on pieces where the
+integrand is smooth, so its error is at rounding level.
 """
 
 from __future__ import annotations
@@ -26,15 +30,15 @@ import numpy as np
 from .arithmetic import _pointwise, canonicalize, frac
 from .errors import ResourceLimitError
 from .fourier import FourierDensity
-from .maps import CircleMap
+from .maps import CircleMap, ConjugacyDiffeo
 
 __all__ = [
     "AtomicMeasure",
     "BVObservable",
     "DKCheck",
+    "DiffeoInvariantDensity",
     "DiscrepancyResult",
     "LebesgueMeasure",
-    "atomize_by_cdf",
     "brute_force_variation",
     "bv_library",
     "cesaro_average",
@@ -49,7 +53,6 @@ __all__ = [
 MERGE_TOL = 1e-15          # atoms closer than this coincide
 EXACT_DISCREPANCY_CAP = 10_000
 DISCREPANCY_POINT_CAP = 10_000_000  # orbit points the CLI ladder may ask for
-SMOOTH_CELLS = 1 << 21     # atomization resolution for CDF-only measures
 CESARO_ATOM_CAP = 20_000_000
 
 
@@ -68,6 +71,52 @@ class LebesgueMeasure:
     @_pointwise
     def cdf(self, x):
         return x.copy()
+
+    quantile = cdf
+
+    @_pointwise
+    def quantile_deriv(self, phi):
+        return np.ones(phi.shape)
+
+
+class DiffeoInvariantDensity:
+    """Invariant measure h_* m of T = h o R_alpha o h^{-1}.
+
+    Density 1/h'(h^{-1}(x)) and CDF h^{-1}(x) - h^{-1}(0).  Its quantile
+    h(h^{-1}(0) + phi) is closed-form, so wasserstein takes it as the
+    chart of the continuous kernel.
+    """
+
+    def __init__(self, h: ConjugacyDiffeo):
+        self.h = h
+        self._inv0 = h.inverse(0.0)
+
+    @_pointwise
+    def density(self, x):
+        return 1.0 / self.h.deriv(self.h.inverse(x))
+
+    eval = density
+    __call__ = density
+
+    @_pointwise
+    def cdf(self, x):
+        return self.h.inverse(x) - self._inv0
+
+    @_pointwise
+    def quantile(self, phi):
+        """g(phi) = h(h^{-1}(0) + phi), the inverse of cdf as a lift."""
+        return self.h.eval(self._inv0 + phi)
+
+    @_pointwise
+    def quantile_deriv(self, phi):
+        return self.h.deriv(self._inv0 + phi)
+
+    @property
+    def is_probability(self) -> bool:
+        return True
+
+    def __repr__(self):
+        return f"DiffeoInvariantDensity(h={self.h.to_dict()})"
 
 
 class AtomicMeasure:
@@ -149,7 +198,8 @@ class AtomicMeasure:
         return cls(d["positions"], d["weights"])
 
 
-Measure = Union[AtomicMeasure, LebesgueMeasure, FourierDensity]
+Measure = Union[AtomicMeasure, LebesgueMeasure, FourierDensity,
+                DiffeoInvariantDensity]
 
 
 # ---------------------------------------------------------------- W distance
@@ -208,11 +258,135 @@ def _w_atomic_lebesgue(mu: AtomicMeasure) -> float:
     return float(np.sum(F(hi - c) - F(lo - c)))
 
 
-def atomize_by_cdf(cdf: Callable, cells: int = SMOOTH_CELLS) -> AtomicMeasure:
+# Continuous sides.  A measure whose quantile lift g = F^{-1} has a closed
+# form (m, h_* m) serves as the chart x = g(phi) of the W integral; dx =
+# g'(phi) dphi.  G is integrated by Gauss-Legendre on pieces where it is
+# smooth and monotone, split at the kink of |G - c| and at most
+# _PIECE_MAX wide, so the quadrature error is at rounding level.
+_GL_POINTS = 12
+_PIECE_MAX = 1.0 / 64
+_PANELS_PER_CHUNK = 1 << 16  # bounds the node arrays of one quadrature pass
+_SCAN_POINTS = 1024          # G samples that bracket its extrema
+# Bisection steps for c, for the roots of G - c and for the extrema of G.
+# 2^-40 of the bracket is enough: W is stationary in c, and a kink or an
+# extremum off by dphi moves W by O(dphi^2) and O(dphi^3).
+_BISECTIONS = 40
+
+
+def _bisect(right_of, lo, hi):
+    """Elementwise bisection for the point where right_of turns False."""
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        right = right_of(mid)
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _monotone_pieces(G):
+    """Break points of [0, 1) between which the periodic G is monotone:
+    its extrema, bracketed on a grid and refined by bisection on the
+    sign of a central difference."""
+    t = np.arange(_SCAN_POINTS) / _SCAN_POINTS
+    slope = np.sign(np.diff(G(np.append(t, 1.0))))
+    turn = np.nonzero(slope != np.roll(slope, 1))[0]
+    if len(turn) == 0:  # G is constant
+        return np.array([0.0])
+    # a strict max (up = 1) or min (up = -1) lies within a step of t[turn]
+    up = slope[turn - 1]
+    d = 2.0 ** -30
+    e = _bisect(lambda x: up * (G(x + d) - G(x - d)) > 0,
+                t[turn] - 1.0 / _SCAN_POINTS, t[turn] + 1.0 / _SCAN_POINTS)
+    strict = slope[turn] == -up
+    return np.unique(np.asarray(frac(np.where(strict, e, t[turn]))))
+
+
+def _w_pieces(chart, a, b, level, S=None) -> float:
+    """min_c sum_i integral_{a_i}^{b_i} |level_i - S(phi) - c| dg(phi).
+
+    g is the chart's quantile and G = level_i - S is monotone on each
+    piece [a_i, b_i]; the pieces tile one period.  S = None stands for
+    S(phi) = phi, whose roots are closed-form.  c is the median of G
+    under dx, found by bisection on m{G > c}.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
+    ga, gb = chart.quantile(a), chart.quantile(b)
+    Sa, Sb = (a, b) if S is None else (S(a), S(b))
+    Ga, Gb = level - Sa, level - Sb
+    down = Ga >= Gb
+    sgn = np.where(down, 1.0, -1.0)  # sgn * (G - c) falls along a piece
+
+    def root(c):
+        """phi in [a, b] with G(phi) = c, clipped to the piece."""
+        if S is None:
+            return np.clip(level - c, a, b)
+        r = _bisect(lambda x: sgn * (level - S(x) - c) > 0, a, b)
+        r = np.where(sgn * (Gb - c) >= 0, b, r)
+        return np.where(sgn * (Ga - c) <= 0, a, r)
+
+    def above(c):
+        gr = chart.quantile(root(c))
+        return np.sum(np.where(down, gr - ga, gb - gr)) > 0.5
+
+    c = float(_bisect(above, np.min(np.minimum(Ga, Gb)),
+                      np.max(np.maximum(Ga, Gb))))
+    r = root(c)
+    lo, hi = np.concatenate([a, r]), np.concatenate([r, b])
+    lev = np.concatenate([level, level])
+    keep = hi > lo
+    lo, hi, lev = lo[keep], hi[keep], lev[keep]
+    k = np.ceil((hi - lo) / _PIECE_MAX).astype(np.int64)
+    panel = np.repeat(np.arange(len(lo)), k)
+    j = np.arange(len(panel)) - np.repeat(np.cumsum(k) - k, k)
+    width = (hi - lo)[panel] / k[panel]
+    left = lo[panel] + j * width
+    total = 0.0
+    for s in range(0, len(panel), _PANELS_PER_CHUNK):
+        cut = slice(s, s + _PANELS_PER_CHUNK)
+        half = 0.5 * width[cut]
+        x = (left[cut] + half)[:, None] + half[:, None] * nodes
+        Sx = x if S is None else S(x)
+        f = np.abs(lev[panel[cut]][:, None] - Sx - c) * chart.quantile_deriv(x)
+        total += float(np.einsum("ij,j,i->", f, weights, half))
+    return total
+
+
+def _w_continuous(mu, nu) -> float:
+    """W(mu, nu) for continuous nu and mu atomic or continuous.
+
+    The chart is nu if its quantile is closed-form, else m; h_* m is
+    preferred, since the other side's CDF is then cheap unless it is
+    another h_* m.  In the chart's coordinates
+    G(phi) = F_mu(g(phi)) - F_nu(g(phi)).  Against an atomic mu, G is
+    level W_k minus S = F_nu o g on the piece after atom k, and S is
+    phi itself when nu is the chart, so the only root solves are the
+    chart's CDF at the atoms.  Otherwise G is smooth and is split at
+    its extrema.
+    """
+    charted = (LebesgueMeasure, DiffeoInvariantDensity)
+    if isinstance(mu, charted) and not isinstance(nu,
+                                                  DiffeoInvariantDensity):
+        mu, nu = nu, mu
+    chart = nu if isinstance(nu, charted) else LebesgueMeasure()
+    own = chart is nu
+    F_nu = lambda phi: phi if own else nu.cdf(chart.quantile(phi))
+    if isinstance(mu, AtomicMeasure):
+        a = chart.cdf(mu.positions)
+        b = np.append(a[1:], a[0] + 1.0)
+        return _w_pieces(chart, a, b, np.cumsum(mu.weights),
+                         None if own else F_nu)
+    S = lambda phi: F_nu(phi) - mu.cdf(chart.quantile(phi))
+    a = _monotone_pieces(lambda phi: -S(phi))
+    b = np.append(a[1:], a[0] + 1.0)
+    return _w_pieces(chart, a, b, np.zeros(len(a)), S)
+
+
+def atomize_by_cdf(cdf: Callable, cells: int) -> AtomicMeasure:
     """Midpoint atomization of a probability measure given by its CDF.
 
     Cell masses are exact CDF increments, so the result differs from the
-    original by at most 1/(2*cells) in W.
+    original by at most 1/(2*cells) in W.  No W path uses it: the tests
+    take it as the oracle of the continuous kernel, and the traced
+    benchmark (bench/spans.py) binds it by name.
     """
     edges = np.arange(cells + 1) / cells
     cum = np.asarray(cdf(edges), dtype=float)
@@ -226,31 +400,29 @@ def atomize_by_cdf(cdf: Callable, cells: int = SMOOTH_CELLS) -> AtomicMeasure:
     return AtomicMeasure(mids[keep], massw)
 
 
-def _as_atomic(mu) -> AtomicMeasure:
-    if isinstance(mu, AtomicMeasure):
-        return mu
-    return atomize_by_cdf(mu.cdf, SMOOTH_CELLS)
-
-
 def _check_probability(mu) -> None:
-    if isinstance(mu, (AtomicMeasure, LebesgueMeasure)):
+    if isinstance(mu, (AtomicMeasure, LebesgueMeasure,
+                       DiffeoInvariantDensity)):
         return
     if isinstance(mu, FourierDensity):
         if not mu.is_probability:
             raise ValueError("signed (zero-mass) density is not a "
                              "probability measure")
+        n = 64 * (mu.n_max + 1)
+        if np.min(mu.eval(np.arange(n) / n)) < -1e-12:
+            raise ValueError("density is negative somewhere: not a "
+                             "(nonnegative) measure")
         return
-    if hasattr(mu, "cdf"):
-        return
-    raise TypeError(f"not a measure: {mu!r}")
+    raise TypeError(f"wasserstein takes atomic, Lebesgue, FourierDensity "
+                    f"and DiffeoInvariantDensity measures, not {mu!r}")
 
 
 def wasserstein(mu, nu) -> float:
     """Circular W1 distance between probability measures.
 
-    Exact for atomic/Lebesgue arguments; measures supplied through a CDF
-    (FourierDensity, diffeomorphism invariant measures) are atomized on
-    M = SMOOTH_CELLS midpoint cells first (error <= 1/(2M) per smooth side).
+    Closed-form for atomic/Lebesgue arguments.  A FourierDensity or
+    DiffeoInvariantDensity side goes to the continuous kernel, exact up
+    to the rounding of its Gauss-Legendre quadrature.
     """
     _check_probability(mu)
     _check_probability(nu)
@@ -258,10 +430,14 @@ def wasserstein(mu, nu) -> float:
         return 0.0
     if isinstance(mu, LebesgueMeasure):
         return wasserstein(nu, mu)
-    # mu is atomic or cdf-like; nu decides the branch
-    if isinstance(nu, LebesgueMeasure):
-        return _w_atomic_lebesgue(_as_atomic(mu))
-    return _w_atomic_atomic(_as_atomic(mu), _as_atomic(nu))
+    if isinstance(mu, AtomicMeasure):
+        if isinstance(nu, LebesgueMeasure):
+            return _w_atomic_lebesgue(mu)
+        if isinstance(nu, AtomicMeasure):
+            return _w_atomic_atomic(mu, nu)
+    elif isinstance(nu, AtomicMeasure):
+        mu, nu = nu, mu
+    return _w_continuous(mu, nu)
 
 
 # --------------------------------------------------------------- operators

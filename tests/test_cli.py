@@ -442,6 +442,7 @@ def test_module_entry_point_runs():
         timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["partial_quotients"] == [1] * 5
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # ------------------------------------------------------------ fuzzed argv

@@ -101,6 +101,24 @@ def test_w_rejects_signed_density():
         wasserstein(signed, M)
 
 
+def test_w_rejects_negative_density():
+    # 1 + 1.6 cos(2 pi x) dips to -0.6: a signed measure of mass 1
+    with pytest.raises(ValueError, match="negative"):
+        wasserstein(FourierDensity({0: 1.0, 1: 0.8}), M)
+    wasserstein(FourierDensity({0: 1.0, 1: 0.5}), M)  # 1 + cos touches 0
+
+
+def test_w_rejects_measure_types_without_a_kernel():
+    class CdfOnly:
+        def cdf(self, x):
+            return x
+
+    with pytest.raises(TypeError):
+        wasserstein(CdfOnly(), M)
+    with pytest.raises(TypeError):
+        wasserstein(AtomicMeasure.dirac(0.1), CdfOnly())
+
+
 def test_w_matches_lp_oracle():
     # exhaustive LP transport with circular cost on 200 random pairs
     linprog = pytest.importorskip("scipy.optimize").linprog

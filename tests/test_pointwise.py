@@ -49,6 +49,9 @@ def _callables():
         ("LebesgueMeasure.cdf", LebesgueMeasure().cdf),
         ("DiffeoInvariantDensity.density", density.density),
         ("DiffeoInvariantDensity.cdf", density.cdf),
+        ("DiffeoInvariantDensity.quantile", density.quantile),
+        ("DiffeoInvariantDensity.quantile_deriv", density.quantile_deriv),
+        ("LebesgueMeasure.quantile_deriv", LebesgueMeasure().quantile_deriv),
     ]
     out += [(f"bv {obs.label}", obs.eval) for obs in bv_library()]
     return out

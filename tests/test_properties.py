@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from circlestab.arithmetic import frac
 from circlestab.experiments import holder_fit
+from circlestab.maps import ConjugacyDiffeo
 from circlestab.measures import (
     MERGE_TOL,
     AtomicMeasure,
+    DiffeoInvariantDensity,
     LebesgueMeasure,
+    _w_atomic_lebesgue,
     wasserstein,
 )
 
@@ -44,6 +47,16 @@ def test_w_to_lebesgue_is_rotation_invariant(pw, t):
     rotated = AtomicMeasure(p + t, w)
     assert math.isclose(wasserstein(rotated, M),
                         wasserstein(AtomicMeasure(p, w), M), abs_tol=1e-12)
+
+
+@LAWS
+@given(atomic_inputs())
+def test_w_to_identity_chart_is_w_to_lebesgue(pw):
+    # h = id makes h_* m Lebesgue, so the continuous kernel must agree
+    # with the closed-form one
+    mu = AtomicMeasure(*pw)
+    rho = DiffeoInvariantDensity(ConjugacyDiffeo.identity())
+    assert abs(wasserstein(mu, rho) - _w_atomic_lebesgue(mu)) <= 1e-15
 
 
 @LAWS

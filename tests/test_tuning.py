@@ -77,6 +77,16 @@ def test_continuation_reaches_what_the_grids_alone_do_not():
     assert abs(float(r) - GOLDEN_MEAN) <= 1e-11
 
 
+def test_largest_grid_scales_with_the_frequencies_of_u():
+    # a frequency-8 mode at eps sup|u'| = 0.9 needs a 2^16 grid; capped at
+    # 2^13 this raised TuningError with grid residual 2.1e-4
+    u = FourierSeries({0: 0.3, 8: 0.5})
+    eps = 0.9 / u.derivative().sup_norm_bound()
+    fam, _ = tune_rotation_number(u, eps, GOLDEN_MEAN)
+    r = rotation_number(fam, iters=1 << 17, tol=None)
+    assert abs(float(r) - GOLDEN_MEAN) <= 1e-11
+
+
 def test_near_critical_family_raises_tuning_error():
     # eps sup|u'| = 0.999: no grid up to 2^13 resolves the conjugacy
     with warnings.catch_warnings():
