@@ -6,9 +6,11 @@ Each map knows its canonical evaluation on [0,1), a degree-1 lift
 F(x+1) = F(x)+1, and the displacement F(x)-x used by the rotation
 number estimator.  Orbits of Rotation and ConjugatedRotation have
 closed-form vectorized paths (one rounding per point instead of one
-per step); everything else iterates a scalar step closure.  The
-rotation number evaluates the displacement on such an orbit as one
-array.
+per step); everything else iterates a scalar step closure.  A
+TunedFamily made by the tuner carries the conjugacy h it solved, so
+its orbits can be taken in closed form through ConjugatedRotation;
+TunedFamily.orbit itself still iterates f.  The rotation number
+evaluates the displacement on such an orbit as one array.
 """
 
 from __future__ import annotations
@@ -47,10 +49,15 @@ __all__ = [
 ]
 
 ORBIT_LEN_CAP = 10 ** 8  # orbit points plus burn-in steps one orbit may take
+_ORBIT_BLOCK = 1 << 16   # points per block of a closed-form orbit
 
 
 def _check_orbit_len(n: int, burn_in: int = 0) -> None:
-    """ResourceLimitError, before allocating, for an orbit over the cap."""
+    """ValueError for a negative length or burn-in; ResourceLimitError,
+    before allocating, for an orbit over the cap."""
+    if n < 0 or burn_in < 0:
+        raise ValueError(
+            f"orbit length {n} and burn-in {burn_in} must be >= 0")
     if n + burn_in > ORBIT_LEN_CAP:
         raise ResourceLimitError(
             f"orbit of {n} points after {burn_in} burn-in steps exceeds "
@@ -138,14 +145,21 @@ class Rotation(CircleMap):
 
 
 class TunedFamily(CircleMap):
-    """f(x) = x + c + epsilon * u(x) mod 1 for a trig polynomial u."""
+    """f(x) = x + c + epsilon * u(x) mod 1 for a trig polynomial u.
+
+    `conjugacy` is the h with f o h = h o R_alpha that tune_rotation_number
+    solved for, or None.  It is derived data: orbit and rotation_number
+    ignore it and to_dict leaves it out.
+    """
 
     variant = "TunedFamily"
 
-    def __init__(self, u: FourierSeries, epsilon: float, c: float):
+    def __init__(self, u: FourierSeries, epsilon: float, c: float, *,
+                 conjugacy: Optional[ConjugacyDiffeo] = None):
         self.u = u
         self.epsilon = float(epsilon)
         self.c = float(c)
+        self.conjugacy = conjugacy
         if not (math.isfinite(self.epsilon) and math.isfinite(self.c)):
             raise ValueError("epsilon and c must be finite")
 
@@ -338,11 +352,17 @@ class ConjugatedRotation(CircleMap):
         return lambda x: frac(h.eval(frac(h.inverse(x) + a)))
 
     def orbit(self, x0, n, burn_in=0):
-        # closed form via the conjugacy: x_i = h(y0 + i*alpha mod 1)
+        # closed form via the conjugacy: x_i = h(y0 + i*alpha mod 1), in
+        # blocks so that h's temporaries stay small; elementwise, so the
+        # points do not depend on the block size
         _check_orbit_len(n, burn_in)
         y0 = frac(self.h.inverse(canonicalize(x0)))
-        i = np.arange(burn_in + 1, burn_in + n + 1, dtype=float)
-        return frac(self.h.eval(frac(y0 + i * self.alpha)))
+        out = np.empty(n)
+        for lo in range(0, n, _ORBIT_BLOCK):
+            hi = min(lo + _ORBIT_BLOCK, n)
+            i = np.arange(burn_in + lo + 1, burn_in + hi + 1, dtype=float)
+            out[lo:hi] = frac(self.h.eval(frac(y0 + i * self.alpha)))
+        return out
 
     def to_dict(self):
         return {"variant": "ConjugatedRotation", "alpha": self.alpha,
@@ -539,6 +559,10 @@ _NEWTON_TOL = 1e-14         # grid residual, relative to 1 + |eps| sup|u|
 _CONTINUATION_HALVINGS = 8  # of the eps step, before giving up
 
 
+def _newton_tol(u, eps) -> float:
+    return _NEWTON_TOL * (1.0 + abs(eps) * u.sup_norm_bound())
+
+
 class _Conjugacy(NamedTuple):
     """h = id + eta with <eta> = 0 and offset c, at one eps."""
 
@@ -566,7 +590,7 @@ def _newton_conjugacy(u, eps, alpha, M, start, divisors):
     k = min(K + 1, len(start.eta_hat))
     eta_hat[:k] = start.eta_hat[:k]
     c = start.c
-    tol = _NEWTON_TOL * (1.0 + abs(eps) * u.sup_norm_bound())
+    tol = _newton_tol(u, eps)
 
     def grid(coeffs):
         return np.fft.irfft(coeffs, M, norm="forward")
@@ -602,8 +626,8 @@ def _newton_conjugacy(u, eps, alpha, M, start, divisors):
     return False, best
 
 
-def _solve_conjugacy(u, eps, alpha) -> float:
-    """Offset c of the Newton solve at eps; TuningError if it fails.
+def _solve_conjugacy(u, eps, alpha) -> _Conjugacy:
+    """The converged Newton solve at eps; TuningError if it fails.
 
     Each solve starts on 256 points, or on the grid of its warm start,
     and doubles the grid, warm-started, while Newton fails, up to
@@ -650,7 +674,29 @@ def _solve_conjugacy(u, eps, alpha) -> float:
             f"Newton for the conjugacy did not converge at eps = {eps:g}: "
             f"grid residual {best.residual:.3g}",
             estimate=best.c, error_bound=best.residual)
-    return best.c
+    return best
+
+
+def _conjugacy_diffeo(sol: _Conjugacy,
+                      tol: float) -> Optional[ConjugacyDiffeo]:
+    """h = id + eta of a solve as a ConjugacyDiffeo, or None if the
+    ConjugacyDiffeo coefficient test rejects it.
+
+    Keeps the fewest modes n = 1..K whose dropped tail has
+    2 sum_{n>K} |eta_hat_n| <= tol, so truncation moves h by at most tol.
+    eta = 2 Re sum eta_hat_n e^{2 pi i n x} converts exactly to
+    a_n = -4 pi n Im eta_hat_n and b_n = 4 pi n Re eta_hat_n.
+    """
+    mags = np.abs(sol.eta_hat[1:])
+    tail = np.append(np.cumsum(mags[::-1])[::-1], 0.0)  # tail[K] = sum n > K
+    K = int(np.argmax(2.0 * tail <= tol))
+    eta = sol.eta_hat[1:K + 1]
+    n = np.arange(1, K + 1)
+    try:
+        return ConjugacyDiffeo(-4.0 * math.pi * n * eta.imag,
+                               4.0 * math.pi * n * eta.real)
+    except ValueError:  # sum(|a_n| + |b_n|) < 1 is only sufficient
+        return None
 
 
 def tune_rotation_number(u: FourierSeries, epsilon: float, target_alpha: float,
@@ -669,7 +715,10 @@ def tune_rotation_number(u: FourierSeries, epsilon: float, target_alpha: float,
     rational p/q raises SmallDivisorError once a Newton grid of M points
     resolves q, i.e. q <= M // 3: always for q <= 85, and up to 2730
     (u.n_max = 1) or 21845 (u.n_max = 8) if the grid grows to its cap.
-    Returns (TunedFamily, c).
+    Returns (TunedFamily, c).  The family carries the solved h as
+    `conjugacy` (see _conjugacy_diffeo), or None when eps = 0, u = 0 or
+    h fails the ConjugacyDiffeo coefficient test.  The direct-iteration
+    check steps f itself and never uses h.
     """
     target = float(target_alpha)
     if not abs(epsilon) * u.derivative().sup_norm_bound() < 1.0:
@@ -677,8 +726,11 @@ def tune_rotation_number(u: FourierSeries, epsilon: float, target_alpha: float,
     if epsilon == 0.0 or u.is_zero():
         return TunedFamily(u, epsilon, target), target
 
-    c = _solve_conjugacy(u, float(epsilon), target)
-    fam = TunedFamily(u, epsilon, c)
+    eps = float(epsilon)
+    sol = _solve_conjugacy(u, eps, target)
+    c = sol.c
+    h = _conjugacy_diffeo(sol, _newton_tol(u, eps))
+    fam = TunedFamily(u, epsilon, c, conjugacy=h)
     r = rotation_number(fam, iters=iters, tol=None)
     miss = abs(float(r) - target) + r.error_bound
     if not miss <= tol:

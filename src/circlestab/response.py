@@ -6,7 +6,8 @@ response density is d_hat(n) = 2 pi i n u_hat(n) / (1 - e^{2 pi i n
 alpha}), i.e. -d/dx of the solution, and observable responses are
 finite Fourier pairings against it.  The finite-difference validator
 tunes a family to constant rotation number and compares Birkhoff
-quotients against the formula.
+quotients against the formula; the orbits run in closed form through
+the conjugacy the tuner solved, where it has one.
 
 Divisors come from arithmetic._divisor, which reduces the phase n*alpha
 exactly, so their magnitudes are correct to machine precision even when
@@ -29,7 +30,7 @@ from .arithmetic import (
 from .errors import InsufficientDataError, TuningError
 from .fourier import FourierDensity, FourierSeries, pairing
 from .invariant import birkhoff_average
-from .maps import _check_orbit_len, tune_rotation_number
+from .maps import ConjugatedRotation, _check_orbit_len, tune_rotation_number
 
 __all__ = [
     "DIVISOR_FLOOR",
@@ -115,8 +116,11 @@ def response_pairing(u: FourierSeries, alpha: float,
 class EpsRecord:
     epsilon: float
     c: float          # tuned offset with rot(x + c + eps u) = alpha
-    mean_psi: float   # Birkhoff <psi> along the tuned orbit
+    mean_psi: float   # weighted Birkhoff <psi>, an estimate (see orbit)
     quotient: float   # (mean_psi - <psi>_m) / eps
+    orbit: str        # "conjugacy": x_i = h(theta0 + i alpha) with the
+                      # solved h, off the orbit of f by about the solve's
+                      # grid residual (not proven); "direct": iterates f
 
 
 def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
@@ -125,8 +129,11 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
                 tune_tol: float = 1e-12) -> Tuple[float, List[EpsRecord]]:
     """Finite-difference response along a tuned family.
 
-    Each ladder point is tuned to rotation number alpha, psi is averaged
-    over a weighted-Birkhoff orbit, and the two smallest eps are
+    Each ladder point is tuned to rotation number alpha and psi is
+    averaged over a weighted-Birkhoff orbit.  When the tuned family
+    carries its solved conjugacy h, the orbit is the closed form
+    x_i = h(theta0 + i alpha), theta0 = h^-1(x0), of ConjugatedRotation;
+    otherwise f is iterated.  The two smallest eps are
     Richardson-extrapolated under the first-order error model.
     """
     alpha = (alpha_profile.alpha
@@ -148,10 +155,15 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
             raise TuningError(
                 f"rotation-number tuning failed at eps = {eps:g}: {exc}",
                 estimate=exc.estimate, error_bound=exc.error_bound) from exc
-        avg = birkhoff_average(fam, psi.eval, orbit_len,
+        if fam.conjugacy is None:
+            mapping, path = fam, "direct"
+        else:
+            mapping = ConjugatedRotation(alpha, fam.conjugacy)
+            path = "conjugacy"
+        avg = birkhoff_average(mapping, psi.eval, orbit_len,
                                burn_in=burn_in, x0=x0)
         records.append(EpsRecord(epsilon=eps, c=c, mean_psi=avg,
-                                 quotient=(avg - psi0) / eps))
+                                 quotient=(avg - psi0) / eps, orbit=path))
 
     if len(records) >= 2:
         e1, q1 = records[-2].epsilon, records[-2].quotient
@@ -186,7 +198,8 @@ class ResponseReport:
             "relative_error": self.relative_error(),
             "per_eps": [
                 {"epsilon": r.epsilon, "c": r.c, "mean_psi": r.mean_psi,
-                 "quotient": r.quotient} for r in self.per_eps],
+                 "quotient": r.quotient, "orbit": r.orbit}
+                for r in self.per_eps],
             "orbit": {"length": self.orbit_len, "burn_in": self.burn_in},
         }, indent=2)
 

@@ -411,6 +411,22 @@ def test_cli_response_caps_the_orbit():
     assert code == 2 and "exceeds the cap" in err
 
 
+def test_cli_response_rejects_negative_burn_in(tmp_path):
+    path = tmp_path / "response.json"
+    code, _, err = cli(["response", "--eps", "0.01", "--orbit-len", "1000",
+                        "--burn-in", "-5", "--json", str(path)])
+    assert code == 1 and "burn-in -5" in err
+    assert not path.exists()
+
+
+def test_config_rejects_negative_burn_in(tmp_path):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**dict(BASE_CONFIG, burn_in=-1)).validate()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, burn_in=-1)))
+    assert cli(["stability", "--config", str(path)])[0] == 1
+
+
 def test_cli_config_caps_the_orbit(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, orbit_len=10 ** 15)))

@@ -6,7 +6,9 @@ import pytest
 from circlestab.arithmetic import GOLDEN_MEAN, circle_dist, continued_fraction
 from circlestab.errors import ConvergenceError, ResourceLimitError
 from circlestab.fourier import FourierSeries
+from circlestab.arithmetic import frac
 from circlestab.maps import (
+    _ORBIT_BLOCK,
     ORBIT_LEN_CAP,
     AttractorRepeller,
     Composition,
@@ -243,6 +245,20 @@ def test_orbit_length_is_capped_before_allocating(m):
         m.orbit(0.0, 10, burn_in=10 ** 15)
 
 
+@pytest.mark.parametrize("m", [
+    TunedFamily(FourierSeries.cosine(), 0.0, GOLDEN_MEAN),
+    Rotation(GOLDEN_MEAN), ConjugatedRotation(GOLDEN_MEAN, H)],
+    ids=lambda m: m.variant)
+def test_orbit_rejects_negative_length_or_burn_in(m):
+    # the scalar loop used to skip a negative burn-in while the closed
+    # forms stepped backwards; every orbit path now refuses both
+    with pytest.raises(ValueError):
+        m.orbit(0.0, -1)
+    with pytest.raises(ValueError):
+        m.orbit(0.0, 3, burn_in=-5)
+    assert len(m.orbit(0.0, 0)) == 0
+
+
 # ------------------------------------------------------- conjugacy diffeo
 
 def test_diffeo_admissibility():
@@ -270,6 +286,19 @@ def test_conjugated_rotation_orbit_matches_stepping():
         x = step(x)
         slow.append(x)
     assert np.allclose(fast, slow, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [1, _ORBIT_BLOCK - 1, _ORBIT_BLOCK,
+                               _ORBIT_BLOCK + 1, 3 * _ORBIT_BLOCK + 7])
+@pytest.mark.parametrize("burn_in", [0, 1000])
+def test_conjugated_rotation_blocked_orbit_is_the_full_array_formula(
+        n, burn_in):
+    h = ConjugacyDiffeo([0.2, -0.05, 0.1], [0.03, 0.0, -0.1])
+    m = ConjugatedRotation(GOLDEN_MEAN, h)
+    y0 = frac(h.inverse(0.37))
+    i = np.arange(burn_in + 1, burn_in + n + 1, dtype=float)
+    full = frac(h.eval(frac(y0 + i * m.alpha)))
+    assert np.array_equal(m.orbit(0.37, n, burn_in), full)
 
 
 # ------------------------------------------------------- serialization

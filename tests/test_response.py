@@ -11,6 +11,8 @@ from circlestab.errors import (
     SmallDivisorError,
 )
 from circlestab.fourier import FourierSeries, pairing
+from circlestab.invariant import birkhoff_average
+from circlestab.maps import TunedFamily
 from circlestab.response import (
     AverageExpansion,
     ResponseReport,
@@ -190,12 +192,36 @@ def test_fd_response_initial_point_independence():
     assert abs(rec_a[0].mean_psi - rec_b[0].mean_psi) <= 1e-10
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("x0", [0.0, 0.37])
+def test_fd_response_conjugacy_orbit_matches_direct_iteration(eps, x0):
+    # oracle: the scalar loop of f itself over the same orbit window
+    u = FourierSeries.cosine(1)
+    _, (rec,) = fd_response(u, G, u, [eps], orbit_len=10 ** 6, x0=x0)
+    assert rec.orbit == "conjugacy"
+    direct = birkhoff_average(TunedFamily(u, eps, rec.c), u.eval, 10 ** 6,
+                              burn_in=10 ** 3, x0=x0)
+    assert abs(rec.mean_psi - direct) <= 1e-14
+
+
+def test_fd_response_falls_back_to_direct_iteration():
+    # the tuner carries no conjugacy at eps = 0.15 (coefficient sum ~4.7)
+    u = FourierSeries.cosine(1)
+    est, (rec,) = fd_response(u, G, u, [0.15], orbit_len=10 ** 4)
+    assert rec.orbit == "direct"
+    assert math.isfinite(est) and math.isfinite(rec.mean_psi)
+
+
 def test_fd_response_validation():
     u = FourierSeries.cosine(1)
     with pytest.raises(ValueError):
         fd_response(u, G, u, [])
     with pytest.raises(ValueError):
         fd_response(u, G, u, [-1e-2])
+    with pytest.raises(ValueError):
+        fd_response(u, G, u, [1e-2], orbit_len=10 ** 3, burn_in=-5)
+    with pytest.raises(ValueError):
+        fd_response(u, G, u, [1e-2], orbit_len=-1)
 
 
 def test_fd_response_caps_the_orbit_before_tuning(monkeypatch):
@@ -220,6 +246,9 @@ def test_response_report_json():
     assert set(doc) == {"alpha", "formula_value", "extrapolated_estimate",
                         "relative_error", "per_eps", "orbit"}
     assert len(doc["per_eps"]) == 1
+    assert set(doc["per_eps"][0]) == {"epsilon", "c", "mean_psi",
+                                      "quotient", "orbit"}
+    assert doc["per_eps"][0]["orbit"] == "conjugacy"
 
 
 # ------------------------------------------------- average expansion

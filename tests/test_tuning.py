@@ -4,13 +4,21 @@ replaced, kept here as an oracle, plus its laws and its failure mode."""
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlestab.arithmetic import GOLDEN_MEAN, SQRT2_MINUS_ONE
 from circlestab.errors import TuningError
 from circlestab.fourier import FourierSeries
-from circlestab.maps import TunedFamily, rotation_number, tune_rotation_number
+from circlestab.maps import (
+    ConjugatedRotation,
+    TunedFamily,
+    _newton_tol,
+    _solve_conjugacy,
+    rotation_number,
+    tune_rotation_number,
+)
 
 
 def tune_bisect(u, epsilon, target, tol=1e-12, iters=1 << 16):
@@ -109,3 +117,60 @@ def test_negative_eps_tunes():
     _, c_minus = tune_rotation_number(u, -1e-2, GOLDEN_MEAN)
     # x + c - eps cos(2 pi x) is x + c + eps cos(2 pi (x + 1/2)) shifted
     assert abs(c_plus - c_minus) <= 1e-14
+
+
+# ------------------------------------------------- the carried conjugacy
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_carried_conjugacy_solves_the_conjugacy_equation(eps):
+    u = FourierSeries.cosine()
+    fam, _ = tune_rotation_number(u, eps, GOLDEN_MEAN)
+    h = fam.conjugacy
+    theta = np.arange(4096) / 4096
+    # lifts: F(h(theta)) = h(theta + alpha)
+    assert np.max(np.abs(fam.lift(h.eval(theta))
+                         - h.eval(theta + GOLDEN_MEAN))) <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 0.1])
+def test_carried_conjugacy_drops_only_a_tail_below_the_solve_tolerance(eps):
+    u = FourierSeries.cosine()
+    fam, c = tune_rotation_number(u, eps, GOLDEN_MEAN)
+    sol = _solve_conjugacy(u, eps, GOLDEN_MEAN)
+    assert sol.c == c
+    K = len(fam.conjugacy.a)
+    mags = np.abs(sol.eta_hat[1:])
+    tol = _newton_tol(u, eps)
+    assert 0 < K < len(mags)
+    assert 2.0 * np.sum(mags[K:]) <= tol
+    assert 2.0 * np.sum(mags[K - 1:]) > tol  # the fewest modes that do
+    n = np.arange(1, K + 1)
+    eta = sol.eta_hat[1:K + 1]
+    assert np.array_equal(fam.conjugacy.a, -4.0 * math.pi * n * eta.imag)
+    assert np.array_equal(fam.conjugacy.b, 4.0 * math.pi * n * eta.real)
+
+
+def test_direct_check_never_takes_the_closed_form(monkeypatch):
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the tuner's check used the solved conjugacy")
+
+    monkeypatch.setattr(ConjugatedRotation, "orbit", closed_form)
+    fam, _ = tune_rotation_number(FourierSeries.cosine(), 1e-2, GOLDEN_MEAN)
+    assert fam.conjugacy is not None
+
+
+def test_rotation_number_ignores_the_carried_conjugacy():
+    u = FourierSeries.cosine()
+    fam, c = tune_rotation_number(u, 1e-2, GOLDEN_MEAN)
+    r = rotation_number(fam, tol=None)
+    bare = rotation_number(TunedFamily(u, 1e-2, c), tol=None)
+    assert float(r) == float(bare) and r.error_bound == bare.error_bound
+
+
+def test_conjugacy_is_none_where_it_is_not_carried():
+    u = FourierSeries.cosine()
+    # sum(|a_n| + |b_n|) is about 4.7 here, so no ConjugacyDiffeo
+    assert tune_rotation_number(u, 0.15, GOLDEN_MEAN)[0].conjugacy is None
+    assert tune_rotation_number(u, 0.0, GOLDEN_MEAN)[0].conjugacy is None
+    assert tune_rotation_number(FourierSeries.zero(), 0.1,
+                                GOLDEN_MEAN)[0].conjugacy is None
