@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -283,15 +284,35 @@ class ConjugacyDiffeo:
     def identity(cls):
         return cls([0.0], [0.0])
 
+    def _sums(self, x, disp=True, deriv=False):
+        """(h(x) - x, h'(x)), each None unless asked for; one frac, sin
+        and cos per mode serve both sums."""
+        d = np.zeros(x.shape) if disp else None
+        dh = np.ones(x.shape) if deriv else None
+        for n in range(1, len(self.a) + 1):
+            # in place, with the operations of a * cos(ph) - b * sin(ph)
+            # and (a * sin(ph) + b * cos(ph)) / (2 pi n) in their order
+            sin = np.asarray(frac(n * x))
+            sin *= 2.0 * math.pi
+            cos = np.cos(sin, out=np.empty_like(sin))
+            np.sin(sin, out=sin)
+            a, b = self.a[n - 1], self.b[n - 1]
+            if deriv:
+                t = np.multiply(a, cos, out=np.empty_like(cos))
+                dh += t
+                np.multiply(b, sin, out=t)
+                dh -= t
+            if disp:
+                sin *= a
+                cos *= b
+                sin += cos
+                sin /= 2.0 * math.pi * n
+                d += sin
+        return d, dh
+
     def displacement_fn(self, x):
         """h(x) - x, periodic."""
-        xs = np.asarray(x, dtype=float)
-        out = np.zeros(xs.shape)
-        for n in range(1, len(self.a) + 1):
-            ph = 2.0 * math.pi * np.asarray(frac(n * xs))
-            out = out + (self.a[n - 1] * np.sin(ph)
-                         + self.b[n - 1] * np.cos(ph)) / (2.0 * math.pi * n)
-        return out
+        return self._sums(np.asarray(x, dtype=float))[0]
 
     @_pointwise
     def eval(self, x):
@@ -302,22 +323,24 @@ class ConjugacyDiffeo:
 
     @_pointwise
     def deriv(self, x):
-        out = np.ones(x.shape)
-        for n in range(1, len(self.a) + 1):
-            ph = 2.0 * math.pi * np.asarray(frac(n * x))
-            out = out + self.a[n - 1] * np.cos(ph) - self.b[n - 1] * np.sin(ph)
-        return out
+        return self._sums(x, disp=False, deriv=True)[1]
 
     @_pointwise
     def inverse(self, y, *, tol: float = 1e-14, max_iter: int = 50):
         """z with h(z) = y, computed by Newton; exact to ~1e-13 or better."""
         z = y.copy()
         for _ in range(max_iter):
-            r = z + self.displacement_fn(z) - y
+            # in place: r = z + disp - y and z - r / dh as written
+            r, dh = self._sums(z, deriv=True)
+            r += z
+            r -= y
             done = np.abs(r) <= tol  # each point stops on its own
             if np.all(done):
                 break
-            z = np.where(done, z, z - r / self.deriv(z))
+            np.divide(r, dh, out=dh)
+            np.subtract(z, dh, out=dh)
+            np.copyto(z, dh, where=~done)
+            del r, dh  # free before the next step allocates its own
         else:
             worst = float(np.max(np.abs(z + self.displacement_fn(z) - y)))
             raise ConvergenceError(
@@ -381,6 +404,8 @@ class Discretized(CircleMap):
     orientation_preserving = False
 
     def __init__(self, inner: CircleMap, N: int):
+        if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+            raise ValueError(f"N must be an integer, got {N!r}")
         if N < 1:
             raise ValueError("N must be >= 1")
         self.inner = inner
@@ -400,12 +425,20 @@ class Discretized(CircleMap):
         return np.floor(x) + self.eval(frac(x))
 
     def grid_image(self, i=None) -> np.ndarray:
-        """Integer image array: node i -> node image[i], for all i < N.
+        """Integer image array: node i -> node image[i], for all i < N,
+        or for the integer nodes i given.
 
         Computed by one vectorized pass; the same path backs eval on grid
         points, so graph analysis and eval cannot disagree.
         """
-        idx = np.arange(self.N) if i is None else np.asarray(i)
+        if i is None:
+            idx = np.arange(self.N)
+        else:
+            idx = np.asarray(i)
+            if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0
+                             or idx.max() >= self.N):
+                raise ValueError(
+                    f"grid nodes must be integers in range({self.N})")
         t = self.inner.eval(idx.astype(float) / self.N)
         return self._project(t)
 

@@ -85,11 +85,30 @@ def test_convex_combination_invariant_noncycle_not():
     assert pushforward(C, off) != off
 
 
+def test_cycles_in_canonical_order():
+    # sorted by smallest node, each starting there and following the map
+    a = analyze_functional_graph(Discretized(Rotation(GOLDEN_MEAN), 10), 10)
+    assert a.cycles == [[0, 6, 2, 8, 4], [1, 7, 3, 9, 5]]
+    T = Discretized(
+        ConjugatedRotation(GOLDEN_MEAN, ConjugacyDiffeo([0.2], [0.1])), 30)
+    a = analyze_functional_graph(T, 30)
+    # a walk from node 0 upwards first reaches the last cycle at 11
+    assert a.cycles == [[0, 17, 7, 23, 12], [2, 18, 8, 25, 13],
+                        [3, 19, 9, 26, 14], [6, 22, 11, 29, 16]]
+    assert a.basin_sizes == [6, 6, 5, 13]
+    succ = T.grid_image()
+    for cyc in a.cycles:
+        assert succ[cyc].tolist() == cyc[1:] + cyc[:1]
+
+
 def test_graph_errors():
     with pytest.raises(TypeError):
         analyze_functional_graph(Rotation(0.5), 10)
     with pytest.raises(ValueError):
         analyze_functional_graph(Discretized(Rotation(0.5), 10), 20)
+    for N in (5.0, True, "5"):
+        with pytest.raises(ValueError):
+            analyze_functional_graph(Discretized(Rotation(0.5), 5), N)
     big = 10 ** 7 + 1
     with pytest.raises(ResourceLimitError):
         analyze_functional_graph(Discretized(Rotation(0.5), big), big)
@@ -117,7 +136,10 @@ def test_graph_linear_time_scaling():
             best = min(best, time.perf_counter() - t0)
         times[N] = best
     ratio = times[4 * 10 ** 5] / times[10 ** 5]
-    assert 1.4 ** 2 <= ratio <= 2.6 ** 2
+    assert 1.4 ** 2 <= ratio <= 2.6 ** 2, (
+        f"N=1e5 took {times[10 ** 5]:.4f} s, N=4e5 took "
+        f"{times[4 * 10 ** 5]:.4f} s: ratio {ratio:.2f} is outside "
+        f"[{1.4 ** 2:.2f}, {2.6 ** 2:.2f}]")
 
 
 # ------------------------------------------------- birkhoff measures

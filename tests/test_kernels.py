@@ -1,7 +1,9 @@
-"""The array kernels of the measures layer against the per-element code
-they replaced, kept here as oracles: W to Lebesgue with one `mass(t)`
-call per breakpoint, the atom-by-atom merge of `AtomicMeasure` and
-`x % 1.0` for `frac`.  Equality is bit for bit."""
+"""The array kernels against the per-element code they replaced, kept
+here as oracles: W to Lebesgue with one `mass(t)` call per breakpoint,
+the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for `frac`, the
+three-color walk of the functional graph and the Newton inverse of a
+`ConjugacyDiffeo` that evaluated its modes twice per step.  Equality is
+bit for bit."""
 
 import functools
 import operator
@@ -12,7 +14,15 @@ import sys
 import numpy as np
 import pytest
 
-from circlestab.arithmetic import GOLDEN_MEAN, frac
+from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction, frac
+from circlestab.invariant import analyze_functional_graph
+from circlestab.maps import (
+    AttractorRepeller,
+    ConjugacyDiffeo,
+    ConjugatedRotation,
+    Discretized,
+    Rotation,
+)
 from circlestab.measures import (
     MERGE_TOL,
     AtomicMeasure,
@@ -196,3 +206,156 @@ def test_frac_nonfinite_gives_nan(x):
     with np.errstate(invalid="ignore"):
         assert np.isnan(frac(x))
         assert np.all(np.isnan(frac(np.array([x, x]))))
+
+
+# ------------------------------------------------------------ functional graph
+
+def three_color_loop(succ):
+    """Cycles, basin sizes, cycle measures and physical measure of the
+    map i -> succ[i] on N nodes, by a walk that marks nodes white, gray
+    and black."""
+    N = len(succ)
+    state = np.zeros(N, dtype=np.uint8)       # 0 white, 1 gray, 2 black
+    cycle_id = np.empty(N, dtype=np.int64)
+    cycles = []
+    for start in range(N):
+        if state[start]:
+            continue
+        path = []
+        pos = {}  # node -> index within path, for O(1) cycle cut
+        v = start
+        while not state[v]:
+            state[v] = 1
+            pos[v] = len(path)
+            path.append(v)
+            v = int(succ[v])
+        if state[v] == 1:            # closed a fresh cycle inside this path
+            cid = len(cycles)
+            cycles.append(path[pos[v]:])
+        else:                        # merged into an already-decided node
+            cid = int(cycle_id[v])
+        for u in path:
+            cycle_id[u] = cid
+            state[u] = 2
+
+    basin = np.bincount(cycle_id, minlength=len(cycles))
+    cycle_measures = [AtomicMeasure.uniform(np.asarray(cyc) / N)
+                      for cyc in cycles]
+    pos_all = np.concatenate([np.asarray(cyc, dtype=float) / N
+                              for cyc in cycles])
+    w_all = np.concatenate([
+        np.full(len(cyc), basin[k] / (N * len(cyc)))
+        for k, cyc in enumerate(cycles)])
+    return cycles, [int(b) for b in basin], cycle_measures, \
+        AtomicMeasure(pos_all, w_all)
+
+
+class TableMap(Discretized):
+    """A discretized map given by its table of grid images."""
+
+    def __init__(self, table):
+        super().__init__(Rotation(0.0), len(table))
+        self.table = np.asarray(table, dtype=np.int64)
+
+    def grid_image(self, i=None):
+        return self.table.copy() if i is None else self.table[i]
+
+
+def assert_graph_matches_loop(T):
+    a = analyze_functional_graph(T, T.N)
+    cycles, basins, measures, physical = three_color_loop(T.grid_image())
+    want = {frozenset(c): (b, m) for c, b, m in zip(cycles, basins, measures)}
+    got = {frozenset(c): (b, m)
+           for c, b, m in zip(a.cycles, a.basin_sizes, a.cycle_measures)}
+    assert len(a.cycles) == len(cycles) and got.keys() == want.keys()
+    for key, (b, m) in got.items():
+        assert b == want[key][0]
+        assert np.array_equal(bits(m.positions), bits(want[key][1].positions))
+        assert np.array_equal(bits(m.weights), bits(want[key][1].weights))
+    assert np.array_equal(bits(a.physical_measure.positions),
+                          bits(physical.positions))
+    assert np.array_equal(bits(a.physical_measure.weights),
+                          bits(physical.weights))
+    # canonical order: ascending smallest nodes, each cycle from there on
+    succ = T.grid_image()
+    heads = [c[0] for c in a.cycles]
+    assert heads == sorted(heads) == [min(c) for c in a.cycles]
+    for c in a.cycles:
+        assert succ[c].tolist() == c[1:] + c[:1]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 10, 100, 1000, 10_000])
+def test_graph_equals_loop_on_random_maps(N):
+    rng = np.random.default_rng(N)
+    for _ in range(5):
+        assert_graph_matches_loop(TableMap(rng.integers(0, N, N)))
+        assert_graph_matches_loop(TableMap(rng.permutation(N)))
+
+
+@pytest.mark.parametrize("N", [1, 7, 1000])
+def test_graph_equals_loop_on_identity_constant_and_chain(N):
+    assert_graph_matches_loop(TableMap(np.arange(N)))
+    assert_graph_matches_loop(TableMap(np.full(N, N // 2)))
+    # a tail of length N - 1 takes the most doubling rounds
+    assert_graph_matches_loop(TableMap(np.maximum(np.arange(N) - 1, 0)))
+
+
+DIFFEO = ConjugatedRotation(GOLDEN_MEAN, ConjugacyDiffeo([0.2], [0.1]))
+ATTRACTOR = AttractorRepeller(GOLDEN_MEAN, 5,
+                              continued_fraction(GOLDEN_MEAN, 8), 1.0)
+
+
+@pytest.mark.parametrize("inner", [Rotation(GOLDEN_MEAN), Rotation(0.37),
+                                   DIFFEO, ATTRACTOR],
+                         ids=["golden", "rotation-0.37", "diffeo",
+                              "attractor-repeller"])
+@pytest.mark.parametrize("N", [10, 1000, 100_000])
+def test_graph_equals_loop_on_discretized_maps(inner, N):
+    assert_graph_matches_loop(Discretized(inner, N))
+
+
+# ------------------------------------------------------------ inverse of h
+
+def inverse_two_calls(h, y, tol=1e-14, max_iter=50):
+    """Newton for h^-1 with the modes evaluated once for the residual
+    and again for the derivative."""
+
+    def displacement(x):
+        out = np.zeros(x.shape)
+        for n in range(1, len(h.a) + 1):
+            ph = 2.0 * np.pi * np.asarray(frac(n * x))
+            out = out + (h.a[n - 1] * np.sin(ph)
+                         + h.b[n - 1] * np.cos(ph)) / (2.0 * np.pi * n)
+        return out
+
+    def deriv(x):
+        out = np.ones(x.shape)
+        for n in range(1, len(h.a) + 1):
+            ph = 2.0 * np.pi * np.asarray(frac(n * x))
+            out = out + h.a[n - 1] * np.cos(ph) - h.b[n - 1] * np.sin(ph)
+        return out
+
+    z = y.copy()
+    for _ in range(max_iter):
+        r = z + displacement(z) - y
+        done = np.abs(r) <= tol
+        if np.all(done):
+            break
+        z = np.where(done, z, z - r / deriv(z))
+    return z, displacement(y), deriv(y)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 5])
+def test_conjugacy_inverse_equals_two_call_newton(modes):
+    rng = np.random.default_rng(modes)
+    y = np.concatenate([rng.uniform(0, 1, 100_000), [0.0, 0.5, 1.0 - 1e-16]])
+    for _ in range(3):
+        c = rng.dirichlet(np.ones(2 * modes)) * 0.9 * rng.choice([-1, 1],
+                                                                 2 * modes)
+        h = ConjugacyDiffeo(c[:modes], c[modes:])
+        z, disp, der = inverse_two_calls(h, y)
+        assert np.array_equal(bits(h.inverse(y)), bits(z))
+        assert np.array_equal(bits(h.displacement_fn(y)), bits(disp))
+        assert np.array_equal(bits(h.deriv(y)), bits(der))
+        assert all(bits(h.inverse(v)) == bits(z[k])
+                   for k, v in enumerate(y[-3:], len(y) - 3))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -101,6 +102,33 @@ def test_discretize_grid_closure():
 def test_discretize_rejects_bad_n():
     with pytest.raises(ValueError):
         Discretized(Rotation(0.1), 0)
+
+
+@pytest.mark.parametrize("N", [2.5, 10.0, True, "10"])
+def test_discretize_rejects_non_integer_n(N):
+    with pytest.raises(ValueError):
+        Discretized(Rotation(0.1), N)
+    d = {"variant": "Discretized", "N": N,
+         "inner": {"variant": "Rotation", "alpha": 0.1}}
+    with pytest.raises(ValueError):
+        map_from_json(json.dumps(d))
+
+
+def test_discretize_takes_numpy_integer_n():
+    assert Discretized(Rotation(0.1), np.int64(10)).N == 10
+
+
+@pytest.mark.parametrize("nodes", [[11], [10], [-1], [1.0], [True]])
+def test_grid_image_rejects_nodes_off_the_grid(nodes):
+    with pytest.raises(ValueError):
+        Discretized(Rotation(GOLDEN_MEAN), 10).grid_image(nodes)
+
+
+def test_grid_image_of_given_nodes():
+    T = Discretized(Rotation(GOLDEN_MEAN), 10)
+    assert T.grid_image([0, 9, 3]).tolist() == [6, 5, 9]
+    assert T.grid_image(np.array([9], dtype=np.uint8)).tolist() == [5]
+    assert T.grid_image([]).tolist() == []
 
 
 # ------------------------------------------------------- attractor-repeller
