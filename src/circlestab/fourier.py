@@ -3,9 +3,11 @@
 FourierSeries stores coefficients u_hat(n) for 0 <= n <= n_max only;
 the negative-frequency half is implied by the reality constraint
 u_hat(-n) = conj(u_hat(n)), so evaluation is real by construction.
-Evaluation reduces each phase n*x mod 1 before multiplying by 2*pi,
-which keeps the argument of cos/sin small and the roundoff near eps
-even for large n.
+Every trig sum of the package (a series, a density's CDF, a conjugacy
+h and its derivative) is evaluated by one function, _trig_sums.  It
+reduces each phase n*x mod 1 before multiplying by 2*pi, which keeps
+the argument of cos/sin small and the roundoff near eps even for
+large n.
 """
 
 from __future__ import annotations
@@ -19,6 +21,38 @@ import numpy as np
 from .arithmetic import _pointwise, frac
 
 __all__ = ["FourierSeries", "FourierDensity", "pairing"]
+
+
+def _trig_sums(spectra, x):
+    """[c_0 + sum_n (2 Re c_n cos(2 pi n x) - 2 Im c_n sin(2 pi n x))
+    for each half-spectrum c = c[0..n_max] in spectra], at the points x.
+
+    The spectra have equal lengths.  Each mode that is nonzero in some
+    spectrum costs one frac, one sin and one cos, shared by all spectra,
+    and each sum accumulates in place: out += (2 Re c_n) cos, then
+    out -= (2 Im c_n) sin.  A 0-d x gives 0-d arrays.
+    """
+    x = np.asarray(x, dtype=float)
+    # Python complex numbers index and test faster than numpy scalars,
+    # which counts when x is the few points of a bisection step
+    rows = [np.asarray(c, dtype=complex).tolist() for c in spectra]
+    outs = [np.empty_like(x) for _ in rows]
+    for out, c in zip(outs, rows):
+        out.fill(c[0].real)
+    # buffers passed as out=, so that a 0-d x stays an array throughout
+    cos, t = np.empty_like(x), np.empty_like(x)
+    for n in range(1, len(rows[0])):
+        if not any(c[n] for c in rows):
+            continue
+        ph = np.asarray(frac(np.multiply(x, n, out=t)))
+        ph *= 2.0 * math.pi
+        np.cos(ph, out=cos)
+        np.sin(ph, out=ph)
+        for out, c in zip(outs, rows):
+            out += np.multiply(2.0 * c[n].real, cos, out=t)
+            out -= np.multiply(2.0 * c[n].imag, ph, out=t)
+        del ph  # free before the next mode's frac allocates its own
+    return outs
 
 
 class FourierSeries:
@@ -52,6 +86,8 @@ class FourierSeries:
             c = np.asarray(list(coeffs), dtype=complex)
             if c.ndim != 1 or len(c) == 0:
                 raise ValueError("need a 1d nonempty coefficient array")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         if abs(c[0].imag) > 1e-12:
             raise ValueError("u_hat(0) must be real for a real series")
         c[0] = c[0].real
@@ -106,21 +142,15 @@ class FourierSeries:
     @_pointwise
     def eval(self, x):
         """u(x), real; scalar or ndarray x."""
-        out = np.full(x.shape, self.mean)
-        for n in range(1, self.n_max + 1):
-            cn = self._c[n]
-            if cn == 0:
-                continue
-            ph = 2.0 * math.pi * (np.asarray(frac(n * x)))
-            out = out + 2.0 * (cn.real * np.cos(ph) - cn.imag * np.sin(ph))
-        return out
+        return _trig_sums([self._c], x)[0]
 
     __call__ = eval
 
     def as_scalar_fn(self):
         """Closure evaluating u at a scalar via math.cos/sin, for tight
-        orbit loops where numpy per-call overhead dominates."""
-        terms = [(n, 2.0 * self._c[n].real, -2.0 * self._c[n].imag)
+        orbit loops where numpy per-call overhead dominates; it takes
+        eval's operations in eval's order."""
+        terms = [(n, 2.0 * self._c[n].real, 2.0 * self._c[n].imag)
                  for n in range(1, self.n_max + 1) if self._c[n] != 0]
         mean = self.mean
         cos, sin = math.cos, math.sin
@@ -130,7 +160,8 @@ class FourierSeries:
             s = mean
             for n, cr, ci in terms:
                 ph = twopi * ((n * x) % 1.0)
-                s += cr * cos(ph) + ci * sin(ph)
+                s += cr * cos(ph)
+                s -= ci * sin(ph)
             return s
 
         return u
@@ -210,16 +241,14 @@ class FourierDensity(FourierSeries):
     @_pointwise
     def cdf(self, x):
         """F(x) = integral_0^x density, closed form; scalar or ndarray."""
-        out = self._c[0].real * x
-        for n in range(1, self.n_max + 1):
-            cn = self._c[n]
-            if cn == 0:
-                continue
-            ph = 2.0 * math.pi * np.asarray(frac(n * x))
-            # integral of 2(Re c cos(2 pi n t) - Im c sin(2 pi n t))
-            out = out + (cn.real * np.sin(ph) + cn.imag * (np.cos(ph) - 1.0)) \
-                / (math.pi * n)
-        return out
+        # c_0 x + P(x) - P(0) with P' = density - c_0; P(0) is evaluated
+        # with the same operations as P(x), so F(0) = 0 and F(1) = c_0
+        # exactly
+        n = np.arange(1, len(self._c))
+        p = np.zeros_like(self._c)
+        p[1:] = self._c[1:] / (2j * math.pi * n)
+        P, P0 = _trig_sums([p], x)[0], _trig_sums([p], 0.0)[0]
+        return self._c[0].real * x + (P - P0)
 
 
 def pairing(psi: FourierSeries, rho: FourierSeries) -> float:

@@ -32,7 +32,7 @@ from .maps import (
     CircleMap,
     ConjugatedRotation,
     Discretized,
-    weighted_birkhoff_weights,
+    _wb_mean,
 )
 from .measures import AtomicMeasure, DiffeoInvariantDensity
 
@@ -226,8 +226,7 @@ def birkhoff_average(mapping: CircleMap, f: Callable, n: int,
     vals = np.asarray(f(xs), dtype=float)
     if not weighted:
         return float(np.mean(vals))
-    w = weighted_birkhoff_weights(n)
-    return float(np.einsum("i,i->", w, vals) / np.sum(w))
+    return _wb_mean(vals)
 
 
 def invariant_measure_of_diffeo(

@@ -6,11 +6,14 @@ Each map knows its canonical evaluation on [0,1), a degree-1 lift
 F(x+1) = F(x)+1, and the displacement F(x)-x used by the rotation
 number estimator.  Orbits of Rotation and ConjugatedRotation have
 closed-form vectorized paths (one rounding per point instead of one
-per step); everything else iterates a scalar step closure.  A
-TunedFamily made by the tuner carries the conjugacy h it solved, so
-its orbits can be taken in closed form through ConjugatedRotation;
-TunedFamily.orbit itself still iterates f.  The rotation number
-evaluates the displacement on such an orbit as one array.
+per step); everything else iterates scalar_step, which is eval except
+where a float closure pays: TunedFamily and AttractorRepeller step
+math.sin/math.cos closures along their long orbits (the tuner's direct
+check, Birkhoff orbits).  A TunedFamily made by the tuner carries the
+conjugacy h it solved, so its orbits can be taken in closed form
+through ConjugatedRotation; TunedFamily.orbit itself still iterates f.
+The rotation number evaluates the displacement on such an orbit as one
+array.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .arithmetic import (
     frac,
 )
 from .errors import ConvergenceError, ResourceLimitError, TuningError
-from .fourier import FourierSeries
+from .fourier import FourierSeries, _trig_sums
 
 __all__ = [
     "ORBIT_LEN_CAP",
@@ -88,8 +91,9 @@ class CircleMap:
         return self.lift(x) - np.asarray(x, dtype=float)
 
     def scalar_step(self):
-        """Closure x -> T(x) on floats for tight orbit loops."""
-        raise NotImplementedError
+        """x -> T(x) on floats, for the orbit loop; eval unless a map
+        has a faster closure."""
+        return self.eval
 
     def orbit(self, x0: float, n: int, burn_in: int = 0) -> np.ndarray:
         """[T^(burn_in+1) x0, ..., T^(burn_in+n) x0] as a float array."""
@@ -130,10 +134,6 @@ class Rotation(CircleMap):
     @_pointwise
     def lift(self, x):
         return x + self.alpha
-
-    def scalar_step(self):
-        a = self.alpha
-        return lambda x: (x + a) % 1.0
 
     def orbit(self, x0, n, burn_in=0):
         # closed form x_i = x0 + i*alpha mod 1, one rounding per point
@@ -263,13 +263,16 @@ class ConjugacyDiffeo:
 
     Requires sum(|a_n| + |b_n|) < 1 so that h' >= 1 - sum > 0 and h is a
     degree-1 circle diffeomorphism.  The inverse is found by Newton from
-    the starting point y (the displacement is < 1/(2 pi)), to 1e-13.
+    the starting point y (the displacement is < 1/(2 pi)), until the
+    residual |h(z) - y| is at most tol = 1e-14 at every point.
     """
 
     def __init__(self, a, b=None):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
+        a = np.atleast_1d(np.array(a, dtype=float))
         b = np.zeros_like(a) if b is None else np.atleast_1d(
-            np.asarray(b, dtype=float))
+            np.array(b, dtype=float))
+        # read-only copies: the spectra below are derived from them once
+        a.flags.writeable = b.flags.writeable = False
         if len(a) != len(b):
             raise ValueError("a and b must have equal length")
         s = float(np.sum(np.abs(a)) + np.sum(np.abs(b)))
@@ -279,40 +282,21 @@ class ConjugacyDiffeo:
                 "diffeo")
         self.a, self.b = a, b
         self.coeff_sum = s
+        # half-spectra (see _trig_sums) of h - x and of
+        # h' = 1 + sum_n (a_n cos(2 pi n x) - b_n sin(2 pi n x))
+        n4pi = 4.0 * math.pi * np.arange(1, len(a) + 1)
+        self._eta = np.zeros(len(a) + 1, dtype=complex)
+        self._eta.real[1:], self._eta.imag[1:] = b / n4pi, -a / n4pi
+        self._dh = np.ones(len(a) + 1, dtype=complex)
+        self._dh.real[1:], self._dh.imag[1:] = a / 2.0, b / 2.0
 
     @classmethod
     def identity(cls):
         return cls([0.0], [0.0])
 
-    def _sums(self, x, disp=True, deriv=False):
-        """(h(x) - x, h'(x)), each None unless asked for; one frac, sin
-        and cos per mode serve both sums."""
-        d = np.zeros(x.shape) if disp else None
-        dh = np.ones(x.shape) if deriv else None
-        for n in range(1, len(self.a) + 1):
-            # in place, with the operations of a * cos(ph) - b * sin(ph)
-            # and (a * sin(ph) + b * cos(ph)) / (2 pi n) in their order
-            sin = np.asarray(frac(n * x))
-            sin *= 2.0 * math.pi
-            cos = np.cos(sin, out=np.empty_like(sin))
-            np.sin(sin, out=sin)
-            a, b = self.a[n - 1], self.b[n - 1]
-            if deriv:
-                t = np.multiply(a, cos, out=np.empty_like(cos))
-                dh += t
-                np.multiply(b, sin, out=t)
-                dh -= t
-            if disp:
-                sin *= a
-                cos *= b
-                sin += cos
-                sin /= 2.0 * math.pi * n
-                d += sin
-        return d, dh
-
     def displacement_fn(self, x):
         """h(x) - x, periodic."""
-        return self._sums(np.asarray(x, dtype=float))[0]
+        return _trig_sums([self._eta], x)[0]
 
     @_pointwise
     def eval(self, x):
@@ -323,15 +307,15 @@ class ConjugacyDiffeo:
 
     @_pointwise
     def deriv(self, x):
-        return self._sums(x, disp=False, deriv=True)[1]
+        return _trig_sums([self._dh], x)[0]
 
     @_pointwise
     def inverse(self, y, *, tol: float = 1e-14, max_iter: int = 50):
-        """z with h(z) = y, computed by Newton; exact to ~1e-13 or better."""
+        """z with h(z) = y, computed by Newton until |h(z) - y| <= tol."""
         z = y.copy()
         for _ in range(max_iter):
             # in place: r = z + disp - y and z - r / dh as written
-            r, dh = self._sums(z, deriv=True)
+            r, dh = _trig_sums([self._eta, self._dh], z)
             r += z
             r -= y
             done = np.abs(r) <= tol  # each point stops on its own
@@ -369,10 +353,6 @@ class ConjugatedRotation(CircleMap):
     @_pointwise
     def lift(self, x):
         return self.h.eval(self.h.inverse(x) + self.alpha)
-
-    def scalar_step(self):
-        h, a = self.h, self.alpha
-        return lambda x: frac(h.eval(frac(h.inverse(x) + a)))
 
     def orbit(self, x0, n, burn_in=0):
         # closed form via the conjugacy: x_i = h(y0 + i*alpha mod 1), in
@@ -442,11 +422,6 @@ class Discretized(CircleMap):
         t = self.inner.eval(idx.astype(float) / self.N)
         return self._project(t)
 
-    def scalar_step(self):
-        inner_step = self.inner.eval
-        N = self.N
-        return lambda x: min(math.floor(inner_step(x) * N), N - 1) / N
-
     def contains_discretized(self):
         return True
 
@@ -477,16 +452,6 @@ class Composition(CircleMap):
         for m in reversed(self.maps):
             x = m.lift(x)
         return x
-
-    def scalar_step(self):
-        steps = [m.scalar_step() for m in reversed(self.maps)]
-
-        def step(x: float) -> float:
-            for s in steps:
-                x = s(x)
-            return x
-
-        return step
 
     def contains_discretized(self):
         return any(m.contains_discretized() for m in self.maps)

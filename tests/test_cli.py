@@ -28,7 +28,12 @@ from circlestab.experiments import (
     write_records_csv,
 )
 from circlestab.fourier import FourierSeries
-from circlestab.maps import AttractorRepeller, ConjugacyDiffeo, TunedFamily
+from circlestab.maps import (
+    AttractorRepeller,
+    ConjugacyDiffeo,
+    TunedFamily,
+    map_from_json,
+)
 from circlestab.measures import (
     AtomicMeasure,
     BVObservable,
@@ -81,6 +86,13 @@ NONFINITE_INPUTS = {
     "diffeo inf b": lambda: ConjugacyDiffeo([0.1], [math.inf]),
     "tuned nan eps": lambda: TunedFamily(FourierSeries.cosine(), math.nan, 0),
     "tuned inf c": lambda: TunedFamily(FourierSeries.cosine(), 0, math.inf),
+    "fourier nan mean": lambda: FourierSeries({0: math.nan}),
+    "fourier inf mode": lambda: FourierSeries([0.0, complex(0.0, math.inf)]),
+    "tuned json nan mode": lambda: map_from_json(json.dumps({
+        "variant": "TunedFamily", "epsilon": 0.1, "c": 0.3,
+        "u": {"type": "FourierSeries",
+              "coefficients": [[-1, math.nan, 0.0], [0, 0.0, 0.0],
+                               [1, math.nan, 0.0]]}})),
     "record nan w": lambda: ScalingRecord("f", 0.1, math.nan, "physical"),
     "record inf w": lambda: ScalingRecord("f", 0.1, math.inf, "physical"),
     "record nan size": lambda: ScalingRecord("f", math.nan, 0.1, "physical"),

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from circlestab.fourier import FourierDensity, FourierSeries, pairing
+from circlestab import fourier
+from circlestab.arithmetic import frac
+from circlestab.fourier import (
+    FourierDensity,
+    FourierSeries,
+    _trig_sums,
+    pairing,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -107,3 +114,96 @@ def test_pairing_matches_quadrature():
     grid = np.arange(1 << 16) / (1 << 16)
     num = np.mean(psi.eval(grid) * rho.eval(grid))
     assert pairing(psi, rho) == pytest.approx(num, abs=1e-10)
+
+
+# ------------------------------------------------ the shared evaluator
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def series_loop(u, x):
+    """The per-mode loop FourierSeries.eval had."""
+    out = np.full(x.shape, u.mean)
+    for n in range(1, u.n_max + 1):
+        cn = u.coeff(n)
+        ph = 2.0 * math.pi * frac(n * x)
+        out = out + 2.0 * (cn.real * np.cos(ph) - cn.imag * np.sin(ph))
+    return out
+
+
+def cdf_loop(rho, x):
+    """The per-mode loop FourierDensity.cdf had: each mode integrated in
+    closed form, with cos - 1 so that F(0) = 0."""
+    out = rho.mean * x
+    for n in range(1, rho.n_max + 1):
+        cn = rho.coeff(n)
+        ph = 2.0 * math.pi * frac(n * x)
+        out = out + (cn.real * np.sin(ph) + cn.imag * (np.cos(ph) - 1.0)) \
+            / (math.pi * n)
+    return out
+
+
+def random_spectrum(rng, n_max, mean):
+    c = (rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)) / 4
+    c[0] = mean
+    return c
+
+
+def test_trig_sums_of_several_spectra_equal_separate_calls():
+    rng = np.random.default_rng(11)
+    spectra = [random_spectrum(rng, 8, m) for m in (0.0, 1.0, -0.3)]
+    spectra[1][3] = 0.0   # zero in one spectrum only
+    for c in spectra:
+        c[5] = 0.0        # zero in every spectrum: skipped
+    x = np.concatenate([rng.uniform(-2.0, 3.0, 20_000), [0.0, 1.0, 0.5]])
+    together = _trig_sums(spectra, x)
+    assert len(together) == len(spectra)
+    for c, out in zip(spectra, together):
+        assert np.array_equal(bits(out), bits(_trig_sums([c], x)[0]))
+
+
+def test_trig_sums_zero_dimensional_point():
+    rng = np.random.default_rng(12)
+    spectra = [random_spectrum(rng, 4, 0.0), random_spectrum(rng, 4, 1.0)]
+    xs = rng.uniform(-1.0, 2.0, 50)
+    for k, x in enumerate(xs):
+        outs = _trig_sums(spectra, np.float64(x))
+        assert all(isinstance(o, np.ndarray) and o.shape == () for o in outs)
+        for o, row in zip(outs, _trig_sums(spectra, xs)):
+            assert bits(o) == bits(row[k])
+
+
+def test_trig_sums_visits_only_nonzero_modes(monkeypatch):
+    calls = []
+
+    def counting_frac(x):
+        calls.append(np.size(x))
+        return frac(x)
+
+    monkeypatch.setattr(fourier, "frac", counting_frac)
+    x = RNG.uniform(0, 1, 1000)
+    val = FourierSeries.sine(997).eval(x)
+    assert calls == [1000]  # mode 997 alone, not 997 modes
+    # 0 + 0 cos - (-1) sin is sin exactly
+    assert np.array_equal(val, np.sin(2.0 * math.pi * frac(997 * x)))
+
+
+def test_series_eval_matches_old_loop():
+    rng = np.random.default_rng(13)
+    for n_max in (1, 3, 9):
+        u = FourierSeries(random_spectrum(rng, n_max, 0.4))
+        x = rng.uniform(-1.0, 2.0, 20_000)
+        err = np.max(np.abs(u.eval(x) - series_loop(u, x)))
+        assert err <= 1e-15 * u.sup_norm_bound()
+
+
+def test_density_cdf_matches_old_loop():
+    rng = np.random.default_rng(14)
+    x = np.concatenate([rng.uniform(-1.0, 2.0, 20_000), [0.0, 1.0]])
+    for mean, n_max in ((1.0, 1), (1.0, 5), (0.0, 3), (1.0, 12)):
+        c = random_spectrum(rng, n_max, mean)
+        c[1:] *= 0.5 / np.sum(np.abs(c[1:]))  # a positive density if mean 1
+        rho = FourierDensity(c)
+        assert np.max(np.abs(rho.cdf(x) - cdf_loop(rho, x))) <= 1e-15
+        assert rho.cdf(0.0) == 0.0 and rho.cdf(1.0) == mean

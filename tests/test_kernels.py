@@ -318,14 +318,16 @@ def test_graph_equals_loop_on_discretized_maps(inner, N):
 
 def inverse_two_calls(h, y, tol=1e-14, max_iter=50):
     """Newton for h^-1 with the modes evaluated once for the residual
-    and again for the derivative."""
+    and again for the derivative.  The displacement adds the cos term of
+    each mode, then the sin term, with coefficients b_n / (2 pi n) and
+    a_n / (2 pi n), as the shared evaluator does."""
 
     def displacement(x):
         out = np.zeros(x.shape)
         for n in range(1, len(h.a) + 1):
             ph = 2.0 * np.pi * np.asarray(frac(n * x))
-            out = out + (h.a[n - 1] * np.sin(ph)
-                         + h.b[n - 1] * np.cos(ph)) / (2.0 * np.pi * n)
+            out = out + h.b[n - 1] / (2.0 * np.pi * n) * np.cos(ph)
+            out = out + h.a[n - 1] / (2.0 * np.pi * n) * np.sin(ph)
         return out
 
     def deriv(x):

@@ -287,6 +287,20 @@ def test_orbit_rejects_negative_length_or_burn_in(m):
     assert len(m.orbit(0.0, 0)) == 0
 
 
+@pytest.mark.parametrize("m", [
+    Discretized(ConjugatedRotation(GOLDEN_MEAN, H), 1000),
+    Composition([Rotation(0.1), Discretized(Rotation(GOLDEN_MEAN), 64)]),
+    TunedFamily(FourierSeries.from_real_coeffs([0.3, 0.1], [0.2, 0.05]),
+                0.1, 0.4)], ids=lambda m: m.variant)
+def test_stepped_orbit_is_iterated_eval(m):
+    # scalar_step is eval itself, or a float closure with eval's values
+    x, want = 0.37, []
+    for _ in range(300):
+        x = m.eval(x)
+        want.append(x)
+    assert np.array_equal(m.orbit(0.37, 300), want)
+
+
 # ------------------------------------------------------- conjugacy diffeo
 
 def test_diffeo_admissibility():
@@ -295,6 +309,20 @@ def test_diffeo_admissibility():
     h = ConjugacyDiffeo([0.3, 0.1], [0.0, 0.2])
     grid = np.linspace(0, 1, 10_001)
     assert np.all(h.deriv(grid) > 0)
+
+
+def test_diffeo_coefficients_are_read_only_copies():
+    # h evaluates through spectra built from a and b once, so neither
+    # the caller's arrays nor h.a and h.b may change afterwards
+    a = np.array([0.3, 0.1])
+    h = ConjugacyDiffeo(a, [0.0, 0.2])
+    before = h.eval(0.3)
+    a[0] = 0.0
+    assert h.a[0] == 0.3 and h.eval(0.3) == before
+    with pytest.raises(ValueError):
+        h.a[0] = 0.0
+    with pytest.raises(ValueError):
+        h.b[1] = 0.0
 
 
 def test_diffeo_inverse_accuracy():
