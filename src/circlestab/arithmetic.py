@@ -175,16 +175,12 @@ class DiophantineProfile:
                       delta_j strictly decreasing
     gamma_hat         estimated Diophantine type, filled in when at least
                       4 convergents are available (None otherwise)
-    tau, c            optional Diophantine-pair metadata, never computed
-                      here, carried through serialization untouched
     """
 
     alpha: float
     partial_quotients: list
     convergents: list
     gamma_hat: Optional[float] = None
-    tau: Optional[float] = None
-    c: Optional[float] = None
     alpha_exact: Optional[Fraction] = field(default=None, repr=False)
 
     def to_json(self) -> str:
@@ -193,8 +189,6 @@ class DiophantineProfile:
             "partial_quotients": list(self.partial_quotients),
             "convergents": [[cv.p, cv.q, cv.delta] for cv in self.convergents],
             "gamma_hat": self.gamma_hat,
-            "tau": self.tau,
-            "c": self.c,
         }
         if self.alpha_exact is not None:
             d["alpha_exact"] = str(self.alpha_exact)
@@ -210,15 +204,11 @@ class DiophantineProfile:
             convergents=[Convergent(int(p), int(q), float(dl))
                          for p, q, dl in d["convergents"]],
             gamma_hat=d.get("gamma_hat"),
-            tau=d.get("tau"),
-            c=d.get("c"),
             alpha_exact=Fraction(exact) if exact is not None else None,
         )
 
 
-def continued_fraction(alpha: RealLike, k: int,
-                       tau: Optional[float] = None,
-                       c: Optional[float] = None) -> DiophantineProfile:
+def continued_fraction(alpha: RealLike, k: int) -> DiophantineProfile:
     """First k partial quotients and convergents of alpha in (0, 1).
 
     Floats are expanded as the exact binary rationals they are.  If the
@@ -259,7 +249,6 @@ def continued_fraction(alpha: RealLike, k: int,
         alpha=float(a_exact),
         partial_quotients=quotients,
         convergents=convergents,
-        tau=tau, c=c,
         alpha_exact=exact,
     )
     if terminated_at is not None:

@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
             sp.add_argument(flag, **_SHARED_FLAGS[flag])
         return sp
 
-    scan_flags = ("--alpha", "--seed", "--output", "--json", "--config")
+    scan_flags = ("--alpha", "--output", "--json", "--config")
     sp = command("stability", _cmd_scan, "W(m, mu_delta) over convergents",
                  *scan_flags)
     sp.add_argument("--family", default="attractor_repeller",
@@ -89,7 +89,6 @@ def _build_parser() -> _Parser:
 
     sp = command("dk-check", _cmd_dk, "randomized Denjoy-Koksma suite",
                  "--alpha", "--seed")
-    sp.add_argument("--suite", default="default", choices=("default",))
     sp.add_argument("--cases", type=int, default=1000)
 
     sp = command("response", _cmd_response,
@@ -127,8 +126,8 @@ def _scan_config(args) -> ExperimentConfig:
                       depth=args.depth, bump_strength=args.bump)
     else:
         fields = dict(ladder=tuple(args.ladder), h_a=(args.h_amp,))
-    return ExperimentConfig(alpha=args.alpha, seed=args.seed,
-                            family=args.family, **fields).validate()
+    return ExperimentConfig(alpha=args.alpha, family=args.family,
+                            **fields).validate()
 
 
 def _cmd_scan(args) -> int:

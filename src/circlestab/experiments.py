@@ -4,7 +4,7 @@ Scaling scans measure W1 distances across parameter ladders (the
 perturbation size delta for stability families, the grid size N for
 discretizations); holder_fit regresses the exponent on log-log axes
 with a bootstrap CI; records go to and come from a fixed-schema CSV.
-Reruns with the same config and seed are byte-identical.
+Reruns with the same config are byte-identical.
 """
 
 import csv
@@ -109,7 +109,6 @@ class ScalingRecord:
     size_param: float
     w_distance: float
     measure_kind: str
-    seed: int = 0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -129,27 +128,27 @@ class ScanResult(list):
         self.failures: List[Tuple[float, str]] = list(failures)
 
 
+_CSV_COLUMNS = ["family_id", "size_param", "w_distance", "measure_kind"]
+
+
 def write_records_csv(records: Sequence[ScalingRecord]) -> str:
     """Fixed schema, 17 significant digits, deterministic row order."""
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["family_id", "size_param", "w_distance", "measure_kind",
-                 "seed"])
+    wr.writerow(_CSV_COLUMNS)
     key = lambda r: (r.family_id, r.size_param, r.measure_kind, r.w_distance)
     for r in sorted(records, key=key):
         wr.writerow([r.family_id, format(r.size_param, ".17g"),
-                     format(r.w_distance, ".17g"), r.measure_kind, r.seed])
+                     format(r.w_distance, ".17g"), r.measure_kind])
     return buf.getvalue()
 
 
 def read_records_csv(text: str) -> List[ScalingRecord]:
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["family_id", "size_param", "w_distance",
-                               "measure_kind", "seed"]:
+    if not rows or rows[0] != _CSV_COLUMNS:
         raise ValueError("bad CSV header for scaling records")
     return [ScalingRecord(family_id=r[0], size_param=float(r[1]),
-                          w_distance=float(r[2]), measure_kind=r[3],
-                          seed=int(r[4]))
+                          w_distance=float(r[2]), measure_kind=r[3])
             for r in rows[1:] if r]
 
 
@@ -176,14 +175,13 @@ class ExperimentConfig:
     h_b: Tuple[float, ...] = ()
     orbit_len: int = 0       # > 0 adds birkhoff records to stability scans
     burn_in: int = 1000
-    seed: int = 0
 
     def validate(self) -> "ExperimentConfig":
         if not (isinstance(self.alpha, str) or _is_a(self.alpha, Real)):
             raise ValueError("alpha must be a preset name or a number")
         if not isinstance(self.family, str):
             raise ValueError("family must be a string")
-        for name in ("depth", "orbit_len", "burn_in", "seed"):
+        for name in ("depth", "orbit_len", "burn_in"):
             if not _is_a(getattr(self, name), Integral):
                 raise ValueError(f"{name} must be an integer")
         if not _is_a(self.bump_strength, Real):
@@ -274,23 +272,23 @@ def stability_scan(config: ExperimentConfig) -> ScanResult:
             rep = _verified_uniform(ar, ar.repelling_orbit())
             recs.append(ScalingRecord(
                 "attractor_repeller", cv.delta, wasserstein(m, att),
-                "physical", config.seed, meta))
+                "physical", meta))
             recs.append(ScalingRecord(
                 "attractor_repeller", cv.delta, wasserstein(m, rep),
-                "worst-cycle", config.seed, meta))
+                "worst-cycle", meta))
             if config.orbit_len > 0:
                 bm = birkhoff_measure(ar, 0.123, config.orbit_len,
                                       config.burn_in)
                 recs.append(ScalingRecord(
                     "attractor_repeller", cv.delta, wasserstein(m, bm),
-                    "birkhoff", config.seed, meta))
+                    "birkhoff", meta))
         else:  # rational_snap
             snap = Rotation(cv.p / cv.q)
             meta = dict(base_meta, map_hash=_map_hash(snap))
             mu = _verified_uniform(snap, snap.orbit(0.0, cv.q))
             recs.append(ScalingRecord(
                 "rational_snap", cv.delta, wasserstein(m, mu),
-                "physical", config.seed, meta))
+                "physical", meta))
         return recs
 
     return _scan_ladder(one, config.ladder)
@@ -344,8 +342,8 @@ def discretization_scan(config: ExperimentConfig) -> ScanResult:
             ("worst-cycle", max(ws)),
             ("best-cycle", min(ws)),
         ]
-        return [ScalingRecord(config.family, 1.0 / N, w, kind,
-                              config.seed, meta) for kind, w in rows]
+        return [ScalingRecord(config.family, 1.0 / N, w, kind, meta)
+                for kind, w in rows]
 
     return _scan_ladder(one, config.ladder)
 
@@ -363,7 +361,7 @@ def holder_fit(records, bootstrap: int = 1000,
                seed: int = 12345) -> HolderFit:
     """OLS of log w_distance on log size_param, bootstrap CI on the slope.
 
-    Accepts ScalingRecords or bare finite (size > 0, w) pairs; zero
+    Accepts ScalingRecords or bare finite (size > 0, w >= 0) pairs; zero
     distances are excluded with a notice.  Reordering the input cannot
     change the result: points are canonicalized before fitting.
     """
@@ -374,7 +372,7 @@ def holder_fit(records, bootstrap: int = 1000,
             s, w = r.size_param, r.w_distance
         else:
             s, w = float(r[0]), float(r[1])
-            if not (0 < s < math.inf and w < math.inf):  # also rejects nan
+            if not (0 < s < math.inf and 0 <= w < math.inf):  # and nan
                 raise ValueError(f"bad (size, w) pair {(s, w)!r}")
         if w <= 0.0:
             dropped += 1
@@ -420,6 +418,8 @@ def run_dk_suite(cases: int = 1000, seed: int = 0,
                  alpha: Union[str, float] = "golden"):
     """Randomized Denjoy-Koksma check on orbits of 10..1e5 points;
     returns (violations, checked)."""
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     a, _ = resolve_alpha(alpha)
     rng = np.random.default_rng(seed)
     lib = bv_library()

@@ -177,10 +177,6 @@ class FourierSeries:
         """Rigorous bound sup|u| <= |u_hat(0)| + 2 sum_{n>=1} |u_hat(n)|."""
         return float(abs(self._c[0]) + 2.0 * np.sum(np.abs(self._c[1:])))
 
-    def grid_max_abs(self, m: int = 4096) -> float:
-        """max |u| over an m-point grid (lower bound on sup|u|)."""
-        return float(np.max(np.abs(self.eval(np.arange(m) / m))))
-
     # -------------------------------------------------- algebra
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":

@@ -14,12 +14,9 @@ permutes it; the first composition that leaves the image size unchanged
 proves that, and the image is then exactly the set of cycle nodes.  That
 takes at most ceil(log2 N) + 1 compositions, and one for a permutation
 such as a discretized rotation.  Min-propagation over the M cycle nodes
-(ceil(log2 M) rounds) then labels and orders the cycles.
+(ceil(log2 M) rounds) then labels each with its cycle's smallest node.
 """
 
-import csv
-import io
-import json
 import numbers
 from dataclasses import dataclass
 from typing import Callable, List
@@ -58,45 +55,20 @@ GRID_NODE_CAP = 10 ** 7
 class FunctionalGraphAnalysis:
     """Complete cycle/basin decomposition of a discretized map.
 
-    Cycles come in canonical order: sorted by their smallest node, each
-    starting there and following the map.  basin_sizes[k] counts every
-    grid node whose forward orbit ends on cycle k (cycle nodes included),
-    so the sizes sum to N.
+    Cycles come in canonical order, sorted by their smallest node.
+    cycle_measures[k] is the uniform measure on cycle k, and
+    basin_sizes[k] counts every grid node whose forward orbit ends on
+    cycle k (cycle nodes included), so the sizes sum to N.
     """
 
     N: int
-    cycles: List[List[int]]
     basin_sizes: List[int]
     cycle_measures: List[AtomicMeasure]
     physical_measure: AtomicMeasure
 
     @property
     def cycle_count(self) -> int:
-        return len(self.cycles)
-
-    def basin_fractions(self) -> List[float]:
-        return [b / self.N for b in self.basin_sizes]
-
-    def summary_json(self) -> str:
-        hist = {}
-        for cyc in self.cycles:
-            hist[len(cyc)] = hist.get(len(cyc), 0) + 1
-        return json.dumps({
-            "N": self.N,
-            "cycle_count": self.cycle_count,
-            "cycle_length_histogram": {str(k): v
-                                       for k, v in sorted(hist.items())},
-            "basin_fractions": self.basin_fractions(),
-        })
-
-    def cycles_to_csv(self) -> str:
-        buf = io.StringIO()
-        wr = csv.writer(buf)
-        wr.writerow(["cycle", "node"])
-        for k, cyc in enumerate(self.cycles):
-            for node in cyc:
-                wr.writerow([k, node])
-        return buf.getvalue()
+        return len(self.cycle_measures)
 
 
 def _cycle_nodes(succ: np.ndarray):
@@ -125,34 +97,28 @@ def _cycle_nodes(succ: np.ndarray):
         size = shrunk
 
 
-def _cycle_ranks(succ: np.ndarray, cyc: np.ndarray):
-    """(cid, rank) on the cycle nodes cyc, ascending: the index of each
-    node's cycle, with cycles numbered by their smallest node, and the
-    number of steps from that node to it.
+def _cycle_ids(succ: np.ndarray, cyc: np.ndarray) -> np.ndarray:
+    """The index of each node's cycle on the cycle nodes cyc, ascending,
+    with cycles numbered by their smallest node.
 
-    Min-propagation by pointer jumping on succ restricted to cyc, with
-    key = (smallest node << 32) + steps to its first visit: after k
-    rounds key[v] describes the window v, succ(v), ..., succ^(2^k - 1)(v),
-    so ceil(log2 M) rounds cover every cycle of the M nodes.
+    Min-propagation by pointer jumping on succ restricted to cyc: after
+    k rounds lab[v] is the smallest node of the window v, succ(v), ...,
+    succ^(2^k - 1)(v), so ceil(log2 M) rounds cover every cycle of the
+    M nodes.
     """
     M = len(cyc)
     local = np.empty(len(succ), dtype=np.int32)
     local[cyc] = np.arange(M, dtype=np.int32)
     p = np.take(local, np.take(succ, cyc))
     del local
-    key = np.arange(M, dtype=np.int64) << 32   # local order is node order
+    lab = np.arange(M, dtype=np.int32)   # local order is node order
     step = 1
     while step < M:
-        far = np.take(key, p)
-        far += step
-        np.minimum(key, far, out=key)
+        np.minimum(lab, np.take(lab, p), out=lab)
         step *= 2
         if step < M:
             p = np.take(p, p)
-    lab = key >> 32
-    cid = (np.cumsum(lab == np.arange(M)) - 1)[lab]
-    length = np.bincount(cid)[cid]
-    return cid, (length - (key & 0xFFFFFFFF)) % length
+    return (np.cumsum(lab == np.arange(M)) - 1)[lab]
 
 
 def analyze_functional_graph(mapping: Discretized,
@@ -179,27 +145,22 @@ def analyze_functional_graph(mapping: Discretized,
 
     succ = mapping.grid_image().astype(np.int32)  # GRID_NODE_CAP < 2^31
     cyc, g = _cycle_nodes(succ)
-    cid, rank = _cycle_ranks(succ, cyc)
+    cid = _cycle_ids(succ, cyc)
     length = np.bincount(cid)
-    first = np.cumsum(length) - length
     on_cycle = np.empty(N, dtype=np.int64)   # cycle index of cycle nodes
     on_cycle[cyc] = cid
     basin = np.bincount(np.take(on_cycle, g), minlength=len(length))
-    order = np.empty(len(cyc), dtype=np.int64)
-    order[first[cid] + rank] = cyc
-    # free the N-sized arrays before the lists and measures are built
-    del succ, g, rank, on_cycle
+    # free the N-sized arrays before the measures are built
+    del succ, g, on_cycle
 
-    cycles = [c.tolist() for c in np.split(order, first[1:])]
-    del order
-    # the same atoms as in orbit order, but ascending, which is the
-    # order AtomicMeasure sorts fastest
-    ascending = np.split(cyc[np.argsort(cid, kind="stable")], first[1:])
+    # each cycle's nodes ascending, the order AtomicMeasure sorts fastest
+    ascending = np.split(cyc[np.argsort(cid, kind="stable")],
+                         np.cumsum(length)[:-1])
     cycle_measures = [AtomicMeasure.uniform(c / N) for c in ascending]
     physical = AtomicMeasure(cyc / N, (basin / (N * length))[cid])
 
     return FunctionalGraphAnalysis(
-        N=N, cycles=cycles, basin_sizes=[int(b) for b in basin],
+        N=N, basin_sizes=[int(b) for b in basin],
         cycle_measures=cycle_measures, physical_measure=physical)
 
 

@@ -54,6 +54,8 @@ __all__ = [
 
 ORBIT_LEN_CAP = 10 ** 8  # orbit points plus burn-in steps one orbit may take
 _ORBIT_BLOCK = 1 << 16   # points per block of a closed-form orbit
+_INVERSE_TOL = 1e-14     # Newton for h^-1 stops at |h(z) - y| <= this
+_INVERSE_STEPS = 50      # and fails after this many steps
 
 
 def _check_orbit_len(n: int, burn_in: int = 0) -> None:
@@ -264,7 +266,7 @@ class ConjugacyDiffeo:
     Requires sum(|a_n| + |b_n|) < 1 so that h' >= 1 - sum > 0 and h is a
     degree-1 circle diffeomorphism.  The inverse is found by Newton from
     the starting point y (the displacement is < 1/(2 pi)), until the
-    residual |h(z) - y| is at most tol = 1e-14 at every point.
+    residual |h(z) - y| is at most 1e-14 at every point.
     """
 
     def __init__(self, a, b=None):
@@ -310,15 +312,15 @@ class ConjugacyDiffeo:
         return _trig_sums([self._dh], x)[0]
 
     @_pointwise
-    def inverse(self, y, *, tol: float = 1e-14, max_iter: int = 50):
-        """z with h(z) = y, computed by Newton until |h(z) - y| <= tol."""
+    def inverse(self, y):
+        """z with h(z) = y, computed by Newton until |h(z) - y| <= 1e-14."""
         z = y.copy()
-        for _ in range(max_iter):
+        for _ in range(_INVERSE_STEPS):
             # in place: r = z + disp - y and z - r / dh as written
             r, dh = _trig_sums([self._eta, self._dh], z)
             r += z
             r -= y
-            done = np.abs(r) <= tol  # each point stops on its own
+            done = np.abs(r) <= _INVERSE_TOL  # each point stops on its own
             if np.all(done):
                 break
             np.divide(r, dh, out=dh)
@@ -328,7 +330,8 @@ class ConjugacyDiffeo:
         else:
             worst = float(np.max(np.abs(z + self.displacement_fn(z) - y)))
             raise ConvergenceError(
-                f"Newton for h^-1 did not reach {tol} in {max_iter} steps",
+                f"Newton for h^-1 did not reach {_INVERSE_TOL} in "
+                f"{_INVERSE_STEPS} steps",
                 estimate=float(np.ravel(z)[0]), error_bound=worst)
         return z
 
@@ -404,23 +407,13 @@ class Discretized(CircleMap):
     def lift(self, x):
         return np.floor(x) + self.eval(frac(x))
 
-    def grid_image(self, i=None) -> np.ndarray:
-        """Integer image array: node i -> node image[i], for all i < N,
-        or for the integer nodes i given.
+    def grid_image(self) -> np.ndarray:
+        """Integer image array: node i -> node image[i], for all i < N.
 
         Computed by one vectorized pass; the same path backs eval on grid
         points, so graph analysis and eval cannot disagree.
         """
-        if i is None:
-            idx = np.arange(self.N)
-        else:
-            idx = np.asarray(i)
-            if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0
-                             or idx.max() >= self.N):
-                raise ValueError(
-                    f"grid nodes must be integers in range({self.N})")
-        t = self.inner.eval(idx.astype(float) / self.N)
-        return self._project(t)
+        return self._project(self.inner.eval(np.arange(self.N) / self.N))
 
     def contains_discretized(self):
         return True

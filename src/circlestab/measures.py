@@ -538,21 +538,17 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
 class BVObservable:
     """Observable with analytically known total variation and mean.
 
-    kind is one of 'indicator', 'piecewise_linear', 'trig', 'constant'.
     variation is the circle variation (an indicator counts both jumps);
     for multi-term trig sums it is the per-term sum 4*amplitude*frequency,
     an upper bound within 1% of the true variation for the families here.
     """
 
-    def __init__(self, kind: str, eval_fn: Callable, variation: float,
-                 integral: float, label: str,
-                 terms: Optional[list] = None):
-        self.kind = kind
+    def __init__(self, eval_fn: Callable, variation: float,
+                 integral: float, label: str):
         self._eval = eval_fn
         self.variation = float(variation)
         self.integral = float(integral)
         self.label = label
-        self.terms = terms  # (amplitude, frequency) rows for trig kinds
 
     def eval(self, x):
         return self._eval(x)
@@ -577,7 +573,7 @@ class BVObservable:
             return ((xs >= a) | (xs <= b)).astype(float)
 
         length = (b - a) if a <= b else (1.0 - a + b)
-        return cls("indicator", ev, 2.0, length, f"1_[{a:g},{b:g}]")
+        return cls(ev, 2.0, length, f"1_[{a:g},{b:g}]")
 
     @classmethod
     def constant(cls, value: float) -> "BVObservable":
@@ -585,7 +581,7 @@ class BVObservable:
         def ev(x):
             return np.full(x.shape, float(value))
 
-        return cls("constant", ev, 0.0, value, f"const {value:g}")
+        return cls(ev, 0.0, value, f"const {value:g}")
 
     @classmethod
     def harmonic(cls, k: int, amplitude: float = 1.0,
@@ -599,9 +595,8 @@ class BVObservable:
             return amplitude * (np.sin(ph) if phase_sin else np.cos(ph))
 
         name = "sin" if phase_sin else "cos"
-        return cls("trig", ev, 4.0 * abs(amplitude) * k, 0.0,
-                   f"{amplitude:g} {name}(2pi {k} x)",
-                   terms=[(amplitude, k)])
+        return cls(ev, 4.0 * abs(amplitude) * k, 0.0,
+                   f"{amplitude:g} {name}(2pi {k} x)")
 
     @classmethod
     def hat(cls, center: float = 0.5, height: float = 1.0) -> "BVObservable":
@@ -615,7 +610,7 @@ class BVObservable:
             return height * (1.0 - 2.0 * d)
 
         # mean: E[dist to c] = 1/4 under Lebesgue, so integral = height/2
-        return cls("piecewise_linear", ev, 2.0 * abs(height), height / 2.0,
+        return cls(ev, 2.0 * abs(height), height / 2.0,
                    f"hat({c:g}, h={height:g})")
 
 
@@ -682,9 +677,7 @@ def prop30_observable(terms: int = 3) -> BVObservable:
         return ev_float(x)
 
     V = sum(Fraction(4, f) for f in freqs)
-    obs = BVObservable("trig", ev, float(V), 0.0,
-                       f"prop30({terms} terms)",
-                       terms=[(a, f) for a, f in zip(amps, freqs)])
+    obs = BVObservable(ev, float(V), 0.0, f"prop30({terms} terms)")
     obs.frequencies = list(freqs)
     obs.amplitudes = list(amps)
     return obs

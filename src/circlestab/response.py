@@ -125,8 +125,8 @@ class EpsRecord:
 
 def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
                 eps_ladder: Sequence[float], orbit_len: int = 10 ** 7,
-                burn_in: int = 10 ** 3, x0: float = 0.0,
-                tune_tol: float = 1e-12) -> Tuple[float, List[EpsRecord]]:
+                burn_in: int = 10 ** 3,
+                x0: float = 0.0) -> Tuple[float, List[EpsRecord]]:
     """Finite-difference response along a tuned family.
 
     Each ladder point is tuned to rotation number alpha and psi is
@@ -150,7 +150,7 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
     records = []
     for eps in ladder:
         try:
-            fam, c = tune_rotation_number(u, eps, alpha, tol=tune_tol)
+            fam, c = tune_rotation_number(u, eps, alpha)
         except TuningError as exc:
             raise TuningError(
                 f"rotation-number tuning failed at eps = {eps:g}: {exc}",

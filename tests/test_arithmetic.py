@@ -237,12 +237,11 @@ def test_type_estimate_recovers_designed_exponent():
 # ---------------------------------------------- serialization
 
 def test_profile_json_round_trip():
-    prof = continued_fraction(lacunary_alpha(3), 6, tau=2.0, c=0.1)
+    prof = continued_fraction(lacunary_alpha(3), 6)
     back = DiophantineProfile.from_json(prof.to_json())
     assert back.partial_quotients == prof.partial_quotients
     assert [(c_.p, c_.q, c_.delta) for c_ in back.convergents] == \
            [(c_.p, c_.q, c_.delta) for c_ in prof.convergents]
     assert back.gamma_hat == prof.gamma_hat
-    assert back.tau == 2.0 and back.c == 0.1
     assert back.alpha_exact == lacunary_alpha(3)
     assert json.loads(prof.to_json())["alpha"] == prof.alpha

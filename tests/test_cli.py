@@ -61,24 +61,24 @@ def test_record_validation():
 
 
 def test_csv_round_trip_and_order():
-    recs = [ScalingRecord("b", 0.1, 0.2, "physical", 7),
-            ScalingRecord("a", 0.3, 0.4, "worst-cycle", 7),
-            ScalingRecord("a", 0.2, 0.5, "best-cycle", 7)]
+    recs = [ScalingRecord("b", 0.1, 0.2, "physical"),
+            ScalingRecord("a", 0.3, 0.4, "worst-cycle"),
+            ScalingRecord("a", 0.2, 0.5, "best-cycle")]
     text = write_records_csv(recs)
     lines = text.strip().splitlines()
-    assert lines[0] == "family_id,size_param,w_distance,measure_kind,seed"
+    assert lines[0] == "family_id,size_param,w_distance,measure_kind"
     # sorted by family then size
     assert [l.split(",")[0] for l in lines[1:]] == ["a", "a", "b"]
     back = read_records_csv(text)
-    assert [(r.family_id, r.size_param, r.w_distance, r.measure_kind, r.seed)
-            for r in back] == [("a", 0.2, 0.5, "best-cycle", 7),
-                               ("a", 0.3, 0.4, "worst-cycle", 7),
-                               ("b", 0.1, 0.2, "physical", 7)]
+    assert [(r.family_id, r.size_param, r.w_distance, r.measure_kind)
+            for r in back] == [("a", 0.2, 0.5, "best-cycle"),
+                               ("a", 0.3, 0.4, "worst-cycle"),
+                               ("b", 0.1, 0.2, "physical")]
     with pytest.raises(ValueError):
         read_records_csv("wrong,header\n1,2\n")
 
 
-CSV_HEADER = "family_id,size_param,w_distance,measure_kind,seed\n"
+CSV_HEADER = "family_id,size_param,w_distance,measure_kind\n"
 NONFINITE_INPUTS = {
     "atomic nan weight": lambda: AtomicMeasure([0.1, 0.2], [math.nan, 1.0]),
     "atomic inf weight": lambda: AtomicMeasure([0.1, 0.2], [math.inf, 0.5]),
@@ -97,8 +97,8 @@ NONFINITE_INPUTS = {
     "record inf w": lambda: ScalingRecord("f", 0.1, math.inf, "physical"),
     "record nan size": lambda: ScalingRecord("f", math.nan, 0.1, "physical"),
     "record inf size": lambda: ScalingRecord("f", math.inf, 0.1, "physical"),
-    "csv nan w": lambda: read_records_csv(CSV_HEADER + "f,1,nan,physical,0"),
-    "csv inf size": lambda: read_records_csv(CSV_HEADER + "f,inf,1,physical,0"),
+    "csv nan w": lambda: read_records_csv(CSV_HEADER + "f,1,nan,physical"),
+    "csv inf size": lambda: read_records_csv(CSV_HEADER + "f,inf,1,physical"),
 }
 
 
@@ -109,7 +109,8 @@ def test_constructors_reject_nonfinite(build):
         build()
 
 
-NONFINITE_SAMPLES = {
+# samples and sizes out of the domain: non-finite, negative or empty
+OUT_OF_DOMAIN_SAMPLES = {
     "discrepancy nan": lambda: discrepancy([0.1, math.nan]),
     "discrepancy inf": lambda: discrepancy([0.1, math.inf]),
     "dk_check nan": lambda: dk_check(BVObservable.constant(1.0),
@@ -118,11 +119,14 @@ NONFINITE_SAMPLES = {
     "holder_fit inf w": lambda: holder_fit([(1, 1), (2, 2), (3, math.inf)]),
     "holder_fit nan size": lambda: holder_fit([(1, 1), (2, 2), (math.nan, 3)]),
     "holder_fit inf size": lambda: holder_fit([(1, 1), (2, 2), (math.inf, 3)]),
+    "holder_fit negative w": lambda: holder_fit([(1, 1), (2, 2), (3, -1)]),
+    "dk suite cases -5": lambda: run_dk_suite(cases=-5),
+    "dk suite cases 0": lambda: run_dk_suite(cases=0),
 }
 
 
-@pytest.mark.parametrize("run", NONFINITE_SAMPLES.values(),
-                         ids=NONFINITE_SAMPLES.keys())
+@pytest.mark.parametrize("run", OUT_OF_DOMAIN_SAMPLES.values(),
+                         ids=OUT_OF_DOMAIN_SAMPLES.keys())
 def test_samples_reject_nonfinite(run):
     with pytest.raises(ValueError):
         run()
@@ -156,7 +160,7 @@ def test_config_validation():
 
 def test_config_json_round_trip():
     cfg = ExperimentConfig(alpha="golden", family="rotation",
-                           ladder=(100, 1000), seed=3)
+                           ladder=(100, 1000), burn_in=3)
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
     with pytest.raises(ValueError):
@@ -301,7 +305,7 @@ def test_cli_profile_alpha():
 
 
 def test_cli_dk_check():
-    code, out, _ = cli(["dk-check", "--suite", "default", "--cases", "60"])
+    code, out, _ = cli(["dk-check", "--cases", "60"])
     assert code == 0
     assert out.strip() == "violations: 0"
 
@@ -351,6 +355,12 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"family": "nope"}')
     assert cli(["stability", "--config", str(bad)])[0] == 1
+    bad.write_text('{"seed": 0}')  # scans take no seed
+    code, _, err = cli(["discretize", "--config", str(bad)])
+    assert code == 1 and "unknown config keys" in err
+    for cases in ("-5", "0"):
+        code, _, err = cli(["dk-check", "--cases", cases])
+        assert code == 1 and "cases must be >= 1" in err
     assert cli(["--help"])[0] == 0
 
 
@@ -373,8 +383,10 @@ SMALL = {
     "profile-alpha": ["--depth", "5"],
 }
 UNREAD_FLAGS = [(cmd, flag) for cmd, flags in (
+    ("stability", ("--seed",)),
+    ("discretize", ("--seed",)),
     ("discrepancy", ("--seed", "--json", "--config")),
-    ("dk-check", ("--output", "--json", "--config")),
+    ("dk-check", ("--suite", "--output", "--json", "--config")),
     ("response", ("--seed", "--output", "--config")),
     ("profile-alpha", ("--seed", "--output", "--config")),
 ) for flag in flags]
@@ -395,7 +407,7 @@ WRONG_TYPES = {
     "bump_strength '1'": dict(BASE_CONFIG, bump_strength="1"),
     "h_a 0.2": dict(BASE_CONFIG, h_a=0.2),
     "orbit_len '5'": dict(BASE_CONFIG, orbit_len="5"),
-    "seed 1.5": dict(BASE_CONFIG, seed=1.5),
+    "seed 1.5": dict(BASE_CONFIG, seed=1.5),  # not a config key
     "alpha [0.5]": dict(BASE_CONFIG, alpha=[0.5]),
     "not an object": 5,
 }
@@ -403,12 +415,12 @@ WRONG_TYPES = {
 
 @pytest.mark.parametrize("doc", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
 def test_config_rejects_wrong_types(doc, tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         ExperimentConfig.from_json(json.dumps(doc))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     code, _, err = cli(["stability", "--config", str(path)])
-    assert code == 1 and err.startswith("config error")
+    assert code == 1 and err.startswith(f"config error: {exc.value}")
 
 
 def test_cli_discrepancy_caps_the_ladder():
@@ -475,13 +487,12 @@ def test_module_entry_point_runs():
 
 # ------------------------------------------------------------ fuzzed argv
 
-SCAN_FLAGS = ["--alpha", "--seed", "--output", "--json", "--config",
-              "--family"]
+SCAN_FLAGS = ["--alpha", "--output", "--json", "--config", "--family"]
 OWN_FLAGS = {
     "stability": SCAN_FLAGS + ["--j-min", "--j-max", "--bump", "--depth"],
     "discretize": SCAN_FLAGS + ["--ladder", "--h-amp"],
     "discrepancy": ["--alpha", "--output", "--ladder", "--mode"],
-    "dk-check": ["--alpha", "--seed", "--suite", "--cases"],
+    "dk-check": ["--alpha", "--seed", "--cases"],
     "response": ["--alpha", "--json", "--eps", "--orbit-len", "--burn-in"],
     "holder-fit": ["--input"],
     "profile-alpha": ["--alpha", "--json", "--depth"],
@@ -492,7 +503,7 @@ ALL_FLAGS = sorted(set().union(*OWN_FLAGS.values())) + ["--help", "--bogus"]
 # for every example and scan.csv holds valid records.  "diffeo" is left
 # out because its reference measure alone takes seconds to build.
 VALUES = ["nan", "inf", "-1", "0", "1", "5", "0.5", "x", "golden",
-          "rotation", "rational_snap", "enclosure", "default", "config.json",
+          "rotation", "rational_snap", "enclosure", "config.json",
           "scan.csv", "missing.csv", ".", None]
 # a valid eps costs seconds of tuning, so the fuzzed response never has one
 FUZZ_SMALL = dict(SMALL, response=["--eps", "0", "--orbit-len", "1000"])

@@ -118,19 +118,6 @@ def test_discretize_takes_numpy_integer_n():
     assert Discretized(Rotation(0.1), np.int64(10)).N == 10
 
 
-@pytest.mark.parametrize("nodes", [[11], [10], [-1], [1.0], [True]])
-def test_grid_image_rejects_nodes_off_the_grid(nodes):
-    with pytest.raises(ValueError):
-        Discretized(Rotation(GOLDEN_MEAN), 10).grid_image(nodes)
-
-
-def test_grid_image_of_given_nodes():
-    T = Discretized(Rotation(GOLDEN_MEAN), 10)
-    assert T.grid_image([0, 9, 3]).tolist() == [6, 5, 9]
-    assert T.grid_image(np.array([9], dtype=np.uint8)).tolist() == [5]
-    assert T.grid_image([]).tolist() == []
-
-
 # ------------------------------------------------------- attractor-repeller
 
 def test_ar_attracting_orbit_is_q_grid():
