@@ -80,11 +80,9 @@ from .measures import (
     wasserstein,
 )
 from .response import (
-    AverageExpansion,
     EpsRecord,
     ResponseReport,
     SmallDivisorProfile,
-    average_expansion,
     fd_response,
     linear_response_density,
     response_pairing,

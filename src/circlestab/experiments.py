@@ -24,7 +24,6 @@ from .arithmetic import (
     SQRT2_MINUS_ONE,
     continued_fraction,
     frac,
-    lacunary_alpha,
 )
 from .errors import CircleStabError, InsufficientDataError
 from .invariant import (
@@ -72,7 +71,6 @@ INVARIANCE_TOL = 1e-9  # constructed measures must be fixed to this W
 ALPHA_PRESETS = {
     "golden": GOLDEN_MEAN,
     "sqrt2": SQRT2_MINUS_ONE,
-    "lacunary": float(lacunary_alpha()),
 }
 
 

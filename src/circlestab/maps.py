@@ -10,8 +10,9 @@ per step); everything else iterates scalar_step, which is eval except
 where a float closure pays: TunedFamily and AttractorRepeller step
 math.sin/math.cos closures along their long orbits (the tuner's direct
 check, Birkhoff orbits).  A TunedFamily made by the tuner carries the
-conjugacy h it solved, so its orbits can be taken in closed form
-through ConjugatedRotation; TunedFamily.orbit itself still iterates f.
+conjugacy h it solved, so its invariant means can be taken as integrals
+over h_* m (response.fd_response) and its orbits in closed form through
+ConjugatedRotation; TunedFamily.orbit itself still iterates f.
 The rotation number evaluates the displacement on such an orbit as one
 array.
 """

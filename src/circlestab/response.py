@@ -5,9 +5,11 @@ coefficientwise: v_hat(n) = u_hat(n) / (e^{2 pi i n alpha} - 1).  The
 response density is d_hat(n) = 2 pi i n u_hat(n) / (1 - e^{2 pi i n
 alpha}), i.e. -d/dx of the solution, and observable responses are
 finite Fourier pairings against it.  The finite-difference validator
-tunes a family to constant rotation number and compares Birkhoff
-quotients against the formula; the orbits run in closed form through
-the conjugacy the tuner solved, where it has one.
+tunes a family to constant rotation number and compares invariant means
+of an observable against the formula.  Where the tuner solved the
+conjugacy h, the mean is the trapezoid rule for the integral of
+psi(h(theta)) over theta; otherwise it is a Birkhoff average along the
+orbit of the tuned map.
 
 Divisors come from arithmetic._divisor, which reduces the phase n*alpha
 exactly, so their magnitudes are correct to machine precision even when
@@ -17,7 +19,7 @@ n*alpha is large.
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,11 +28,12 @@ from .arithmetic import (
     DiophantineProfile,
     _checked_divisor,
     _reduced_half_phase_sin_cos,
+    frac,
 )
-from .errors import InsufficientDataError, TuningError
+from .errors import ConvergenceError, TuningError
 from .fourier import FourierDensity, FourierSeries, pairing
 from .invariant import birkhoff_average
-from .maps import ConjugatedRotation, _check_orbit_len, tune_rotation_number
+from .maps import ConjugacyDiffeo, _check_orbit_len, tune_rotation_number
 
 __all__ = [
     "DIVISOR_FLOOR",
@@ -42,9 +45,11 @@ __all__ = [
     "EpsRecord",
     "ResponseReport",
     "fd_response",
-    "AverageExpansion",
-    "average_expansion",
 ]
+
+_SPECTRAL_GRID_START = 256      # first theta grid of a spectral mean
+_SPECTRAL_GRID_CAP = 1 << 20    # largest grid before ConvergenceError
+_SPECTRAL_TOL = 1e-15           # two grids agree: |gap| <= this (1 + |mean|)
 
 @dataclass(frozen=True)
 class SmallDivisorProfile:
@@ -114,13 +119,46 @@ def response_pairing(u: FourierSeries, alpha: float,
 
 @dataclass(frozen=True)
 class EpsRecord:
+    """One ladder point of fd_response; its mean says how it was taken."""
+
     epsilon: float
     c: float          # tuned offset with rot(x + c + eps u) = alpha
-    mean_psi: float   # weighted Birkhoff <psi>, an estimate (see orbit)
+    mean_psi: float   # invariant mean <psi>, an estimate (see orbit)
     quotient: float   # (mean_psi - <psi>_m) / eps
-    orbit: str        # "conjugacy": x_i = h(theta0 + i alpha) with the
-                      # solved h, off the orbit of f by about the solve's
-                      # grid residual (not proven); "direct": iterates f
+    orbit: str        # "spectral": trapezoid mean of psi o h over theta
+                      # with the solved h, whose own error (the solve's
+                      # grid residual) is not proven; "direct": weighted
+                      # Birkhoff average along the orbit of f
+    points: int       # theta grid size M (spectral) or orbit length (direct)
+
+
+def _spectral_mean(h: ConjugacyDiffeo,
+                   psi: FourierSeries) -> Tuple[float, int]:
+    """(mean of psi(h(k/M)) over k < M, M) at the first M whose mean
+    agrees with that at M/2.
+
+    psi o h is analytic and periodic, so the trapezoid rule converges
+    spectrally to the integral of psi over h_* m.  M doubles from 256,
+    or from the first power of two above 2 * psi.n_max so that no mode of
+    psi aliases onto the mean, until two successive means agree to
+    _SPECTRAL_TOL * (1 + |mean|).  Past _SPECTRAL_GRID_CAP points it
+    raises ConvergenceError carrying the last mean and gap.
+    """
+    M = _SPECTRAL_GRID_START
+    while M <= 2 * psi.n_max:
+        M *= 2
+    mean = gap = math.nan
+    while M <= _SPECTRAL_GRID_CAP:
+        theta = np.arange(M) / M
+        prev, mean = mean, float(np.mean(psi.eval(frac(h.eval(theta)))))
+        gap = abs(mean - prev)
+        if gap <= _SPECTRAL_TOL * (1.0 + abs(mean)):
+            return mean, M
+        M *= 2
+    raise ConvergenceError(
+        f"spectral mean did not settle to {_SPECTRAL_TOL:g} (1 + |mean|) "
+        f"within {_SPECTRAL_GRID_CAP} points", estimate=mean,
+        error_bound=gap)
 
 
 def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
@@ -129,11 +167,14 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
                 x0: float = 0.0) -> Tuple[float, List[EpsRecord]]:
     """Finite-difference response along a tuned family.
 
-    Each ladder point is tuned to rotation number alpha and psi is
-    averaged over a weighted-Birkhoff orbit.  When the tuned family
-    carries its solved conjugacy h, the orbit is the closed form
-    x_i = h(theta0 + i alpha), theta0 = h^-1(x0), of ConjugatedRotation;
-    otherwise f is iterated.  The two smallest eps are
+    Each ladder point is tuned to rotation number alpha, and <psi> is
+    taken under the tuned map's invariant measure.  When the family
+    carries its solved conjugacy h, that measure is h_* m and <psi> is
+    the spectral mean of psi o h on a theta grid (see _spectral_mean),
+    an estimate since h is solved numerically.  Otherwise f is iterated
+    from x0 and psi is averaged over a weighted-Birkhoff orbit of
+    orbit_len points after burn_in steps; orbit_len, burn_in and x0 act
+    only on this direct path.  The two smallest eps are
     Richardson-extrapolated under the first-order error model.
     """
     alpha = (alpha_profile.alpha
@@ -142,8 +183,12 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
     ladder = sorted({float(e) for e in eps_ladder}, reverse=True)
     if not ladder:
         raise ValueError("eps ladder is empty")
+    if not all(math.isfinite(e) for e in ladder):
+        raise ValueError("eps values must be finite")
     if any(e <= 0 for e in ladder):
         raise ValueError("eps values must be positive")
+    if orbit_len < 1:  # birkhoff_average's floor, checked on every path
+        raise ValueError(f"orbit length {orbit_len} must be >= 1")
     _check_orbit_len(orbit_len, burn_in)  # before any tuning
 
     psi0 = psi.mean
@@ -156,14 +201,15 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
                 f"rotation-number tuning failed at eps = {eps:g}: {exc}",
                 estimate=exc.estimate, error_bound=exc.error_bound) from exc
         if fam.conjugacy is None:
-            mapping, path = fam, "direct"
+            avg = birkhoff_average(fam, psi.eval, orbit_len,
+                                   burn_in=burn_in, x0=x0)
+            path, points = "direct", orbit_len
         else:
-            mapping = ConjugatedRotation(alpha, fam.conjugacy)
-            path = "conjugacy"
-        avg = birkhoff_average(mapping, psi.eval, orbit_len,
-                               burn_in=burn_in, x0=x0)
+            avg, points = _spectral_mean(fam.conjugacy, psi)
+            path = "spectral"
         records.append(EpsRecord(epsilon=eps, c=c, mean_psi=avg,
-                                 quotient=(avg - psi0) / eps, orbit=path))
+                                 quotient=(avg - psi0) / eps, orbit=path,
+                                 points=points))
 
     if len(records) >= 2:
         e1, q1 = records[-2].epsilon, records[-2].quotient
@@ -198,52 +244,8 @@ class ResponseReport:
             "relative_error": self.relative_error(),
             "per_eps": [
                 {"epsilon": r.epsilon, "c": r.c, "mean_psi": r.mean_psi,
-                 "quotient": r.quotient, "orbit": r.orbit}
+                 "quotient": r.quotient, "orbit": r.orbit,
+                 "points": r.points}
                 for r in self.per_eps],
             "orbit": {"length": self.orbit_len, "burn_in": self.burn_in},
         }, indent=2)
-
-
-# ------------------------------------------------------ average expansion
-
-@dataclass(frozen=True)
-class AverageExpansion:
-    """Leading term <u(., eps)> ~ A * eps^m fitted over sample means."""
-
-    A: float
-    m: int
-    residual: float
-    degenerate: bool = False
-
-
-def average_expansion(u_family: Callable[[float], FourierSeries],
-                      eps_samples: Sequence[float],
-                      max_order: int = 8) -> AverageExpansion:
-    """Fit the means of u(., eps) to A*eps^m with integer m >= 0.
-
-    For each candidate order the amplitude has the closed least-squares
-    form A = sum(mean_i eps_i^m) / sum(eps_i^{2m}); the best RMS
-    residual wins.  All-zero means cannot pin down m and are flagged.
-    """
-    eps = np.asarray([float(e) for e in eps_samples])
-    if len(eps) < 4:
-        raise InsufficientDataError(
-            f"need >= 4 eps samples, got {len(eps)}")
-    if np.any(eps <= 0):
-        raise ValueError("eps samples must be positive")
-    means = np.asarray([u_family(float(e)).mean for e in eps])
-
-    if np.all(np.abs(means) <= 1e-15):
-        # o(eps^m) for every observed m: report order beyond the samples
-        return AverageExpansion(A=0.0, m=len(eps), residual=0.0,
-                                degenerate=True)
-
-    best = None
-    for m in range(max_order + 1):
-        basis = eps ** m
-        A = float(np.dot(means, basis) / np.dot(basis, basis))
-        resid = float(np.sqrt(np.mean((means - A * basis) ** 2)))
-        if best is None or resid < best[0] - 1e-18:
-            best = (resid, m, A)
-    resid, m, A = best
-    return AverageExpansion(A=A, m=m, residual=resid, degenerate=False)

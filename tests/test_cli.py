@@ -443,6 +443,27 @@ def test_cli_response_rejects_negative_burn_in(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("eps", [["nan"], ["inf"], ["0.01", "nan"]])
+def test_cli_response_rejects_non_finite_eps(eps, tmp_path):
+    path = tmp_path / "response.json"
+    code, _, err = cli(["response", "--eps", *eps, "--json", str(path)])
+    assert code == 1 and "eps values must be finite" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile-alpha", "--depth", "20"],
+    ["response", "--eps", "0.01", "--orbit-len", "1000"],
+    ["stability", "--j-min", "5", "--j-max", "6"],
+])
+def test_cli_lacunary_is_not_a_float_preset(argv):
+    # a double cannot hold 2^-4 + 2^-16 + 2^-64: it would be rational
+    code, out, err = cli([*argv, "--alpha", "lacunary"])
+    assert code == 1 and out == ""
+    assert "unknown alpha spec 'lacunary'" in err
+    assert "['golden', 'sqrt2']" in err
+
+
 def test_config_rejects_negative_burn_in(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(**dict(BASE_CONFIG, burn_in=-1)).validate()

@@ -4,19 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction
+from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction, frac
 from circlestab.errors import (
-    InsufficientDataError,
+    ConvergenceError,
     ResourceLimitError,
     SmallDivisorError,
 )
 from circlestab.fourier import FourierSeries, pairing
 from circlestab.invariant import birkhoff_average
-from circlestab.maps import TunedFamily
+from circlestab.maps import (
+    ConjugatedRotation,
+    TunedFamily,
+    tune_rotation_number,
+)
 from circlestab.response import (
-    AverageExpansion,
     ResponseReport,
-    average_expansion,
     fd_response,
     linear_response_density,
     response_pairing,
@@ -186,10 +188,13 @@ def test_fd_response_zero_u():
 
 
 def test_fd_response_initial_point_independence():
+    # the spectral mean integrates over theta and never reads x0
     u = FourierSeries.cosine(1)
     est_a, rec_a = fd_response(u, G, u, [1e-2], orbit_len=10 ** 6, x0=0.0)
     est_b, rec_b = fd_response(u, G, u, [1e-2], orbit_len=10 ** 6, x0=0.37)
-    assert abs(rec_a[0].mean_psi - rec_b[0].mean_psi) <= 1e-10
+    assert rec_a[0].orbit == "spectral"
+    assert rec_a[0].mean_psi == rec_b[0].mean_psi
+    assert est_a == est_b
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
@@ -198,7 +203,7 @@ def test_fd_response_conjugacy_orbit_matches_direct_iteration(eps, x0):
     # oracle: the scalar loop of f itself over the same orbit window
     u = FourierSeries.cosine(1)
     _, (rec,) = fd_response(u, G, u, [eps], orbit_len=10 ** 6, x0=x0)
-    assert rec.orbit == "conjugacy"
+    assert rec.orbit == "spectral"
     direct = birkhoff_average(TunedFamily(u, eps, rec.c), u.eval, 10 ** 6,
                               burn_in=10 ** 3, x0=x0)
     assert abs(rec.mean_psi - direct) <= 1e-14
@@ -209,10 +214,17 @@ def test_fd_response_falls_back_to_direct_iteration():
     u = FourierSeries.cosine(1)
     est, (rec,) = fd_response(u, G, u, [0.15], orbit_len=10 ** 4)
     assert rec.orbit == "direct"
+    assert rec.points == 10 ** 4
     assert math.isfinite(est) and math.isfinite(rec.mean_psi)
 
 
-def test_fd_response_validation():
+def test_fd_response_validation(monkeypatch):
+    # every case is refused before tuning
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuned before the inputs were checked")
+
+    monkeypatch.setattr("circlestab.response.tune_rotation_number",
+                        no_tuning)
     u = FourierSeries.cosine(1)
     with pytest.raises(ValueError):
         fd_response(u, G, u, [])
@@ -222,6 +234,14 @@ def test_fd_response_validation():
         fd_response(u, G, u, [1e-2], orbit_len=10 ** 3, burn_in=-5)
     with pytest.raises(ValueError):
         fd_response(u, G, u, [1e-2], orbit_len=-1)
+    with pytest.raises(ValueError, match=">= 1"):
+        fd_response(u, G, u, [1e-2], orbit_len=0)
+    # non-finite eps, checked ahead of an orbit over the cap (a ValueError,
+    # not a ResourceLimitError)
+    for ladder in ([math.nan], [math.inf], [-math.inf], [1e-2, math.nan],
+                   [math.inf, 1e-3]):
+        with pytest.raises(ValueError, match="finite"):
+            fd_response(u, G, u, ladder, orbit_len=10 ** 15)
 
 
 def test_fd_response_caps_the_orbit_before_tuning(monkeypatch):
@@ -247,34 +267,75 @@ def test_response_report_json():
                         "relative_error", "per_eps", "orbit"}
     assert len(doc["per_eps"]) == 1
     assert set(doc["per_eps"][0]) == {"epsilon", "c", "mean_psi",
-                                      "quotient", "orbit"}
-    assert doc["per_eps"][0]["orbit"] == "conjugacy"
+                                      "quotient", "orbit", "points"}
+    assert doc["per_eps"][0]["orbit"] == "spectral"
+    assert doc["per_eps"][0]["points"] == recs[0].points >= 256
 
 
-# ------------------------------------------------- average expansion
+# ------------------------------------------------- spectral means
 
-def test_average_expansion_quadratic():
-    out = average_expansion(lambda e: FourierSeries({0: e ** 2, 1: 0.5}),
-                            [0.1, 0.2, 0.4, 0.8])
-    assert out.m == 2 and out.A == pytest.approx(1.0, abs=1e-12)
-    assert out.residual <= 1e-15 and not out.degenerate
+class RecordingSeries(FourierSeries):
+    """A FourierSeries that records the size of every grid it is
+    evaluated on."""
 
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        self.sizes = []
 
-def test_average_expansion_linear():
-    out = average_expansion(lambda e: FourierSeries({0: 3 * e, 1: 0.5 / 2j}),
-                            [0.1, 0.2, 0.4, 0.8])
-    assert out.m == 1 and out.A == pytest.approx(3.0, abs=1e-12)
-
-
-def test_average_expansion_degenerate():
-    out = average_expansion(lambda e: FourierSeries.cosine(1),
-                            [0.1, 0.2, 0.4, 0.8])
-    assert out.degenerate and out.A == 0.0 and out.m == 4
+    def eval(self, x):
+        self.sizes.append(int(np.size(x)))
+        return super().eval(x)
 
 
-def test_average_expansion_needs_four_samples():
-    with pytest.raises(InsufficientDataError):
-        average_expansion(lambda e: FourierSeries({0: e}), [0.1, 0.2, 0.4])
-    with pytest.raises(ValueError):
-        average_expansion(lambda e: FourierSeries({0: e}),
-                          [0.1, 0.2, 0.4, -0.8])
+def grid_mean(h, psi, M):
+    return float(np.mean(psi.eval(frac(h.eval(np.arange(M) / M)))))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_spectral_mean_matches_conjugated_rotation_orbit(eps):
+    u = FourierSeries.cosine(1)
+    _, (rec,) = fd_response(u, G, u, [eps])
+    h = tune_rotation_number(u, eps, G)[0].conjugacy
+    orbit = birkhoff_average(ConjugatedRotation(G, h), u.eval, 10 ** 6,
+                             burn_in=10 ** 3)
+    assert rec.orbit == "spectral"
+    assert abs(rec.mean_psi - orbit) <= 1e-15
+
+
+def test_spectral_doubling_stops_at_first_agreeing_pair(monkeypatch):
+    # from a 4-point grid the first means still alias h's modes, so the
+    # doubling runs several steps before two grids agree
+    monkeypatch.setattr("circlestab.response._SPECTRAL_GRID_START", 4)
+    u = FourierSeries.cosine(1)
+    psi = RecordingSeries({0: 0.0, 1: 0.5})
+    _, (rec,) = fd_response(u, G, psi, [1e-2])
+    sizes = psi.sizes
+    assert sizes == [4 * 2 ** k for k in range(len(sizes))]
+    assert len(sizes) >= 3
+    assert rec.points == sizes[-1]
+    h = tune_rotation_number(u, 1e-2, G)[0].conjugacy
+    means = [grid_mean(h, u, M) for M in sizes]
+    assert rec.mean_psi == means[-1]
+    agree = [abs(b - a) <= 1e-15 * (1 + abs(b))
+             for a, b in zip(means, means[1:])]
+    assert agree == [False] * (len(agree) - 1) + [True]
+
+
+def test_spectral_grid_starts_above_the_modes_of_psi():
+    # a grid of M <= 2 * psi.n_max points would alias psi's top mode
+    u = FourierSeries.cosine(1)
+    psi = RecordingSeries({0: 0.0, 300: 0.5})
+    fd_response(u, G, psi, [1e-3])
+    assert psi.sizes[0] == 1024
+
+
+def test_spectral_grid_cap_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr("circlestab.response._SPECTRAL_TOL", -1.0)
+    monkeypatch.setattr("circlestab.response._SPECTRAL_GRID_CAP", 1024)
+    u = FourierSeries.cosine(1)
+    with pytest.raises(ConvergenceError, match="1024 points") as exc:
+        fd_response(u, G, u, [1e-2])
+    h = tune_rotation_number(u, 1e-2, G)[0].conjugacy
+    assert exc.value.estimate == grid_mean(h, u, 1024)
+    assert exc.value.error_bound == abs(grid_mean(h, u, 1024)
+                                        - grid_mean(h, u, 512))
