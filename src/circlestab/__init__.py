@@ -82,11 +82,9 @@ from .measures import (
 from .response import (
     EpsRecord,
     ResponseReport,
-    SmallDivisorProfile,
     fd_response,
     linear_response_density,
     response_pairing,
-    small_divisor_profile,
     solve_homological,
 )
 

@@ -9,7 +9,9 @@ closed-form vectorized paths (one rounding per point instead of one
 per step); everything else iterates scalar_step, which is eval except
 where a float closure pays: TunedFamily and AttractorRepeller step
 math.sin/math.cos closures along their long orbits (the tuner's direct
-check, Birkhoff orbits).  A TunedFamily made by the tuner carries the
+check, Birkhoff orbits).  A stepped orbit stops at the first exact
+repeat within a 4096-point window and tiles the cycle, bit-identical to
+stepping every point.  A TunedFamily made by the tuner carries the
 conjugacy h it solved, so its invariant means can be taken as integrals
 over h_* m (response.fd_response) and its orbits in closed form through
 ConjugatedRotation; TunedFamily.orbit itself still iterates f.
@@ -55,6 +57,7 @@ __all__ = [
 
 ORBIT_LEN_CAP = 10 ** 8  # orbit points plus burn-in steps one orbit may take
 _ORBIT_BLOCK = 1 << 16   # points per block of a closed-form orbit
+_CYCLE_BLOCK = 1 << 12   # stepped points per repeat check, and its window
 _INVERSE_TOL = 1e-14     # Newton for h^-1 stops at |h(z) - y| <= this
 _INVERSE_STEPS = 50      # and fails after this many steps
 
@@ -99,16 +102,35 @@ class CircleMap:
         return self.eval
 
     def orbit(self, x0: float, n: int, burn_in: int = 0) -> np.ndarray:
-        """[T^(burn_in+1) x0, ..., T^(burn_in+n) x0] as a float array."""
+        """[T^(burn_in+1) x0, ..., T^(burn_in+n) x0] as a float array.
+
+        Steps scalar_step in blocks of _CYCLE_BLOCK points.  After each
+        block the last point is compared, bit for bit, with the up to
+        _CYCLE_BLOCK points before it.  scalar_step is a pure function of
+        one double, so at a repeat x_i = x_k the orbit is periodic with
+        period i - k from there on, and the rest is filled by tiling
+        that cycle: the array is bit-identical to stepping every point.
+        A longer period is not found, and the orbit is stepped in full.
+        """
         _check_orbit_len(n, burn_in)
         step = self.scalar_step()
         x = canonicalize(x0)
         for _ in range(burn_in):
             x = step(x)
         out = np.empty(n)
-        for i in range(n):
-            x = step(x)
-            out[i] = x
+        bits = out.view(np.int64)  # -0.0 != 0.0, and a NaN matches itself
+        i = 0  # points filled
+        while i < n:
+            for k in range(i, min(i + _CYCLE_BLOCK, n)):
+                x = step(x)
+                out[k] = x
+            i = k + 1
+            window = bits[max(k - _CYCLE_BLOCK, 0):k]
+            hits = np.flatnonzero(window == bits[k])
+            if len(hits) and i < n:
+                p = len(window) - int(hits[-1])  # to the nearest repeat
+                out[i:] = np.resize(out[i - p:i], n - i)
+                break
         return out
 
     def contains_discretized(self) -> bool:

@@ -17,9 +17,6 @@ integrand is smooth, so its error is at rounding level.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,31 +168,6 @@ class AtomicMeasure:
         return (isinstance(other, AtomicMeasure)
                 and np.array_equal(self.positions, other.positions)
                 and np.array_equal(self.weights, other.weights))
-
-    # ------------------------------------------------ serialization
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        wr = csv.writer(buf)
-        wr.writerow(["position", "weight"])
-        for p, w in zip(self.positions, self.weights):
-            wr.writerow([repr(float(p)), repr(float(w))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "AtomicMeasure":
-        rows = list(csv.reader(io.StringIO(text)))
-        data = [(float(p), float(w)) for p, w in rows[1:]]
-        return cls([p for p, _ in data], [w for _, w in data])
-
-    def to_json(self) -> str:
-        return json.dumps({"positions": self.positions.tolist(),
-                           "weights": self.weights.tolist()})
-
-    @classmethod
-    def from_json(cls, s: str) -> "AtomicMeasure":
-        d = json.loads(s)
-        return cls(d["positions"], d["weights"])
 
 
 Measure = Union[AtomicMeasure, LebesgueMeasure, FourierDensity,
@@ -488,9 +460,12 @@ class DiscrepancyResult:
 
 def _star_discrepancy(x_sorted: np.ndarray) -> float:
     n = len(x_sorted)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - x_sorted),
-                     np.max(x_sorted - (i - 1) / n)))
+    up = np.arange(1, n + 1) / n
+    # (i - 1)/n is i/n shifted right: the same quotients, computed once
+    low = np.concatenate(([0.0], up[:-1]))
+    np.subtract(up, x_sorted, out=up)
+    np.subtract(x_sorted, low, out=low)
+    return float(max(np.max(up), np.max(low)))
 
 
 def _extreme_discrepancy_exact(x_sorted: np.ndarray) -> float:
@@ -517,7 +492,7 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if len(pts) == 0:
         raise ValueError("empty point set")
-    if not np.all(np.abs(pts) < math.inf):  # also rejects nan
+    if not np.isfinite(pts).all():
         raise ValueError("non-finite points")
     if mode not in ("auto", "exact", "enclosure"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -27,7 +27,6 @@ from .arithmetic import (
     DIVISOR_FLOOR,
     DiophantineProfile,
     _checked_divisor,
-    _reduced_half_phase_sin_cos,
     frac,
 )
 from .errors import ConvergenceError, TuningError
@@ -37,8 +36,6 @@ from .maps import ConjugacyDiffeo, _check_orbit_len, tune_rotation_number
 
 __all__ = [
     "DIVISOR_FLOOR",
-    "SmallDivisorProfile",
-    "small_divisor_profile",
     "solve_homological",
     "linear_response_density",
     "response_pairing",
@@ -50,34 +47,6 @@ __all__ = [
 _SPECTRAL_GRID_START = 256      # first theta grid of a spectral mean
 _SPECTRAL_GRID_CAP = 1 << 20    # largest grid before ConvergenceError
 _SPECTRAL_TOL = 1e-15           # two grids agree: |gap| <= this (1 + |mean|)
-
-@dataclass(frozen=True)
-class SmallDivisorProfile:
-    """Magnitudes |1 - e^{2 pi i n alpha}| = 2|sin(pi n alpha)|, n = 1..n_max."""
-
-    alpha: float
-    n_max: int
-    magnitudes: np.ndarray
-    min_magnitude: float
-    argmin_n: int
-    degenerate: bool  # some magnitude is exactly 0 (rational alpha)
-
-    def magnitude(self, n: int) -> float:
-        return float(self.magnitudes[n - 1])
-
-
-def small_divisor_profile(alpha: float, n_max: int) -> SmallDivisorProfile:
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    mags = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        s, _ = _reduced_half_phase_sin_cos(alpha, n)
-        mags[n - 1] = 2.0 * abs(s)
-    k = int(np.argmin(mags))
-    return SmallDivisorProfile(
-        alpha=float(alpha), n_max=int(n_max), magnitudes=mags,
-        min_magnitude=float(mags[k]), argmin_n=k + 1,
-        degenerate=bool(np.any(mags == 0.0)))
 
 
 def solve_homological(u: FourierSeries, alpha: float,
@@ -237,7 +206,9 @@ class ResponseReport:
         return abs(self.estimate - self.formula_value) / abs(self.formula_value)
 
     def to_json(self) -> str:
-        return json.dumps({
+        """The report as JSON; the top-level "orbit" block is written only
+        when some eps took the direct path, the one path that reads it."""
+        doc = {
             "alpha": self.alpha,
             "formula_value": self.formula_value,
             "extrapolated_estimate": self.estimate,
@@ -247,5 +218,7 @@ class ResponseReport:
                  "quotient": r.quotient, "orbit": r.orbit,
                  "points": r.points}
                 for r in self.per_eps],
-            "orbit": {"length": self.orbit_len, "burn_in": self.burn_in},
-        }, indent=2)
+        }
+        if any(r.orbit == "direct" for r in self.per_eps):
+            doc["orbit"] = {"length": self.orbit_len, "burn_in": self.burn_in}
+        return json.dumps(doc, indent=2)

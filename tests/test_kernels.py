@@ -1,8 +1,9 @@
 """The array kernels against the per-element code they replaced, kept
 here as oracles: W to Lebesgue with one `mass(t)` call per breakpoint,
 the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for `frac`, the
-three-color walk of the functional graph and the Newton inverse of a
-`ConjugacyDiffeo` that evaluated its modes twice per step.  Equality is
+three-color walk of the functional graph, the Newton inverse of a
+`ConjugacyDiffeo` that evaluated its modes twice per step and the
+stepping loop of `CircleMap.orbit` with no repeat check.  Equality is
 bit for bit."""
 
 import functools
@@ -14,14 +15,23 @@ import sys
 import numpy as np
 import pytest
 
-from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction, frac
+from circlestab.arithmetic import (
+    GOLDEN_MEAN,
+    canonicalize,
+    continued_fraction,
+    frac,
+)
+from circlestab.fourier import FourierSeries
 from circlestab.invariant import analyze_functional_graph
 from circlestab.maps import (
+    _CYCLE_BLOCK,
     AttractorRepeller,
+    CircleMap,
     ConjugacyDiffeo,
     ConjugatedRotation,
     Discretized,
     Rotation,
+    tune_rotation_number,
 )
 from circlestab.measures import (
     MERGE_TOL,
@@ -360,3 +370,100 @@ def test_conjugacy_inverse_equals_two_call_newton(modes):
         assert np.array_equal(bits(h.deriv(y)), bits(der))
         assert all(bits(h.inverse(v)) == bits(z[k])
                    for k, v in enumerate(y[-3:], len(y) - 3))
+
+
+# ------------------------------------------------------------ stepped orbits
+
+B = _CYCLE_BLOCK
+PROFILE = continued_fraction(GOLDEN_MEAN, 30)
+
+
+def orbit_loop(m, x0, n, burn_in=0):
+    """Every point stepped, with no check for a repeat."""
+    step = m.scalar_step()
+    x = canonicalize(x0)
+    for _ in range(burn_in):
+        x = step(x)
+    out = np.empty(n)
+    for i in range(n):
+        x = step(x)
+        out[i] = x
+    return out
+
+
+def count_steps(m):
+    """Make m count the steps its orbits take; returns the counter."""
+    step = m.scalar_step()
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return step(x)
+
+    m.scalar_step = lambda: counted
+    return calls
+
+
+class GridShift(CircleMap):
+    """x -> x + 1/q on the grid {i/q}: every orbit has period exactly q."""
+
+    def __init__(self, q):
+        self.q = q
+
+    def eval(self, x):
+        return (round(x * self.q) + 1) % self.q / self.q
+
+
+@pytest.mark.parametrize("burn_in", [0, 1000])
+@pytest.mark.parametrize("b", [0.5, 0.77, 1.0])
+def test_orbit_equals_loop_on_attractor_repeller_ladder(b, burn_in):
+    # the float orbits turn exactly periodic by step 28,312 (b = 0.5, j = 15)
+    for j in range(5, 16):
+        ar = AttractorRepeller(GOLDEN_MEAN, j, PROFILE, b)
+        assert np.array_equal(bits(ar.orbit(0.123, 40_000, burn_in)),
+                              bits(orbit_loop(ar, 0.123, 40_000, burn_in)))
+
+
+def test_orbit_equals_loop_on_discretized_diffeo():
+    # every orbit of a grid map cycles within N = 1000 steps
+    m = Discretized(DIFFEO, 1000)
+    assert np.array_equal(bits(m.orbit(0.123, B + 100)),
+                          bits(orbit_loop(m, 0.123, B + 100)))
+
+
+def test_orbit_equals_loop_on_tuned_family_and_steps_in_full():
+    u = FourierSeries.cosine(1)
+    fam = tune_rotation_number(u, 1e-2, GOLDEN_MEAN)[0]
+    want = orbit_loop(fam, 0.0, 3 * B + 5, burn_in=10)
+    steps = count_steps(fam)
+    assert np.array_equal(bits(fam.orbit(0.0, 3 * B + 5, burn_in=10)),
+                          bits(want))
+    assert steps[0] == 3 * B + 15  # no repeat: nothing to tile
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("m", [
+    AttractorRepeller(GOLDEN_MEAN, 5, PROFILE, 0.77),
+    Discretized(Rotation(0.37), 100), GridShift(1), GridShift(B)],
+    ids=["attractor-repeller", "discretized-rotation", "fixed-point",
+         "period-B"])
+def test_orbit_equals_loop_at_block_edges(m, n):
+    assert np.array_equal(bits(m.orbit(0.3, n)), bits(orbit_loop(m, 0.3, n)))
+
+
+def test_orbit_stops_stepping_at_a_repeat():
+    ar = AttractorRepeller(GOLDEN_MEAN, 5, PROFILE, 0.77)
+    steps = count_steps(ar)
+    ar.orbit(0.123, 10 ** 5)
+    assert steps[0] < 10 ** 4
+
+
+@pytest.mark.parametrize("q, steps_taken", [(B, 2 * B), (B + 1, 5 * B)])
+def test_orbit_finds_periods_up_to_the_window(q, steps_taken):
+    # a period of B is found at the end of the second block; B + 1 is
+    # longer than the window, so every point is stepped
+    m = GridShift(q)
+    want = orbit_loop(m, 0.0, 5 * B)
+    steps = count_steps(m)
+    assert np.array_equal(bits(m.orbit(0.0, 5 * B)), bits(want))
+    assert steps[0] == steps_taken

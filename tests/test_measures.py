@@ -61,12 +61,6 @@ def test_atomic_sorted_and_canonical():
     assert np.all((mu.positions >= 0) & (mu.positions < 1))
 
 
-def test_atomic_csv_json_round_trip():
-    mu = random_atomic(RNG)
-    assert AtomicMeasure.from_csv(mu.to_csv()) == mu
-    assert AtomicMeasure.from_json(mu.to_json()) == mu
-
-
 # ------------------------------------------------------------ wasserstein
 
 def test_w_two_point_example():

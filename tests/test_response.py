@@ -18,11 +18,11 @@ from circlestab.maps import (
     tune_rotation_number,
 )
 from circlestab.response import (
+    EpsRecord,
     ResponseReport,
     fd_response,
     linear_response_density,
     response_pairing,
-    small_divisor_profile,
     solve_homological,
 )
 
@@ -143,30 +143,6 @@ def test_pairing_bilinear():
             abs=1e-10)
 
 
-# ------------------------------------------------- small divisors
-
-def test_small_divisor_profile_golden():
-    p = small_divisor_profile(G, 13)
-    assert p.argmin_n == 13
-    assert not p.degenerate
-    assert np.all(p.magnitudes > 0)
-    assert p.min_magnitude == pytest.approx(p.magnitude(13))
-
-
-def test_small_divisor_profile_rational():
-    p = small_divisor_profile(0.5, 2)
-    assert p.degenerate
-    assert p.magnitudes[1] == 0.0
-    assert p.magnitudes[0] == pytest.approx(2.0)
-
-
-def test_small_divisor_type_one_scaling():
-    # golden is type 1: magnitudes bounded below by c/n
-    p = small_divisor_profile(G, 1000)
-    ns = np.arange(1, 1001)
-    assert np.min(ns * p.magnitudes) >= 1.5
-
-
 # ------------------------------------------------- finite differences
 
 def test_fd_response_matches_formula():
@@ -263,13 +239,29 @@ def test_response_report_json():
                          estimate=est, per_eps=recs,
                          orbit_len=10 ** 4, burn_in=10 ** 3)
     doc = json.loads(rep.to_json())
+    # no eps took the direct path, so no orbit ran and none is reported
     assert set(doc) == {"alpha", "formula_value", "extrapolated_estimate",
-                        "relative_error", "per_eps", "orbit"}
+                        "relative_error", "per_eps"}
     assert len(doc["per_eps"]) == 1
     assert set(doc["per_eps"][0]) == {"epsilon", "c", "mean_psi",
                                       "quotient", "orbit", "points"}
     assert doc["per_eps"][0]["orbit"] == "spectral"
     assert doc["per_eps"][0]["points"] == recs[0].points >= 256
+
+
+@pytest.mark.parametrize("paths", [["direct"], ["direct", "spectral"],
+                                   ["spectral", "direct"]])
+def test_response_report_json_orbit_block_when_some_eps_is_direct(paths):
+    import json
+    recs = [EpsRecord(epsilon=10.0 ** -(k + 1), c=G, mean_psi=0.0,
+                      quotient=0.0, orbit=path,
+                      points=10 ** 4 if path == "direct" else 512)
+            for k, path in enumerate(paths)]
+    rep = ResponseReport(alpha=G, formula_value=1.0, estimate=1.0,
+                         per_eps=recs, orbit_len=10 ** 4, burn_in=10 ** 3)
+    doc = json.loads(rep.to_json())
+    assert doc["orbit"] == {"length": 10 ** 4, "burn_in": 10 ** 3}
+    assert [r["orbit"] for r in doc["per_eps"]] == paths
 
 
 # ------------------------------------------------- spectral means
