@@ -69,7 +69,6 @@ from .measures import (
     DiscrepancyResult,
     DKCheck,
     LebesgueMeasure,
-    brute_force_variation,
     bv_library,
     cesaro_average,
     discrepancy,

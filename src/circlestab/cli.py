@@ -17,6 +17,7 @@ from .experiments import (
     DISCRETIZATION_FAMILIES,
     STABILITY_FAMILIES,
     ExperimentConfig,
+    _ols,
     discretization_scan,
     holder_fit,
     read_records_csv,
@@ -170,8 +171,7 @@ def _cmd_discrepancy(args) -> int:
         ns = [p["n"] for p in points]
         for key in ("lower", "upper"):
             ws = [p[key] for p in points]
-            doc[f"slope_{key}"] = float(np.polyfit(np.log(ns),
-                                                   np.log(ws), 1)[0])
+            doc[f"slope_{key}"] = float(_ols(np.log(ns), np.log(ws))[0])
     _write(args.output, json.dumps(doc, indent=2))
     return 0
 

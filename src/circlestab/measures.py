@@ -36,7 +36,6 @@ __all__ = [
     "DiffeoInvariantDensity",
     "DiscrepancyResult",
     "LebesgueMeasure",
-    "brute_force_variation",
     "bv_library",
     "cesaro_average",
     "discrepancy",
@@ -587,13 +586,6 @@ class BVObservable:
         # mean: E[dist to c] = 1/4 under Lebesgue, so integral = height/2
         return cls(ev, 2.0 * abs(height), height / 2.0,
                    f"hat({c:g}, h={height:g})")
-
-
-def brute_force_variation(f: BVObservable, grid: int = 100_000) -> float:
-    """Grid total variation sum |f(x_{i+1}) - f(x_i)| around the circle."""
-    xs = np.arange(grid) / grid
-    v = f.eval(xs)
-    return float(np.sum(np.abs(np.diff(np.append(v, v[0])))))
 
 
 def bv_library() -> List[BVObservable]:

@@ -110,6 +110,7 @@ def test_constructors_reject_nonfinite(build):
 
 
 # samples and sizes out of the domain: non-finite, negative or empty
+LINE = [(0.1, 0.2), (0.01, 0.05), (0.001, 0.01)]
 OUT_OF_DOMAIN_SAMPLES = {
     "discrepancy nan": lambda: discrepancy([0.1, math.nan]),
     "discrepancy inf": lambda: discrepancy([0.1, math.inf]),
@@ -120,6 +121,11 @@ OUT_OF_DOMAIN_SAMPLES = {
     "holder_fit nan size": lambda: holder_fit([(1, 1), (2, 2), (math.nan, 3)]),
     "holder_fit inf size": lambda: holder_fit([(1, 1), (2, 2), (math.inf, 3)]),
     "holder_fit negative w": lambda: holder_fit([(1, 1), (2, 2), (3, -1)]),
+    "holder_fit bootstrap -1": lambda: holder_fit(LINE, bootstrap=-1),
+    "holder_fit bootstrap 2.5": lambda: holder_fit(LINE, bootstrap=2.5),
+    "holder_fit bootstrap 10.0": lambda: holder_fit(LINE, bootstrap=10.0),
+    "holder_fit bootstrap True": lambda: holder_fit(LINE, bootstrap=True),
+    "holder_fit bootstrap '10'": lambda: holder_fit(LINE, bootstrap="10"),
     "dk suite cases -5": lambda: run_dk_suite(cases=-5),
     "dk suite cases 0": lambda: run_dk_suite(cases=0),
 }
@@ -283,6 +289,13 @@ def test_holder_fit_order_invariant():
     rng.shuffle(pts)
     f3 = holder_fit(pts)
     assert f1 == f2 == f3
+
+
+def test_holder_fit_bootstrap_zero_gives_point_ci():
+    fit = holder_fit(LINE, bootstrap=0)
+    assert fit.ci == (fit.slope, fit.slope)
+    assert holder_fit(LINE, bootstrap=np.int64(50)) == holder_fit(
+        LINE, bootstrap=50)
 
 
 def test_holder_fit_excludes_zero_w():

@@ -4,7 +4,8 @@ the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for `frac`, the
 three-color walk of the functional graph, the Newton inverse of a
 `ConjugacyDiffeo` that evaluated its modes twice per step and the
 stepping loop of `CircleMap.orbit` with no repeat check.  Equality is
-bit for bit."""
+bit for bit, except for the Holder fit, whose closed-form slopes agree
+with the per-resample `np.polyfit` loop to 1e-12 relative."""
 
 import functools
 import operator
@@ -22,6 +23,7 @@ from circlestab.arithmetic import (
     frac,
 )
 from circlestab.fourier import FourierSeries
+from circlestab.experiments import holder_fit
 from circlestab.invariant import analyze_functional_graph
 from circlestab.maps import (
     _CYCLE_BLOCK,
@@ -467,3 +469,94 @@ def test_orbit_finds_periods_up_to_the_window(q, steps_taken):
     steps = count_steps(m)
     assert np.array_equal(bits(m.orbit(0.0, 5 * B)), bits(want))
     assert steps[0] == steps_taken
+
+
+# ------------------------------------------------------------ Holder fit
+
+def holder_fit_loop(pts, bootstrap=1000, seed=12345):
+    """holder_fit on positive (size, w) pairs, one np.polyfit per resample."""
+    pts = sorted(pts)
+    lx = np.log([p[0] for p in pts])
+    ly = np.log([p[1] for p in pts])
+    slope, intercept = np.polyfit(lx, ly, 1)
+    res = ly - (slope * lx + intercept)
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(res ** 2)) / ss_tot
+    rng = np.random.default_rng(seed)
+    slopes = []
+    n = len(pts)
+    for _ in range(bootstrap):
+        idx = rng.integers(0, n, n)
+        bx, by = lx[idx], ly[idx]
+        if np.ptp(bx) == 0.0:
+            continue
+        slopes.append(np.polyfit(bx, by, 1)[0])
+    lo, hi = np.percentile(slopes, [2.5, 97.5]) if slopes else (slope, slope)
+    return slope, intercept, r2, lo, hi
+
+
+def assert_fit_matches_loop(pts, **kw):
+    fit = holder_fit(pts, **kw)
+    got = (fit.slope, fit.intercept, fit.r2) + fit.ci
+    # a near-zero intercept is the difference of terms of order 10 (mean
+    # log w less slope times mean log size), so it gets an absolute floor
+    assert got == pytest.approx(holder_fit_loop(pts, **kw), rel=1e-12,
+                                abs=1e-13)
+
+
+def noisy_power_law(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [(float(s), float(s ** 0.47 * np.exp(rng.normal() * 0.05)))
+            for s in 10.0 ** -np.linspace(1, 8, n)]
+
+
+DS = [10.0 ** -k for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("pts", [[(d, d ** 0.5) for d in DS],
+                                 [(d, 3 * d) for d in DS]],
+                         ids=["sqrt", "exact-line"])
+def test_holder_fit_equals_loop_on_synthetic_lines(pts):
+    assert_fit_matches_loop(pts)
+
+
+@pytest.mark.parametrize("n", [3, 5, 11, 19, 33, 60])
+def test_holder_fit_equals_loop_on_noisy_power_laws(n):
+    assert_fit_matches_loop(noisy_power_law(n))
+
+
+def test_holder_fit_equals_loop_when_resamples_are_dropped():
+    # two distinct sizes: a resample of 5 lands on one size with
+    # probability 0.4^5 + 0.6^5 (about 9%), and is left out of the CI
+    pts = [(0.1, 0.3), (0.1, 0.35), (0.01, 0.1), (0.01, 0.09), (0.01, 0.11)]
+    idx = np.random.default_rng(12345).integers(0, 5, (1000, 5))
+    assert np.sum(np.ptp(np.log([0.01, 0.01, 0.01, 0.1, 0.1])[idx],
+                         axis=1) == 0.0) > 0
+    assert_fit_matches_loop(pts)
+
+
+@pytest.mark.parametrize("bootstrap", [0, 1, 2, 7])
+def test_holder_fit_equals_loop_at_any_bootstrap_count(bootstrap):
+    assert_fit_matches_loop(noisy_power_law(11), bootstrap=bootstrap)
+
+
+def test_holder_fit_equals_loop_when_drawn_in_two_calls():
+    # 2000 points: 524 resamples fit in 2^20 indices, so two draws
+    assert_fit_matches_loop(noisy_power_law(2000))
+
+
+@pytest.mark.parametrize("n", [3, 5, 11, 19, 33, 60])
+def test_bootstrap_index_matrix_is_the_per_resample_stream(n):
+    batch = np.random.default_rng(12345).integers(0, n, (1000, n))
+    rng = np.random.default_rng(12345)
+    assert np.array_equal(batch,
+                          [rng.integers(0, n, n) for _ in range(1000)])
+
+
+def test_holder_fit_solves_no_least_squares_per_resample(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-resample least-squares solve")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert holder_fit(noisy_power_law(11)).ci[0] > 0.0

@@ -13,7 +13,6 @@ from circlestab.measures import (
     BVObservable,
     LebesgueMeasure,
     atomize_by_cdf,
-    brute_force_variation,
     bv_library,
     cesaro_average,
     discrepancy,
@@ -26,6 +25,13 @@ from circlestab.measures import (
 
 RNG = np.random.default_rng(2024)
 M = LebesgueMeasure()
+
+
+def brute_force_variation(f, grid=100_000):
+    """Grid total variation sum |f(x_{i+1}) - f(x_i)| around the circle."""
+    xs = np.arange(grid) / grid
+    v = f.eval(xs)
+    return float(np.sum(np.abs(np.diff(np.append(v, v[0])))))
 
 
 def random_atomic(rng, max_atoms=12):
