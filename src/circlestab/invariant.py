@@ -44,10 +44,11 @@ __all__ = [
 ]
 
 # Memory cap for graph analysis.  At the cap the whole analysis, grid
-# image included, peaked at 1.32 GiB resident for the golden rotation
-# (one cycle of 1e7 nodes) and 0.65 GiB for a one-mode conjugated
-# rotation: ru_maxrss of a process that had only imported the package
-# (34 MiB) before, Python 3.11, numpy 2.4, x86-64 Linux.
+# image included, peaked at 970 MiB resident for the golden rotation
+# (one cycle of 1e7 nodes) and 343 MiB for a one-mode conjugated
+# rotation, whose grid image is built in blocks: ru_maxrss of a fresh
+# process that had only imported the package (34 MiB) before, Python
+# 3.11, numpy 2.4, x86-64 Linux.
 GRID_NODE_CAP = 10 ** 7
 
 

@@ -6,16 +6,18 @@ Each map knows its canonical evaluation on [0,1), a degree-1 lift
 F(x+1) = F(x)+1, and the displacement F(x)-x used by the rotation
 number estimator.  Orbits of Rotation and ConjugatedRotation have
 closed-form vectorized paths (one rounding per point instead of one
-per step); everything else iterates scalar_step, which is eval except
-where a float closure pays: TunedFamily and AttractorRepeller step
-math.sin/math.cos closures along their long orbits (the tuner's direct
-check, Birkhoff orbits).  A stepped orbit stops at the first exact
-repeat within a 4096-point window and tiles the cycle, bit-identical to
-stepping every point.  A TunedFamily made by the tuner carries the
-conjugacy h it solved, so its invariant means can be taken as integrals
-over h_* m (response.fd_response) and its orbits in closed form through
-ConjugatedRotation; TunedFamily.orbit itself still iterates f.
-The rotation number evaluates the displacement on such an orbit as one
+per step); ConjugatedRotation orbits and Discretized grid images run
+elementwise in blocks of _BLOCK points.  Everything else iterates
+scalar_step, which is eval except where a float closure pays:
+TunedFamily and AttractorRepeller step math.sin/math.cos closures
+along their long orbits (the tuner's direct check, Birkhoff orbits).
+A stepped orbit stops at the first exact repeat within a 4096-point
+window and tiles the cycle, bit-identical to stepping every point.  A
+TunedFamily made by the tuner carries the conjugacy h it solved, so
+its invariant means can be taken as integrals over h_* m
+(response.fd_response) and its orbits in closed form through
+ConjugatedRotation; TunedFamily.orbit itself still iterates f.  The
+rotation number evaluates the displacement on such an orbit as one
 array.
 """
 
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 ORBIT_LEN_CAP = 10 ** 8  # orbit points plus burn-in steps one orbit may take
-_ORBIT_BLOCK = 1 << 16   # points per block of a closed-form orbit
+_BLOCK = 1 << 16         # points per block of an elementwise array pass
 _CYCLE_BLOCK = 1 << 12   # stepped points per repeat check, and its window
 _INVERSE_TOL = 1e-14     # Newton for h^-1 stops at |h(z) - y| <= this
 _INVERSE_STEPS = 50      # and fails after this many steps
@@ -336,7 +338,9 @@ class ConjugacyDiffeo:
 
     @_pointwise
     def inverse(self, y):
-        """z with h(z) = y, computed by Newton until |h(z) - y| <= 1e-14."""
+        """z with h(z) = y, computed by Newton until |h(z) - y| <= 1e-14;
+        each point stops on its own.  A ConvergenceError's estimate and
+        error_bound describe only the points of this call."""
         z = y.copy()
         for _ in range(_INVERSE_STEPS):
             # in place: r = z + disp - y and z - r / dh as written
@@ -387,8 +391,8 @@ class ConjugatedRotation(CircleMap):
         _check_orbit_len(n, burn_in)
         y0 = frac(self.h.inverse(canonicalize(x0)))
         out = np.empty(n)
-        for lo in range(0, n, _ORBIT_BLOCK):
-            hi = min(lo + _ORBIT_BLOCK, n)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
             i = np.arange(burn_in + lo + 1, burn_in + hi + 1, dtype=float)
             out[lo:hi] = frac(self.h.eval(frac(y0 + i * self.alpha)))
         return out
@@ -433,10 +437,16 @@ class Discretized(CircleMap):
     def grid_image(self) -> np.ndarray:
         """Integer image array: node i -> node image[i], for all i < N.
 
-        Computed by one vectorized pass; the same path backs eval on grid
-        points, so graph analysis and eval cannot disagree.
-        """
-        return self._project(self.inner.eval(np.arange(self.N) / self.N))
+        Filled in cache-sized blocks of _BLOCK nodes by the projection
+        eval uses on grid points; inner.eval is elementwise, so blocks
+        change no bit.  A ConvergenceError of h^-1 describes the failing
+        block."""
+        out = np.empty(self.N, dtype=np.int64)
+        for lo in range(0, self.N, _BLOCK):
+            hi = min(lo + _BLOCK, self.N)
+            out[lo:hi] = self._project(
+                self.inner.eval(np.arange(lo, hi) / self.N))
+        return out
 
     def contains_discretized(self):
         return True

@@ -27,7 +27,7 @@ import numpy as np
 from .arithmetic import _pointwise, canonicalize, frac
 from .errors import ResourceLimitError
 from .fourier import FourierDensity
-from .maps import CircleMap, ConjugacyDiffeo
+from .maps import _BLOCK, CircleMap, ConjugacyDiffeo
 
 __all__ = [
     "AtomicMeasure",
@@ -458,13 +458,17 @@ class DiscrepancyResult:
 
 
 def _star_discrepancy(x_sorted: np.ndarray) -> float:
+    # max of i/n - x_(i) and x_(i) - (i-1)/n, by blocks: max is exact
     n = len(x_sorted)
-    up = np.arange(1, n + 1) / n
-    # (i - 1)/n is i/n shifted right: the same quotients, computed once
-    low = np.concatenate(([0.0], up[:-1]))
-    np.subtract(up, x_sorted, out=up)
-    np.subtract(x_sorted, low, out=low)
-    return float(max(np.max(up), np.max(low)))
+    worst = -np.inf
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        x = x_sorted[lo:hi]
+        q = np.arange(lo, hi + 1, dtype=float)  # (i-1)/n and i/n share q
+        q /= n
+        d = q[1:] - x
+        worst = max(worst, np.max(d), np.max(np.subtract(x, q[:-1], out=d)))
+    return float(worst)
 
 
 def _extreme_discrepancy_exact(x_sorted: np.ndarray) -> float:
@@ -495,7 +499,8 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
         raise ValueError("non-finite points")
     if mode not in ("auto", "exact", "enclosure"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = np.sort(np.asarray(frac(pts)))
+    x = frac(pts)  # a fresh array, so sorting it leaves points alone
+    x.sort()
     n = len(x)
     star = _star_discrepancy(x)
     want_exact = mode == "exact" or (mode == "auto"

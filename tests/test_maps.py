@@ -7,9 +7,15 @@ import pytest
 from circlestab.arithmetic import GOLDEN_MEAN, circle_dist, continued_fraction
 from circlestab.errors import ConvergenceError, ResourceLimitError
 from circlestab.fourier import FourierSeries
+from circlestab import maps
 from circlestab.arithmetic import frac
+from circlestab.experiments import (
+    ExperimentConfig,
+    discretization_scan,
+    resolve_alpha,
+)
 from circlestab.maps import (
-    _ORBIT_BLOCK,
+    _BLOCK,
     ORBIT_LEN_CAP,
     AttractorRepeller,
     Composition,
@@ -97,6 +103,56 @@ def test_discretize_grid_closure():
         assert np.all(out * N == np.round(out * N))
         # eval on grid agrees with the integer image path
         assert np.array_equal(np.round(out * N).astype(int), TN.grid_image())
+
+
+GRID_INNER_MAPS = {
+    "rotation": Rotation(GOLDEN_MEAN),
+    "conjugated": ConjugatedRotation(
+        GOLDEN_MEAN, ConjugacyDiffeo([0.2, -0.05, 0.1], [0.03, 0.0, -0.1])),
+    "attractor_repeller": AttractorRepeller(GOLDEN_MEAN, 5, PROF, 1.0),
+    "tuned": TunedFamily(FourierSeries.cosine(), 0.05, 0.4),
+}
+
+
+@pytest.mark.parametrize("N", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               3 * _BLOCK + 7])
+@pytest.mark.parametrize("inner", list(GRID_INNER_MAPS))
+def test_blocked_grid_image_is_the_one_pass_image(N, inner):
+    TN = Discretized(GRID_INNER_MAPS[inner], N)
+    one_pass = TN._project(TN.inner.eval(np.arange(N) / N))
+    img = TN.grid_image()
+    assert img.dtype == np.int64
+    assert np.array_equal(img, one_pass)
+
+
+def test_grid_image_newton_failure_in_a_block(monkeypatch):
+    # one Newton step leaves h^-1 unconverged in every block; the error
+    # reads as the one-pass error did, and describes the failing block
+    monkeypatch.setattr(maps, "_INVERSE_STEPS", 1)
+    N = 3 * _BLOCK + 7
+    TN = Discretized(GRID_INNER_MAPS["conjugated"], N)
+    with pytest.raises(ConvergenceError) as one_pass:
+        TN.inner.eval(np.arange(N) / N)
+    with pytest.raises(ConvergenceError) as first_block:
+        TN.inner.eval(np.arange(_BLOCK) / N)
+    with pytest.raises(ConvergenceError) as blocked:
+        TN.grid_image()
+    assert str(blocked.value) == str(one_pass.value)
+    assert blocked.value.estimate == first_block.value.estimate
+    assert blocked.value.error_bound == first_block.value.error_bound
+
+
+def test_discretization_scan_records_a_block_failure(monkeypatch):
+    monkeypatch.setattr(maps, "_INVERSE_STEPS", 1)
+    N = 3 * _BLOCK + 7
+    config = ExperimentConfig(family="diffeo", ladder=(N,))
+    base = ConjugatedRotation(resolve_alpha(config.alpha)[0],
+                              ConjugacyDiffeo(config.h_a))
+    with pytest.raises(ConvergenceError) as one_pass:
+        base.eval(np.arange(N) / N)
+    scan = discretization_scan(config)
+    assert len(scan) == 0
+    assert scan.failures == [(N, f"ConvergenceError: {one_pass.value}")]
 
 
 def test_discretize_rejects_bad_n():
@@ -331,8 +387,8 @@ def test_conjugated_rotation_orbit_matches_stepping():
     assert np.allclose(fast, slow, atol=1e-11)
 
 
-@pytest.mark.parametrize("n", [1, _ORBIT_BLOCK - 1, _ORBIT_BLOCK,
-                               _ORBIT_BLOCK + 1, 3 * _ORBIT_BLOCK + 7])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               3 * _BLOCK + 7])
 @pytest.mark.parametrize("burn_in", [0, 1000])
 def test_conjugated_rotation_blocked_orbit_is_the_full_array_formula(
         n, burn_in):

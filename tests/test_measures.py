@@ -4,13 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circlestab.arithmetic import GOLDEN_MEAN, circle_dist
+from circlestab.arithmetic import GOLDEN_MEAN, circle_dist, frac
 from circlestab.errors import ResourceLimitError
 from circlestab.fourier import FourierDensity
-from circlestab.maps import Rotation, ConjugacyDiffeo, ConjugatedRotation
+from circlestab.maps import (
+    _BLOCK,
+    ConjugacyDiffeo,
+    ConjugatedRotation,
+    Rotation,
+)
 from circlestab.measures import (
+    _extreme_discrepancy_exact,
     AtomicMeasure,
     BVObservable,
+    DiscrepancyResult,
     LebesgueMeasure,
     atomize_by_cdf,
     bv_library,
@@ -284,6 +291,49 @@ def test_discrepancy_golden_orbit_decay():
         ds[N] = discrepancy(orb, mode="exact").exact
     C = max(ds[100] * 100 ** 0.9, ds[1000] * 1000 ** 0.9)
     assert ds[10000] <= C * 10000 ** -0.9 * 1.05
+
+
+def one_pass_star_discrepancy(x_sorted):
+    """D* of sorted points in one array pass: max of i/n - x_(i) and
+    x_(i) - (i-1)/n over all i at once."""
+    n = len(x_sorted)
+    up = np.arange(1, n + 1) / n
+    low = np.concatenate(([0.0], up[:-1]))
+    return float(max(np.max(up - x_sorted), np.max(x_sorted - low)))
+
+
+def one_pass_discrepancy(pts, mode):
+    x = np.sort(frac(np.asarray(pts, dtype=float)))
+    star = one_pass_star_discrepancy(x)
+    if mode == "exact":
+        d = _extreme_discrepancy_exact(x)
+        return DiscrepancyResult(len(x), star, d, d, d)
+    return DiscrepancyResult(len(x), star, star, 2.0 * star, None)
+
+
+BLOCK_EDGE_POINTS = {
+    "sorted_uniform": lambda n: np.sort(np.random.default_rng(n).uniform(
+        0, 1, n)),
+    "golden_orbit": lambda n: np.arange(1, n + 1) * GOLDEN_MEAN % 1.0,
+    "zeros": lambda n: np.zeros(n),
+    "unsorted_wide": lambda n: np.random.default_rng(n).uniform(-5, 5, n),
+}
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               3 * _BLOCK + 7])
+@pytest.mark.parametrize("points", list(BLOCK_EDGE_POINTS))
+@pytest.mark.parametrize("mode", ["exact", "enclosure"])
+def test_blocked_discrepancy_is_the_one_pass_discrepancy(n, points, mode):
+    pts = BLOCK_EDGE_POINTS[points](n)
+    before = pts.copy()
+    got = discrepancy(pts, mode)
+    want = one_pass_discrepancy(pts, mode)
+    as_bits = lambda r: [v if v is None else float(v).hex()
+                         for v in (r.n, r.star, r.lower, r.upper, r.exact)]
+    assert as_bits(got) == as_bits(want)
+    # discrepancy sorts its own copy in place, never the caller's array
+    assert pts.tobytes() == before.tobytes()
 
 
 def test_discrepancy_rejects_empty():
