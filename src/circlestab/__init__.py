@@ -51,14 +51,12 @@ from .invariant import (
 from .maps import (
     AttractorRepeller,
     CircleMap,
-    Composition,
     ConjugacyDiffeo,
     ConjugatedRotation,
     Discretized,
     Rotation,
     RotationNumber,
     TunedFamily,
-    map_from_json,
     rotation_number,
     tune_rotation_number,
     weighted_birkhoff_weights,

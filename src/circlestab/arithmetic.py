@@ -194,19 +194,6 @@ class DiophantineProfile:
             d["alpha_exact"] = str(self.alpha_exact)
         return json.dumps(d)
 
-    @staticmethod
-    def from_json(s: str) -> "DiophantineProfile":
-        d = json.loads(s)
-        exact = d.get("alpha_exact")
-        return DiophantineProfile(
-            alpha=d["alpha"],
-            partial_quotients=[int(a) for a in d["partial_quotients"]],
-            convergents=[Convergent(int(p), int(q), float(dl))
-                         for p, q, dl in d["convergents"]],
-            gamma_hat=d.get("gamma_hat"),
-            alpha_exact=Fraction(exact) if exact is not None else None,
-        )
-
 
 def continued_fraction(alpha: RealLike, k: int) -> DiophantineProfile:
     """First k partial quotients and convergents of alpha in (0, 1).
@@ -270,9 +257,8 @@ def diophantine_type_estimate(profile: DiophantineProfile) -> float:
     the slope of log(1/delta_j) against log(q_j).  A global fit is biased
     by the early convergents, and single-convergent quotients inherit the
     O(1/log q_j) constant, so we take the largest ordinary-least-squares
-    slope over trailing windows of the last half of the expansion (the
-    final two-point slope is included as a fallback window) and clamp at
-    the theoretical floor gamma = 1.
+    slope over trailing windows of the last half of the expansion (down
+    to the final two points) and clamp at the theoretical floor gamma = 1.
     """
     conv = profile.convergents
     if len(conv) < 4:
@@ -286,12 +272,14 @@ def diophantine_type_estimate(profile: DiophantineProfile) -> float:
     lq = np.array([math.log(cv.q) for cv in conv])
     li = np.array([-math.log(cv.delta) for cv in conv])  # log(1/delta_j)
     n = len(conv)
-    best = -math.inf
-    for start in range(n // 2, n - 1):
-        w = n - start
-        if w >= 3:
-            slope = np.polyfit(lq[start:], li[start:], 1)[0]
-        else:
-            slope = (li[-1] - li[start]) / (lq[-1] - lq[start])
-        best = max(best, slope - 1.0)
-    return max(best, 1.0)
+    best = max(_ols(lq[start:], li[start:])[0]
+               for start in range(n // 2, n - 1))
+    return max(float(best) - 1.0, 1.0)
+
+
+def _ols(x, y):
+    """Least-squares (slope, intercept) of y on x, one line per row."""
+    xm, ym = x.mean(axis=-1, keepdims=True), y.mean(axis=-1, keepdims=True)
+    dx, dy = x - xm, y - ym
+    slope = np.einsum("...i,...i", dx, dy) / np.einsum("...i,...i", dx, dx)
+    return slope, ym[..., 0] - slope * xm[..., 0]

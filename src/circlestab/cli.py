@@ -11,13 +11,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arithmetic import continued_fraction, frac
+from .arithmetic import _ols, continued_fraction, frac
 from .errors import CircleStabError, InsufficientDataError, ResourceLimitError
 from .experiments import (
     DISCRETIZATION_FAMILIES,
     STABILITY_FAMILIES,
     ExperimentConfig,
-    _ols,
     discretization_scan,
     holder_fit,
     read_records_csv,

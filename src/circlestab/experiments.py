@@ -8,7 +8,6 @@ Reruns with the same config are byte-identical.
 """
 
 import csv
-import hashlib
 import io
 import json
 import logging
@@ -22,6 +21,7 @@ import numpy as np
 from .arithmetic import (
     GOLDEN_MEAN,
     SQRT2_MINUS_ONE,
+    _ols,
     continued_fraction,
     frac,
 )
@@ -91,10 +91,6 @@ def resolve_alpha(spec: Union[str, float]) -> Tuple[float, str]:
     if not math.isfinite(value):
         raise ValueError(f"alpha must be finite, got {spec!r}")
     return value, label
-
-
-def _map_hash(m) -> str:
-    return hashlib.sha256(m.to_json().encode()).hexdigest()[:16]
 
 
 # ------------------------------------------------------------ records
@@ -210,7 +206,7 @@ class ExperimentConfig:
         if self.family in DISCRETIZATION_FAMILIES and lad:
             if min(lad) < 1:
                 raise ValueError("grid sizes must be >= 1")
-        ConjugacyDiffeo(self.h_a or (0.0,), self.h_b or None)
+        ConjugacyDiffeo(self.h_a, self.h_b or None)
         _check_orbit_len(self.orbit_len, self.burn_in)
         return self
 
@@ -261,11 +257,10 @@ def stability_scan(config: ExperimentConfig) -> ScanResult:
 
     def one(j):
         cv = profile.convergents[j]
-        base_meta = {"alpha": label, "j": j, "p": cv.p, "q": cv.q}
+        meta = {"alpha": label, "j": j, "p": cv.p, "q": cv.q}
         recs = []
         if config.family == "attractor_repeller":
             ar = AttractorRepeller(alpha, j, profile, config.bump_strength)
-            meta = dict(base_meta, map_hash=_map_hash(ar))
             att = _verified_uniform(ar, ar.attracting_orbit())
             rep = _verified_uniform(ar, ar.repelling_orbit())
             recs.append(ScalingRecord(
@@ -282,7 +277,6 @@ def stability_scan(config: ExperimentConfig) -> ScanResult:
                     "birkhoff", meta))
         else:  # rational_snap
             snap = Rotation(cv.p / cv.q)
-            meta = dict(base_meta, map_hash=_map_hash(snap))
             mu = _verified_uniform(snap, snap.orbit(0.0, cv.q))
             recs.append(ScalingRecord(
                 "rational_snap", cv.delta, wasserstein(m, mu),
@@ -332,8 +326,7 @@ def discretization_scan(config: ExperimentConfig) -> ScanResult:
         N = int(N)
         T = Discretized(base, N)
         analysis = analyze_functional_graph(T, N)
-        meta = {"alpha": label, "N": N, "map_hash": _map_hash(T),
-                "cycles": analysis.cycle_count}
+        meta = {"alpha": label, "N": N, "cycles": analysis.cycle_count}
         ws = [wasserstein(mu0, cm) for cm in analysis.cycle_measures]
         rows = [
             ("physical", wasserstein(mu0, analysis.physical_measure)),
@@ -353,14 +346,6 @@ class HolderFit(NamedTuple):
     intercept: float
     r2: float
     ci: Tuple[float, float]
-
-
-def _ols(x, y):
-    """Least-squares (slope, intercept) of y on x, one line per row."""
-    xm, ym = x.mean(axis=-1, keepdims=True), y.mean(axis=-1, keepdims=True)
-    dx, dy = x - xm, y - ym
-    slope = np.einsum("...i,...i", dx, dy) / np.einsum("...i,...i", dx, dx)
-    return slope, ym[..., 0] - slope * xm[..., 0]
 
 
 def holder_fit(records, bootstrap: int = 1000,

@@ -12,7 +12,6 @@ large n.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Mapping, Union
 
@@ -194,21 +193,8 @@ class FourierSeries:
     def __neg__(self) -> "FourierSeries":
         return FourierSeries(-self._c)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self._c) <= tol))
-
-    # -------------------------------------------------- serialization
-
-    def to_json(self) -> str:
-        rows = [[n, self.coeff(n).real, self.coeff(n).imag]
-                for n in range(-self.n_max, self.n_max + 1)]
-        return json.dumps({"type": type(self).__name__, "coefficients": rows})
-
-    @classmethod
-    def from_json(cls, s: str) -> "FourierSeries":
-        d = json.loads(s)
-        coeffs = {int(n): re + 1j * im for n, re, im in d["coefficients"]}
-        return cls(coeffs)
+    def is_zero(self) -> bool:
+        return bool(np.all(self._c == 0))
 
 
 class FourierDensity(FourierSeries):

@@ -175,9 +175,8 @@ def birkhoff_measure(mapping: CircleMap, x0: float, n: int,
 
 
 def birkhoff_average(mapping: CircleMap, f: Callable, n: int,
-                     burn_in: int = 0, x0: float = 0.0,
-                     weighted: bool = True) -> float:
-    """Orbit average of f, optionally with the weighted-Birkhoff window.
+                     burn_in: int = 0, x0: float = 0.0) -> float:
+    """Orbit average of f with the weighted-Birkhoff window.
 
     f may be any vectorized callable (a BVObservable's eval, a
     FourierSeries' eval, a plain ufunc expression).
@@ -185,10 +184,7 @@ def birkhoff_average(mapping: CircleMap, f: Callable, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = mapping.orbit(canonicalize(x0), n, burn_in)
-    vals = np.asarray(f(xs), dtype=float)
-    if not weighted:
-        return float(np.mean(vals))
-    return _wb_mean(vals)
+    return _wb_mean(np.asarray(f(xs), dtype=float))
 
 
 def invariant_measure_of_diffeo(

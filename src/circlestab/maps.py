@@ -1,6 +1,6 @@
 """Circle maps: rotations, the attractor-repeller perturbation family,
-rotation-number-tuned trig families, explicitly conjugated rotations,
-grid discretizations, and compositions.
+rotation-number-tuned trig families, explicitly conjugated rotations
+and grid discretizations.
 
 Each map knows its canonical evaluation on [0,1), a degree-1 lift
 F(x+1) = F(x)+1, and the displacement F(x)-x used by the rotation
@@ -23,10 +23,9 @@ array.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,14 +43,12 @@ __all__ = [
     "ORBIT_LEN_CAP",
     "AttractorRepeller",
     "CircleMap",
-    "Composition",
     "ConjugacyDiffeo",
     "ConjugatedRotation",
     "Discretized",
     "Rotation",
     "RotationNumber",
     "TunedFamily",
-    "map_from_json",
     "rotation_number",
     "tune_rotation_number",
     "weighted_birkhoff_weights",
@@ -78,10 +75,7 @@ def _check_orbit_len(n: int, burn_in: int = 0) -> None:
 
 
 class CircleMap:
-    """Common interface of all map variants (immutable values)."""
-
-    variant = "abstract"
-    orientation_preserving = True
+    """Common interface of all maps (immutable values)."""
 
     def eval(self, x):
         """T(x) in [0,1); scalar or ndarray."""
@@ -135,21 +129,9 @@ class CircleMap:
                 break
         return out
 
-    def contains_discretized(self) -> bool:
-        return isinstance(self, Discretized)
-
-    # serialization: tagged union
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 class Rotation(CircleMap):
     """R_alpha(x) = x + alpha mod 1."""
-
-    variant = "Rotation"
 
     def __init__(self, alpha: float):
         self.alpha = canonicalize(float(alpha))
@@ -168,19 +150,14 @@ class Rotation(CircleMap):
         i = np.arange(burn_in + 1, burn_in + n + 1, dtype=float)
         return frac(canonicalize(x0) + i * self.alpha)
 
-    def to_dict(self):
-        return {"variant": "Rotation", "alpha": self.alpha}
-
 
 class TunedFamily(CircleMap):
     """f(x) = x + c + epsilon * u(x) mod 1 for a trig polynomial u.
 
     `conjugacy` is the h with f o h = h o R_alpha that tune_rotation_number
     solved for, or None.  It is derived data: orbit and rotation_number
-    ignore it and to_dict leaves it out.
+    ignore it.
     """
-
-    variant = "TunedFamily"
 
     def __init__(self, u: FourierSeries, epsilon: float, c: float, *,
                  conjugacy: Optional[ConjugacyDiffeo] = None):
@@ -204,11 +181,6 @@ class TunedFamily(CircleMap):
         c, eps = self.c, self.epsilon
         return lambda x: (x + c + eps * ufn(x)) % 1.0
 
-    def to_dict(self):
-        return {"variant": "TunedFamily",
-                "u": json.loads(self.u.to_json()),
-                "epsilon": self.epsilon, "c": self.c}
-
 
 class AttractorRepeller(CircleMap):
     """T_j(x) = D_delta(x + p_j/q_j) with D_delta(y) = y + delta*g(y),
@@ -220,8 +192,6 @@ class AttractorRepeller(CircleMap):
     rotation part is the convergent p_j/q_j itself, which keeps both
     orbits exactly invariant and |T_j - R_alpha| <= 2 delta_j.
     """
-
-    variant = "AttractorRepeller"
 
     def __init__(self, alpha: float, j: int, profile: DiophantineProfile,
                  bump_strength: float):
@@ -278,11 +248,6 @@ class AttractorRepeller(CircleMap):
             return (y - d * b * sin(twopi * ((q * y) % 1.0))) % 1.0
 
         return step
-
-    def to_dict(self):
-        return {"variant": "AttractorRepeller", "alpha": self.alpha,
-                "j": self.j, "bump_strength": self.bump_strength,
-                "profile": json.loads(self.profile.to_json())}
 
 
 class ConjugacyDiffeo:
@@ -362,15 +327,10 @@ class ConjugacyDiffeo:
                 estimate=float(np.ravel(z)[0]), error_bound=worst)
         return z
 
-    def to_dict(self):
-        return {"a": self.a.tolist(), "b": self.b.tolist()}
-
 
 class ConjugatedRotation(CircleMap):
     """T = h o R_alpha o h^{-1}, a diffeomorphism with rotation number alpha
     and invariant measure h_* m."""
-
-    variant = "ConjugatedRotation"
 
     def __init__(self, alpha: float, h: ConjugacyDiffeo):
         self.alpha = canonicalize(float(alpha))
@@ -397,10 +357,6 @@ class ConjugatedRotation(CircleMap):
             out[lo:hi] = frac(self.h.eval(frac(y0 + i * self.alpha)))
         return out
 
-    def to_dict(self):
-        return {"variant": "ConjugatedRotation", "alpha": self.alpha,
-                "h": self.h.to_dict()}
-
 
 class Discretized(CircleMap):
     """T_N = P_N o T with P_N(x) = floor(N x)/N; range inside E_N = {i/N}.
@@ -409,9 +365,6 @@ class Discretized(CircleMap):
     grid nodes through a single integer-valued image function, so
     functional-graph analysis sees bit-exact transitions.
     """
-
-    variant = "Discretized"
-    orientation_preserving = False
 
     def __init__(self, inner: CircleMap, N: int):
         if isinstance(N, bool) or not isinstance(N, numbers.Integral):
@@ -447,70 +400,6 @@ class Discretized(CircleMap):
             out[lo:hi] = self._project(
                 self.inner.eval(np.arange(lo, hi) / self.N))
         return out
-
-    def contains_discretized(self):
-        return True
-
-    def to_dict(self):
-        return {"variant": "Discretized", "N": self.N,
-                "inner": self.inner.to_dict()}
-
-
-class Composition(CircleMap):
-    """Composition(maps) evaluates maps[0](maps[1](...maps[-1](x))).
-
-    The empty composition is the identity.
-    """
-
-    variant = "Composition"
-
-    def __init__(self, maps: List[CircleMap]):
-        self.maps = list(maps)
-
-    @_pointwise
-    def eval(self, x):
-        for m in reversed(self.maps):
-            x = m.eval(x)
-        return x
-
-    @_pointwise
-    def lift(self, x):
-        for m in reversed(self.maps):
-            x = m.lift(x)
-        return x
-
-    def contains_discretized(self):
-        return any(m.contains_discretized() for m in self.maps)
-
-    def to_dict(self):
-        return {"variant": "Composition",
-                "maps": [m.to_dict() for m in self.maps]}
-
-
-# --------------------------------------------------------- serialization
-
-def map_from_dict(d: dict) -> CircleMap:
-    v = d["variant"]
-    if v == "Rotation":
-        return Rotation(d["alpha"])
-    if v == "TunedFamily":
-        return TunedFamily(FourierSeries.from_json(json.dumps(d["u"])),
-                           d["epsilon"], d["c"])
-    if v == "AttractorRepeller":
-        prof = DiophantineProfile.from_json(json.dumps(d["profile"]))
-        return AttractorRepeller(d["alpha"], d["j"], prof, d["bump_strength"])
-    if v == "ConjugatedRotation":
-        h = ConjugacyDiffeo(d["h"]["a"], d["h"]["b"])
-        return ConjugatedRotation(d["alpha"], h)
-    if v == "Discretized":
-        return Discretized(map_from_dict(d["inner"]), d["N"])
-    if v == "Composition":
-        return Composition([map_from_dict(md) for md in d["maps"]])
-    raise ValueError(f"unknown map variant {v!r}")
-
-
-def map_from_json(s: str) -> CircleMap:
-    return map_from_dict(json.loads(s))
 
 
 # ------------------------------------------------------- rotation number
@@ -552,7 +441,7 @@ def rotation_number(m: CircleMap, iters: int = 1 << 15,
     Raises ConvergenceError carrying the best estimate if the bound
     exceeds tol; pass tol=None to always get the estimate.
     """
-    if m.contains_discretized():
+    if isinstance(m, Discretized):
         raise ValueError("rotation number undefined for discretized maps")
     if isinstance(m, Rotation):
         return RotationNumber(m.alpha, 0.0)

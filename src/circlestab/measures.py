@@ -112,7 +112,8 @@ class DiffeoInvariantDensity:
         return True
 
     def __repr__(self):
-        return f"DiffeoInvariantDensity(h={self.h.to_dict()})"
+        return (f"DiffeoInvariantDensity(a={self.h.a.tolist()}, "
+                f"b={self.h.b.tolist()})")
 
 
 class AtomicMeasure:

@@ -8,7 +8,6 @@ import pytest
 from circlestab.arithmetic import (
     GOLDEN_MEAN,
     SQRT2_MINUS_ONE,
-    DiophantineProfile,
     TruncationError,
     canonicalize,
     circle_dist,
@@ -238,10 +237,10 @@ def test_type_estimate_recovers_designed_exponent():
 
 def test_profile_json_round_trip():
     prof = continued_fraction(lacunary_alpha(3), 6)
-    back = DiophantineProfile.from_json(prof.to_json())
-    assert back.partial_quotients == prof.partial_quotients
-    assert [(c_.p, c_.q, c_.delta) for c_ in back.convergents] == \
-           [(c_.p, c_.q, c_.delta) for c_ in prof.convergents]
-    assert back.gamma_hat == prof.gamma_hat
-    assert back.alpha_exact == lacunary_alpha(3)
-    assert json.loads(prof.to_json())["alpha"] == prof.alpha
+    doc = json.loads(prof.to_json())
+    assert doc["partial_quotients"] == prof.partial_quotients
+    assert doc["convergents"] == [[c_.p, c_.q, c_.delta]
+                                  for c_ in prof.convergents]
+    assert doc["gamma_hat"] == prof.gamma_hat
+    assert Fraction(doc["alpha_exact"]) == lacunary_alpha(3)
+    assert doc["alpha"] == prof.alpha

@@ -32,7 +32,6 @@ from circlestab.maps import (
     AttractorRepeller,
     ConjugacyDiffeo,
     TunedFamily,
-    map_from_json,
 )
 from circlestab.measures import (
     AtomicMeasure,
@@ -88,11 +87,7 @@ NONFINITE_INPUTS = {
     "tuned inf c": lambda: TunedFamily(FourierSeries.cosine(), 0, math.inf),
     "fourier nan mean": lambda: FourierSeries({0: math.nan}),
     "fourier inf mode": lambda: FourierSeries([0.0, complex(0.0, math.inf)]),
-    "tuned json nan mode": lambda: map_from_json(json.dumps({
-        "variant": "TunedFamily", "epsilon": 0.1, "c": 0.3,
-        "u": {"type": "FourierSeries",
-              "coefficients": [[-1, math.nan, 0.0], [0, 0.0, 0.0],
-                               [1, math.nan, 0.0]]}})),
+    "fourier nan mode": lambda: FourierSeries({-1: math.nan, 1: math.nan}),
     "record nan w": lambda: ScalingRecord("f", 0.1, math.nan, "physical"),
     "record inf w": lambda: ScalingRecord("f", 0.1, math.inf, "physical"),
     "record nan size": lambda: ScalingRecord("f", math.nan, 0.1, "physical"),
@@ -232,9 +227,8 @@ def test_stability_record_reproducible_from_metadata():
     rec = stability_scan(cfg)[0]
     prof = continued_fraction(GOLDEN_MEAN, 12)
     rebuilt = AttractorRepeller(GOLDEN_MEAN, rec.metadata["j"], prof, 1.0)
-    import hashlib
-    h = hashlib.sha256(rebuilt.to_json().encode()).hexdigest()[:16]
-    assert h == rec.metadata["map_hash"]
+    assert (rebuilt.p, rebuilt.q) == (rec.metadata["p"], rec.metadata["q"])
+    assert rec.size_param == rebuilt.delta
 
 
 def test_discretization_grid_one_is_dirac():
@@ -483,6 +477,16 @@ def test_config_rejects_negative_burn_in(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, burn_in=-1)))
     assert cli(["stability", "--config", str(path)])[0] == 1
+
+
+def test_config_validates_the_conjugacy_the_scan_builds():
+    doc = dict(BASE_CONFIG, family="diffeo", ladder=[4], h_a=[], h_b=[0.1])
+    with pytest.raises(ValueError, match="equal length"):
+        ExperimentConfig.from_json(json.dumps(doc))
+    # no coefficients at all is the identity h, for validate and scan alike
+    doc = dict(BASE_CONFIG, family="diffeo", ladder=[4], h_a=[])
+    recs = discretization_scan(ExperimentConfig.from_json(json.dumps(doc)))
+    assert len(recs) == 3 and not recs.failures
 
 
 def test_cli_config_caps_the_orbit(tmp_path):

@@ -83,13 +83,6 @@ def test_algebra():
     assert FourierSeries.zero().is_zero()
 
 
-def test_json_round_trip():
-    u = FourierSeries.from_real_coeffs([0.3, 0.0, 0.1], [0.0, 0.2, 0.0], mean=1.0)
-    v = FourierSeries.from_json(u.to_json())
-    xs = RNG.uniform(0, 1, 50)
-    assert np.allclose(u.eval(xs), v.eval(xs), atol=0)
-
-
 def test_density_mean_validation():
     FourierDensity({0: 1.0, 1: 0.1})
     FourierDensity({0: 0.0, 1: 0.1})

@@ -4,23 +4,29 @@ the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for `frac`, the
 three-color walk of the functional graph, the Newton inverse of a
 `ConjugacyDiffeo` that evaluated its modes twice per step and the
 stepping loop of `CircleMap.orbit` with no repeat check.  Equality is
-bit for bit, except for the Holder fit, whose closed-form slopes agree
-with the per-resample `np.polyfit` loop to 1e-12 relative."""
+bit for bit, except for the least-squares fits: the closed-form slopes
+of the Holder fit agree with the per-resample `np.polyfit` loop to 1e-12
+relative, and the Diophantine type estimate agrees with the per-window
+`np.polyfit` loop to 1e-13 relative."""
 
 import functools
+import math
 import operator
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from circlestab.arithmetic import (
     GOLDEN_MEAN,
+    SQRT2_MINUS_ONE,
     canonicalize,
     continued_fraction,
     frac,
+    lacunary_alpha,
 )
 from circlestab.fourier import FourierSeries
 from circlestab.experiments import holder_fit
@@ -560,3 +566,51 @@ def test_holder_fit_solves_no_least_squares_per_resample(monkeypatch):
     monkeypatch.setattr(np, "polyfit", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     assert holder_fit(noisy_power_law(11)).ci[0] > 0.0
+
+
+# ------------------------------------------------------------ Diophantine type
+
+def type_estimate_loop(profile):
+    """diophantine_type_estimate with one np.polyfit per trailing window
+    of three or more points and the two-point slope taken by hand."""
+    conv = profile.convergents
+    lq = np.array([math.log(cv.q) for cv in conv])
+    li = np.array([-math.log(cv.delta) for cv in conv])
+    n = len(conv)
+    best = -math.inf
+    for start in range(n // 2, n - 1):
+        if n - start >= 3:
+            slope = np.polyfit(lq[start:], li[start:], 1)[0]
+        else:
+            slope = (li[-1] - li[start]) / (lq[-1] - lq[start])
+        best = max(best, slope - 1.0)
+    return max(best, 1.0)
+
+
+def typed_profiles(count, seed=0):
+    """Golden, sqrt2 and lacunary profiles at every depth, and profiles
+    of exact rationals with random partial quotients up to 10^6."""
+    out = [continued_fraction(a, k) for a in (GOLDEN_MEAN, SQRT2_MINUS_ONE)
+           for k in range(4, 31)]
+    out += [continued_fraction(lacunary_alpha(3), k) for k in range(4, 7)]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        quots = rng.integers(1, 10 ** int(rng.integers(1, 7)),
+                             int(rng.integers(6, 32))).tolist()
+        quots[-1] += 1  # a last quotient of 1 would shorten the expansion
+        val = Fraction(0)
+        for a in reversed(quots):
+            val = Fraction(1, a + val)
+        out.append(continued_fraction(val, len(quots) - 1))
+    return out
+
+
+def test_type_estimate_equals_polyfit_loop():
+    for prof in typed_profiles(300):
+        if prof.gamma_hat is None:  # a delta underflowed: no estimate
+            continue
+        want = type_estimate_loop(prof)
+        if want == 1.0:  # clamped at the floor: exactly, as before
+            assert prof.gamma_hat == 1.0
+        else:
+            assert prof.gamma_hat == pytest.approx(want, rel=1e-13, abs=0)

@@ -10,7 +10,6 @@ from circlestab.fourier import FourierDensity, FourierSeries
 from circlestab.invariant import DiffeoInvariantDensity
 from circlestab.maps import (
     AttractorRepeller,
-    Composition,
     ConjugacyDiffeo,
     ConjugatedRotation,
     Discretized,
@@ -30,14 +29,14 @@ MAPS = [
     AttractorRepeller(PROF.alpha, 5, PROF, 1.0),
     ConjugatedRotation(GOLDEN_MEAN, H),
     Discretized(ConjugatedRotation(GOLDEN_MEAN, H), 64),
-    Composition([Rotation(0.1), ConjugatedRotation(GOLDEN_MEAN, H)]),
 ]
 
 
 def _callables():
     out = [("frac", frac)]
     for m in MAPS:
-        out += [(f"{m.variant}.eval", m.eval), (f"{m.variant}.lift", m.lift)]
+        name = type(m).__name__
+        out += [(f"{name}.eval", m.eval), (f"{name}.lift", m.lift)]
     density = DiffeoInvariantDensity(H)
     out += [
         ("ConjugacyDiffeo.eval", H.eval),
@@ -64,7 +63,6 @@ IDS = [n for n, _ in CALLABLES]
 # stops its Newton steps on its own, so it takes the same steps as the
 # point on its own would.
 BATCH_DEPENDENT = {"ConjugatedRotation.eval", "ConjugatedRotation.lift",
-                   "Composition.eval", "Composition.lift",
                    "ConjugacyDiffeo.inverse",
                    "DiffeoInvariantDensity.density",
                    "DiffeoInvariantDensity.cdf"}
@@ -98,7 +96,7 @@ def test_batch_dependent_values_agree_within_newton_tolerance(name):
 
 
 @pytest.mark.parametrize("m", MAPS + [H],
-                         ids=[m.variant for m in MAPS] + ["ConjugacyDiffeo"])
+                         ids=[type(m).__name__ for m in MAPS + [H]])
 def test_calling_a_map_evaluates_it(m):
     assert m(0.3) == m.eval(0.3) and type(m(0.3)) is float
     assert np.array_equal(m(XS), m.eval(XS))
