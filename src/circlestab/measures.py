@@ -196,19 +196,30 @@ def _w_atomic_atomic(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return float(np.einsum("i,i->", seg, np.abs(G - c)))
 
 
-def _w_atomic_lebesgue(mu: AtomicMeasure) -> float:
-    """W(mu, m) = min_c integral |G - c| for the CDF gap G = F_mu - x.
+_MEDIAN_STEPS = 64  # guarded Newton steps for the x-median; bisection needs 54
 
-    G is linear of slope -1 between atoms; on the segment after atom k
-    it sweeps [W_k - p_{k+1}, W_k - p_k] with |G'| = 1, so G pushes
-    Lebesgue to a mixture of uniforms on those intervals, and c is the
-    median of the mixture, whose mass is taken at all interval ends at once.
+
+def _w_atomic_charted(mu: AtomicMeasure,
+                      h: Optional[ConjugacyDiffeo]) -> float:
+    """W(mu, h_* m) for atomic mu, closed form; h = None stands for m.
+
+    In the chart z = h^{-1}(x) the CDF gap is G = L_k - z, up to a
+    constant, on the piece [z_k, z_{k+1}] after atom k of level L_k.  G
+    sweeps [L_k - z_{k+1}, L_k - z_k] with |G'| = 1, so it pushes dz to
+    a mixture of uniforms.  c starts as the median of the mixture, whose
+    mass is taken at all interval ends at once; that is the answer for
+    m.  For h, Newton on the x-mass sum h(r_k) - h(z_k) = 1/2 of {G > c},
+    r_k = clip(L_k - c, z_k, z_{k+1}), moves c to the median under dx =
+    h'(z) dz; a step that leaves the bracket, or has slope 0, bisects.
+    With eta = h - id, each piece integrates by parts to
+    integral |G - c| dz + [|G - c| eta] + integral sign(G - c) eta.
     """
     p, w = mu.positions, mu.weights
-    W = np.cumsum(w)
-    p_next = np.append(p[1:], p[0] + 1.0)
-    hi = W - p
-    lo = W - p_next
+    z = p if h is None else h.inverse(p)
+    L = np.cumsum(w)
+    z_next = np.append(z[1:], z[0] + 1.0)
+    hi = L - z
+    lo = L - z_next
     lo_s = np.sort(lo)
     hi_s = np.sort(hi)
     clo = np.cumsum(np.append(0.0, lo_s))
@@ -225,9 +236,32 @@ def _w_atomic_lebesgue(mu: AtomicMeasure) -> float:
     else:
         dens = i[k - 1] - j[k - 1]
         c = float(ends[k - 1]) + (0.5 - masses[k - 1]) / max(dens, 1)
+    if h is not None:
+        eta = h.displacement_fn(z)
+        bracket = [float(lo_s[0]), float(hi_s[-1])]
+        for _ in range(_MEDIAN_STEPS):
+            r = np.clip(L - c, z, z_next)
+            # h(r) - h(z) summed as small terms, so c resolves to an ulp
+            excess = float(np.sum((r - z) + (h.displacement_fn(r) - eta))) \
+                - 0.5  # falls with c
+            bracket[excess <= 0.0] = c
+            slope = float(np.sum(h.deriv(r[(r > z) & (r < z_next)])))
+            new = c + excess / slope if slope > 0.0 else math.nan
+            if not bracket[0] <= new <= bracket[1]:
+                new = 0.5 * (bracket[0] + bracket[1])
+            step, c = abs(new - c), new
+            if step < 2.0 ** -52:  # below what L - c resolves
+                break
     # integral of |g - c| over each uniform piece, F(t) = t|t|/2
     F = lambda t: 0.5 * t * np.abs(t)
-    return float(np.sum(F(hi - c) - F(lo - c)))
+    piece = F(hi - c) - F(lo - c)
+    if h is not None:
+        dz = z_next - z
+        d = np.clip(hi - c, 0.0, dz)  # G > c on [z_k, z_k + d]
+        piece += (np.abs(lo - c) * np.roll(eta, -1) - np.abs(hi - c) * eta
+                  + 2.0 * h.displacement_integral(z, d)
+                  - h.displacement_integral(z, dz))
+    return float(np.sum(piece))
 
 
 # Continuous sides.  A measure whose quantile lift g = F^{-1} has a closed
@@ -272,25 +306,22 @@ def _monotone_pieces(G):
     return np.unique(np.asarray(frac(np.where(strict, e, t[turn]))))
 
 
-def _w_pieces(chart, a, b, level, S=None) -> float:
+def _w_pieces(chart, a, b, level, S) -> float:
     """min_c sum_i integral_{a_i}^{b_i} |level_i - S(phi) - c| dg(phi).
 
     g is the chart's quantile and G = level_i - S is monotone on each
-    piece [a_i, b_i]; the pieces tile one period.  S = None stands for
-    S(phi) = phi, whose roots are closed-form.  c is the median of G
-    under dx, found by bisection on m{G > c}.
+    piece [a_i, b_i]; the pieces tile one period.  c is the median of G
+    under dx, found by bisection on m{G > c}, and the roots of G - c by
+    bisection on each piece.
     """
     nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
     ga, gb = chart.quantile(a), chart.quantile(b)
-    Sa, Sb = (a, b) if S is None else (S(a), S(b))
-    Ga, Gb = level - Sa, level - Sb
+    Ga, Gb = level - S(a), level - S(b)
     down = Ga >= Gb
     sgn = np.where(down, 1.0, -1.0)  # sgn * (G - c) falls along a piece
 
     def root(c):
         """phi in [a, b] with G(phi) = c, clipped to the piece."""
-        if S is None:
-            return np.clip(level - c, a, b)
         r = _bisect(lambda x: sgn * (level - S(x) - c) > 0, a, b)
         r = np.where(sgn * (Gb - c) >= 0, b, r)
         return np.where(sgn * (Ga - c) <= 0, a, r)
@@ -316,23 +347,22 @@ def _w_pieces(chart, a, b, level, S=None) -> float:
         cut = slice(s, s + _PANELS_PER_CHUNK)
         half = 0.5 * width[cut]
         x = (left[cut] + half)[:, None] + half[:, None] * nodes
-        Sx = x if S is None else S(x)
-        f = np.abs(lev[panel[cut]][:, None] - Sx - c) * chart.quantile_deriv(x)
+        f = np.abs(lev[panel[cut]][:, None] - S(x) - c) \
+            * chart.quantile_deriv(x)
         total += float(np.einsum("ij,j,i->", f, weights, half))
     return total
 
 
 def _w_continuous(mu, nu) -> float:
-    """W(mu, nu) for continuous nu and mu atomic or continuous.
+    """W(mu, nu) for a FourierDensity side or two continuous sides.
 
     The chart is nu if its quantile is closed-form, else m; h_* m is
     preferred, since the other side's CDF is then cheap unless it is
     another h_* m.  In the chart's coordinates
-    G(phi) = F_mu(g(phi)) - F_nu(g(phi)).  Against an atomic mu, G is
-    level W_k minus S = F_nu o g on the piece after atom k, and S is
-    phi itself when nu is the chart, so the only root solves are the
-    chart's CDF at the atoms.  Otherwise G is smooth and is split at
-    its extrema.
+    G(phi) = F_mu(g(phi)) - F_nu(g(phi)).  Against an atomic mu, nu is
+    a FourierDensity, the chart is m and G is level L_k minus S = F_nu
+    on the piece after atom k.  Otherwise G is smooth and is split at
+    its extrema.  Atomic against m or h_* m is _w_atomic_charted.
     """
     charted = (LebesgueMeasure, DiffeoInvariantDensity)
     if isinstance(mu, charted) and not isinstance(nu,
@@ -342,10 +372,9 @@ def _w_continuous(mu, nu) -> float:
     own = chart is nu
     F_nu = lambda phi: phi if own else nu.cdf(chart.quantile(phi))
     if isinstance(mu, AtomicMeasure):
-        a = chart.cdf(mu.positions)
+        a = mu.positions
         b = np.append(a[1:], a[0] + 1.0)
-        return _w_pieces(chart, a, b, np.cumsum(mu.weights),
-                         None if own else F_nu)
+        return _w_pieces(chart, a, b, np.cumsum(mu.weights), F_nu)
     S = lambda phi: F_nu(phi) - mu.cdf(chart.quantile(phi))
     a = _monotone_pieces(lambda phi: -S(phi))
     b = np.append(a[1:], a[0] + 1.0)
@@ -392,23 +421,24 @@ def _check_probability(mu) -> None:
 def wasserstein(mu, nu) -> float:
     """Circular W1 distance between probability measures.
 
-    Closed-form for atomic/Lebesgue arguments.  A FourierDensity or
-    DiffeoInvariantDensity side goes to the continuous kernel, exact up
-    to the rounding of its Gauss-Legendre quadrature.
+    Closed form for an atomic side against an atomic, Lebesgue or
+    DiffeoInvariantDensity side, in either order.  A FourierDensity
+    side, or two continuous sides, go to the continuous kernel, exact
+    up to the rounding of its Gauss-Legendre quadrature.
     """
     _check_probability(mu)
     _check_probability(nu)
-    if isinstance(mu, LebesgueMeasure) and isinstance(nu, LebesgueMeasure):
-        return 0.0
-    if isinstance(mu, LebesgueMeasure):
-        return wasserstein(nu, mu)
+    if isinstance(nu, AtomicMeasure) and not isinstance(mu, AtomicMeasure):
+        mu, nu = nu, mu
     if isinstance(mu, AtomicMeasure):
-        if isinstance(nu, LebesgueMeasure):
-            return _w_atomic_lebesgue(mu)
         if isinstance(nu, AtomicMeasure):
             return _w_atomic_atomic(mu, nu)
-    elif isinstance(nu, AtomicMeasure):
-        mu, nu = nu, mu
+        if isinstance(nu, LebesgueMeasure):
+            return _w_atomic_charted(mu, None)
+        if isinstance(nu, DiffeoInvariantDensity):
+            return _w_atomic_charted(mu, nu.h)
+    elif isinstance(mu, LebesgueMeasure) and isinstance(nu, LebesgueMeasure):
+        return 0.0
     return _w_continuous(mu, nu)
 
 

@@ -14,9 +14,9 @@ from circlestab.measures import (
     AtomicMeasure,
     DiffeoInvariantDensity,
     LebesgueMeasure,
-    _w_atomic_lebesgue,
     wasserstein,
 )
+from test_kernels import w_lebesgue_loop
 
 M = LebesgueMeasure()
 LAWS = settings(derandomize=True, max_examples=150, deadline=None,
@@ -52,11 +52,11 @@ def test_w_to_lebesgue_is_rotation_invariant(pw, t):
 @LAWS
 @given(atomic_inputs())
 def test_w_to_identity_chart_is_w_to_lebesgue(pw):
-    # h = id makes h_* m Lebesgue, so the continuous kernel must agree
-    # with the closed-form one
+    # h = id makes h_* m Lebesgue, so the kernel's h branch must agree
+    # with the mass loop for m
     mu = AtomicMeasure(*pw)
     rho = DiffeoInvariantDensity(ConjugacyDiffeo.identity())
-    assert abs(wasserstein(mu, rho) - _w_atomic_lebesgue(mu)) <= 1e-15
+    assert abs(wasserstein(mu, rho) - w_lebesgue_loop(mu)) <= 1e-15
 
 
 @LAWS

@@ -1,12 +1,16 @@
 """The continuous W kernel (a FourierDensity or an h_* m side) against
 midpoint atomization, the path it replaced, kept as an oracle: the
 atomized W converges at rate M^-2 in the cell count M, so the Richardson
-value w_M + (w_M - w_{M/4}) / 15 cancels the leading error term."""
+value w_M + (w_M - w_{M/4}) / 15 cancels the leading error term.  The
+closed form for an atomic measure against h_* m against the
+Gauss-Legendre path it replaced, kept here as an oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlestab.arithmetic import GOLDEN_MEAN
 from circlestab.fourier import FourierDensity
@@ -21,10 +25,52 @@ from circlestab.measures import (
 )
 
 M = LebesgueMeasure()
+GL_POINTS = 12
+PIECE_MAX = 1.0 / 64
+BISECTIONS = 40
 CONJUGACIES = {
     "h_a=0.2": ConjugacyDiffeo([0.2]),
     "two-mode": ConjugacyDiffeo([0.2, 0.05], [0.0, 0.1]),
 }
+
+
+def bisect(right_of, lo, hi):
+    for _ in range(BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        right = right_of(mid)
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def w_gauss_legendre(mu, rho):
+    """W(mu, rho) for atomic mu and rho = h_* m or m, in the coordinates
+    phi = F_rho(x): G = L_k - phi on the piece after atom k, the median
+    c of G under dx by 40 rounds of bisection on the x-mass of {G > c},
+    and the integral by 12-point Gauss-Legendre on pieces split at the
+    root of G - c and at most 1/64 wide."""
+    nodes, weights = np.polynomial.legendre.leggauss(GL_POINTS)
+    a = rho.cdf(mu.positions)
+    b = np.append(a[1:], a[0] + 1.0)
+    level = np.cumsum(mu.weights)
+    ga = rho.quantile(a)
+
+    def above(c):
+        return np.sum(rho.quantile(np.clip(level - c, a, b)) - ga) > 0.5
+
+    c = float(bisect(above, np.min(level - b), np.max(level - a)))
+    r = np.clip(level - c, a, b)
+    lo, hi = np.concatenate([a, r]), np.concatenate([r, b])
+    lev = np.concatenate([level, level])
+    keep = hi > lo
+    lo, hi, lev = lo[keep], hi[keep], lev[keep]
+    k = np.ceil((hi - lo) / PIECE_MAX).astype(np.int64)
+    panel = np.repeat(np.arange(len(lo)), k)
+    j = np.arange(len(panel)) - np.repeat(np.cumsum(k) - k, k)
+    width = (hi - lo)[panel] / k[panel]
+    half = 0.5 * width
+    x = (lo[panel] + j * width + half)[:, None] + half[:, None] * nodes
+    f = np.abs(lev[panel][:, None] - x - c) * rho.quantile_deriv(x)
+    return float(np.einsum("ij,j,i->", f, weights, half))
 
 
 def richardson(mu, nu_cdf_cells):
@@ -51,6 +97,57 @@ def test_kernel_matches_richardson_oracle_on_discretized_measures(diffeo, N):
         w = wasserstein(rho, mu)
         assert abs(w - richardson(mu, cells)) <= 1e-7 * w
         assert wasserstein(mu, rho) == w
+
+
+def assert_matches_gauss_legendre(mu, rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = wasserstein(mu, rho)
+        assert abs(w - w_gauss_legendre(mu, rho)) <= 1e-12 * w
+        assert wasserstein(rho, mu) == w
+
+
+@pytest.mark.parametrize("N", [100, 1000, 10_000, 100_000])
+def test_closed_form_matches_gauss_legendre_on_discretized_measures(diffeo,
+                                                                    N):
+    h, rho, _ = diffeo
+    analysis = analyze_functional_graph(
+        Discretized(ConjugatedRotation(GOLDEN_MEAN, h), N), N)
+    for mu in [analysis.physical_measure] + analysis.cycle_measures:
+        assert_matches_gauss_legendre(mu, rho)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0 - 1e-16])
+def test_closed_form_matches_gauss_legendre_on_a_dirac(diffeo, x):
+    assert_matches_gauss_legendre(AtomicMeasure.dirac(x), diffeo[1])
+
+
+def test_closed_form_matches_gauss_legendre_on_atoms_2e_15_apart(diffeo):
+    mu = AtomicMeasure([0.4, 0.4 + 2e-15, 0.9], [0.25, 0.5, 0.25])
+    assert len(mu) == 3
+    assert_matches_gauss_legendre(mu, diffeo[1])
+
+
+@st.composite
+def atomic_and_diffeo(draw):
+    k = draw(st.integers(1, 300))
+    p = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                               min_size=k, max_size=k)))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k,
+                               max_size=k)))
+    modes = draw(st.integers(1, 3))
+    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * modes,
+                               max_size=2 * modes)))
+    total = float(np.sum(np.abs(c)))
+    c *= draw(st.floats(0.0, 0.95)) / total if total > 0 else 0.0
+    return (AtomicMeasure(p, w / np.sum(w)),
+            DiffeoInvariantDensity(ConjugacyDiffeo(c[:modes], c[modes:])))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(atomic_and_diffeo())
+def test_closed_form_matches_gauss_legendre_on_random_pairs(pair):
+    assert_matches_gauss_legendre(*pair)
 
 
 def test_diffeo_vs_lebesgue_matches_richardson_oracle(diffeo):
