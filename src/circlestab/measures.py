@@ -176,6 +176,25 @@ Measure = Union[AtomicMeasure, LebesgueMeasure, FourierDensity,
 
 # ---------------------------------------------------------------- W distance
 
+def _levels(w: np.ndarray) -> np.ndarray:
+    """Prefix sums of w, correctly rounded: np.cumsum plus the running
+    sum of each step's rounding error, recovered exactly by TwoSum.
+    Worked in place, block by block, in the order of one np.cumsum."""
+    s = np.cumsum(w)
+    prev = carry = 0.0  # the last block's final sum and running error
+    for lo in range(0, len(s), _BLOCK):
+        sk, wk = s[lo:lo + _BLOCK], w[lo:lo + _BLOCK]
+        a = np.concatenate(([prev], sk[:-1]))  # sk = a + wk, rounded
+        prev = sk[-1]
+        b = sk - a
+        e = (a - (sk - b)) + (wk - b)
+        e[0] += carry
+        np.cumsum(e, out=e)
+        carry = e[-1]
+        sk += e
+    return s
+
+
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     o = np.argsort(values)
     cw = np.cumsum(weights[o])
@@ -189,7 +208,7 @@ def _w_atomic_atomic(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     upos, inv = np.unique(pos, return_inverse=True)
     jump = np.zeros(len(upos))
     np.add.at(jump, inv, sgn)
-    G = np.cumsum(jump)  # F_mu - F_nu on [upos_k, upos_{k+1})
+    G = _levels(jump)  # F_mu - F_nu on [upos_k, upos_{k+1})
     seg = np.diff(np.append(upos, upos[0] + 1.0))
     c = _weighted_median(G, seg)
     # einsum's sum does not depend on the BLAS thread count; np.dot's does
@@ -216,7 +235,7 @@ def _w_atomic_charted(mu: AtomicMeasure,
     """
     p, w = mu.positions, mu.weights
     z = p if h is None else h.inverse(p)
-    L = np.cumsum(w)
+    L = _levels(w)
     z_next = np.append(z[1:], z[0] + 1.0)
     hi = L - z
     lo = L - z_next
@@ -374,7 +393,7 @@ def _w_continuous(mu, nu) -> float:
     if isinstance(mu, AtomicMeasure):
         a = mu.positions
         b = np.append(a[1:], a[0] + 1.0)
-        return _w_pieces(chart, a, b, np.cumsum(mu.weights), F_nu)
+        return _w_pieces(chart, a, b, _levels(mu.weights), F_nu)
     S = lambda phi: F_nu(phi) - mu.cdf(chart.quantile(phi))
     a = _monotone_pieces(lambda phi: -S(phi))
     b = np.append(a[1:], a[0] + 1.0)

@@ -1,6 +1,7 @@
 """The array kernels against the per-element code they replaced, kept
-here as oracles: W to Lebesgue with one `mass(t)` call per breakpoint,
-the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for `frac`, the
+here as oracles: the CDF levels against prefix sums taken exactly in
+integers, W to Lebesgue with one `mass(t)` call per breakpoint on those
+exact levels, the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for `frac`, the
 three-color walk of the functional graph, the Newton inverse of a
 `ConjugacyDiffeo` that evaluated its modes twice per step and the
 stepping loop of `CircleMap.orbit` with no repeat check.  Equality is
@@ -45,6 +46,7 @@ from circlestab.measures import (
     MERGE_TOL,
     AtomicMeasure,
     LebesgueMeasure,
+    _levels,
     cesaro_average,
     wasserstein,
 )
@@ -52,10 +54,22 @@ from circlestab.measures import (
 M = LebesgueMeasure()
 
 
+def exact_levels(w):
+    """Prefix sums of w rounded once: each w_i = m_i 2^e_i is split by
+    np.frexp and summed as an integer multiple of the smallest ulp."""
+    m, e = np.frexp(w)
+    shift = int(np.min(e)) - 53
+    total, out = 0, []
+    for mi, ei in zip(m.tolist(), e.tolist()):
+        total += int(mi * 2.0 ** 53) << (ei - 53 - shift)
+        out.append(math.ldexp(float(total), shift))  # int to float rounds
+    return np.array(out)
+
+
 def w_lebesgue_loop(mu):
     """W(mu, m) with one Python mass(t) call per breakpoint."""
     p, w = mu.positions, mu.weights
-    W = np.cumsum(w)
+    W = exact_levels(w)
     p_next = np.append(p[1:], p[0] + 1.0)
     hi = W - p
     lo = W - p_next
@@ -104,6 +118,26 @@ def merge_loop(positions, weights):
 
 def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# ------------------------------------------------------------ CDF levels
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_levels_equal_exact_prefix_sums(n):
+    rng = np.random.default_rng(n)
+    w = rng.dirichlet(np.ones(n))
+    assert np.array_equal(bits(_levels(w)), bits(exact_levels(w)))
+    # the signed jumps of two measures, as W between atomic measures sums
+    jump = w * rng.choice([-1.0, 1.0], n)
+    assert np.array_equal(bits(_levels(jump)), bits(exact_levels(jump)))
+    # np.cumsum drifts by tens of ulps at these sizes
+    assert not np.array_equal(np.cumsum(w), exact_levels(w))
+
+
+def test_w_uniform_million_grid_is_quarter_spacing_to_4_ulp():
+    n = 10 ** 6
+    w = wasserstein(AtomicMeasure.uniform(np.arange(n) / n), M)
+    assert abs(w - 0.25 / n) <= 4 * np.spacing(0.25 / n)
 
 
 # ------------------------------------------------------------ W to Lebesgue

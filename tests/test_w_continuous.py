@@ -23,6 +23,7 @@ from circlestab.measures import (
     atomize_by_cdf,
     wasserstein,
 )
+from test_kernels import exact_levels
 
 M = LebesgueMeasure()
 GL_POINTS = 12
@@ -44,14 +45,15 @@ def bisect(right_of, lo, hi):
 
 def w_gauss_legendre(mu, rho):
     """W(mu, rho) for atomic mu and rho = h_* m or m, in the coordinates
-    phi = F_rho(x): G = L_k - phi on the piece after atom k, the median
+    phi = F_rho(x): G = L_k - phi on the piece after atom k (L_k the
+    exact CDF levels), the median
     c of G under dx by 40 rounds of bisection on the x-mass of {G > c},
     and the integral by 12-point Gauss-Legendre on pieces split at the
     root of G - c and at most 1/64 wide."""
     nodes, weights = np.polynomial.legendre.leggauss(GL_POINTS)
     a = rho.cdf(mu.positions)
     b = np.append(a[1:], a[0] + 1.0)
-    level = np.cumsum(mu.weights)
+    level = exact_levels(mu.weights)
     ga = rho.quantile(a)
 
     def above(c):
