@@ -92,31 +92,10 @@ class FourierSeries:
         c[0] = c[0].real
         self._c = c
 
-    # -------------------------------------------------- constructors
-
     @classmethod
     def cosine(cls, k: int = 1, amplitude: float = 1.0, mean: float = 0.0):
         """amplitude * cos(2 pi k x) + mean"""
-        d = {0: mean, k: amplitude / 2.0}
-        return cls(d)
-
-    @classmethod
-    def sine(cls, k: int = 1, amplitude: float = 1.0, mean: float = 0.0):
-        """amplitude * sin(2 pi k x) + mean"""
-        d = {0: mean, k: amplitude / (2.0j)}
-        return cls(d)
-
-    @classmethod
-    def from_real_coeffs(cls, a, b, mean: float = 0.0):
-        """sum_n a[n-1] cos(2 pi n x) + b[n-1] sin(2 pi n x) + mean"""
-        d = {0: mean}
-        for i, (an, bn) in enumerate(zip(a, b)):
-            d[i + 1] = (an - 1j * bn) / 2.0
-        return cls(d)
-
-    @classmethod
-    def zero(cls):
-        return cls([0.0])
+        return cls({0: mean, k: amplitude / 2.0})
 
     # -------------------------------------------------- accessors
 
@@ -175,23 +154,6 @@ class FourierSeries:
     def sup_norm_bound(self) -> float:
         """Rigorous bound sup|u| <= |u_hat(0)| + 2 sum_{n>=1} |u_hat(n)|."""
         return float(abs(self._c[0]) + 2.0 * np.sum(np.abs(self._c[1:])))
-
-    # -------------------------------------------------- algebra
-
-    def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        n = max(self.n_max, other.n_max)
-        c = np.zeros(n + 1, dtype=complex)
-        c[: self.n_max + 1] += self._c
-        c[: other.n_max + 1] += other._c
-        return FourierSeries(c)
-
-    def __mul__(self, s: float) -> "FourierSeries":
-        return FourierSeries(self._c * float(s))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FourierSeries":
-        return FourierSeries(-self._c)
 
     def is_zero(self) -> bool:
         return bool(np.all(self._c == 0))

@@ -282,20 +282,15 @@ class ConjugacyDiffeo:
         self._dh = np.ones(len(a) + 1, dtype=complex)
         self._dh.real[1:], self._dh.imag[1:] = a / 2.0, b / 2.0
 
-    @classmethod
-    def identity(cls):
-        return cls([0.0], [0.0])
-
     def displacement_fn(self, x):
         """h(x) - x, periodic."""
         return _trig_sums([self._eta], x)[0]
 
     def displacement_integral(self, x, d):
-        """integral of h - id over [x, x + d], each mode of h - id taken
-        at the midpoint times sin(pi n d) / (pi n), so that a short
-        interval loses no digits to a difference of antiderivatives."""
-        mid = np.asarray(x + 0.5 * d, dtype=float)
-        out = np.zeros(mid.shape)
+        """integral of h - id over [x, x + d] as sin(pi n d) / (pi n) times
+        each mode at the midpoint: no antiderivative values cancel."""
+        mid = x + 0.5 * d
+        out = np.zeros_like(mid)
         for n in np.flatnonzero(self._eta):
             mode = np.zeros(n + 1, dtype=complex)
             mode[n] = self._eta[n]

@@ -2,17 +2,17 @@
 the W distance, discrepancy, Denjoy-Koksma checks, bounded-variation
 observables, pushforward and Cesaro averaging.
 
-W is the circular 1-Wasserstein distance, computed exactly as
-min_c integral |F_mu - F_nu - c| dx (the sup-norm constraint of the
-underlying dual norm is inactive for probability pairs since any
-1-Lipschitz potential on a diameter-1/2 space recenters into [-1/4,1/4]).
-Atomic-atomic and atomic-Lebesgue cases are closed-form.  Against a
-continuous measure (a trig-polynomial density, or the invariant measure
-h_* m of a conjugated rotation) the integral is taken in the
-coordinates phi = F(x) of a measure with a closed-form quantile
-(Rabin-Delon-Gousseau, J. Math. Imaging Vis. 41, 2011; Cabrelli-Molter,
-J. Comput. Appl. Math. 57, 1995), by Gauss-Legendre on pieces where the
-integrand is smooth, so its error is at rounding level.
+W is the circular 1-Wasserstein distance min_c integral |F_mu - F_nu - c| dx
+(the sup-norm constraint of the underlying dual norm is inactive for
+probability pairs since any 1-Lipschitz potential on a diameter-1/2
+space recenters into [-1/4,1/4]).  An atomic measure against an atomic
+one, m or the invariant measure h_* m of a conjugated rotation is closed
+form, exact up to the rounding of correctly rounded CDF levels.  Against
+a trig-polynomial density, and between continuous measures, the integral
+is taken in the coordinates phi = F(x) of a measure with a closed-form
+quantile (Rabin-Delon-Gousseau, J. Math. Imaging Vis. 41, 2011;
+Cabrelli-Molter, J. Comput. Appl. Math. 57, 1995), by Gauss-Legendre on
+pieces where the integrand is smooth, so its error is at rounding level.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -78,8 +78,9 @@ class LebesgueMeasure:
 class DiffeoInvariantDensity:
     """Invariant measure h_* m of T = h o R_alpha o h^{-1}.
 
-    Density 1/h'(h^{-1}(x)) and CDF h^{-1}(x) - h^{-1}(0).  Its quantile
-    h(h^{-1}(0) + phi) is closed-form, so wasserstein takes it as the
+    Density 1/h'(h^{-1}(x)) and CDF h^{-1}(x) - h^{-1}(0).  W against an
+    atomic measure is closed form in the chart z = h^{-1}(x); against a
+    continuous one the closed-form quantile h(h^{-1}(0) + phi) is the
     chart of the continuous kernel.
     """
 
@@ -106,10 +107,6 @@ class DiffeoInvariantDensity:
     @_pointwise
     def quantile_deriv(self, phi):
         return self.h.deriv(self._inv0 + phi)
-
-    @property
-    def is_probability(self) -> bool:
-        return True
 
     def __repr__(self):
         return (f"DiffeoInvariantDensity(a={self.h.a.tolist()}, "
@@ -170,16 +167,11 @@ class AtomicMeasure:
                 and np.array_equal(self.weights, other.weights))
 
 
-Measure = Union[AtomicMeasure, LebesgueMeasure, FourierDensity,
-                DiffeoInvariantDensity]
-
-
 # ---------------------------------------------------------------- W distance
 
 def _levels(w: np.ndarray) -> np.ndarray:
-    """Prefix sums of w, correctly rounded: np.cumsum plus the running
-    sum of each step's rounding error, recovered exactly by TwoSum.
-    Worked in place, block by block, in the order of one np.cumsum."""
+    """Correctly rounded prefix sums of w: np.cumsum plus the running sum
+    of each step's rounding error, recovered exactly by TwoSum, in place."""
     s = np.cumsum(w)
     prev = carry = 0.0  # the last block's final sum and running error
     for lo in range(0, len(s), _BLOCK):
@@ -225,44 +217,36 @@ def _w_atomic_charted(mu: AtomicMeasure,
     In the chart z = h^{-1}(x) the CDF gap is G = L_k - z, up to a
     constant, on the piece [z_k, z_{k+1}] after atom k of level L_k.  G
     sweeps [L_k - z_{k+1}, L_k - z_k] with |G'| = 1, so it pushes dz to
-    a mixture of uniforms.  c starts as the median of the mixture, whose
-    mass is taken at all interval ends at once; that is the answer for
-    m.  For h, Newton on the x-mass sum h(r_k) - h(z_k) = 1/2 of {G > c},
-    r_k = clip(L_k - c, z_k, z_{k+1}), moves c to the median under dx =
-    h'(z) dz; a step that leaves the bracket, or has slope 0, bisects.
+    a mixture of uniforms, whose median, taken at all interval ends at
+    once, is c for m.  For h, Newton on the x-mass of {G > c},
+    sum h(r_k) - h(z_k) = 1/2 with r_k = clip(L_k - c, z_k, z_{k+1}),
+    finishes c; a step that leaves the bracket, or has slope 0, bisects.
     With eta = h - id, each piece integrates by parts to
     integral |G - c| dz + [|G - c| eta] + integral sign(G - c) eta.
     """
-    p, w = mu.positions, mu.weights
-    z = p if h is None else h.inverse(p)
-    L = _levels(w)
+    z = mu.positions if h is None else h.inverse(mu.positions)
+    L = _levels(mu.weights)
     z_next = np.append(z[1:], z[0] + 1.0)
-    hi = L - z
-    lo = L - z_next
-    lo_s = np.sort(lo)
-    hi_s = np.sort(hi)
-    clo = np.cumsum(np.append(0.0, lo_s))
-    chi = np.cumsum(np.append(0.0, hi_s))
+    hi, lo = L - z, L - z_next
+    lo_s, hi_s = np.sort(lo), np.sort(hi)
+    clo, chi = (np.cumsum(np.append(0.0, s)) for s in (lo_s, hi_s))
 
     # mass(t) = sum clip(t - lo, 0, hi - lo) at every interval end t
     ends = np.unique(np.concatenate([lo, hi]))
     i = np.searchsorted(lo_s, ends, side="right")
     j = np.searchsorted(hi_s, ends, side="right")
     masses = (ends * i - clo[i]) - (ends * j - chi[j])  # increasing
-    k = int(np.searchsorted(masses, 0.5))
-    if k == 0:
-        c = float(ends[0])
-    else:
-        dens = i[k - 1] - j[k - 1]
-        c = float(ends[k - 1]) + (0.5 - masses[k - 1]) / max(dens, 1)
+    k = int(np.searchsorted(masses, 0.5))  # >= 1: no mass below min(lo)
+    dens = i[k - 1] - j[k - 1]
+    c = float(ends[k - 1]) + (0.5 - masses[k - 1]) / max(dens, 1)
     if h is not None:
         eta = h.displacement_fn(z)
         bracket = [float(lo_s[0]), float(hi_s[-1])]
         for _ in range(_MEDIAN_STEPS):
             r = np.clip(L - c, z, z_next)
-            # h(r) - h(z) summed as small terms, so c resolves to an ulp
-            excess = float(np.sum((r - z) + (h.displacement_fn(r) - eta))) \
-                - 0.5  # falls with c
+            # h(r) - h(z) as small terms, so c resolves to an ulp
+            excess = float(np.sum((r - z) + (h.displacement_fn(r) - eta)))
+            excess -= 0.5  # falls with c
             bracket[excess <= 0.0] = c
             slope = float(np.sum(h.deriv(r[(r > z) & (r < z_next)])))
             new = c + excess / slope if slope > 0.0 else math.nan
@@ -391,13 +375,12 @@ def _w_continuous(mu, nu) -> float:
     own = chart is nu
     F_nu = lambda phi: phi if own else nu.cdf(chart.quantile(phi))
     if isinstance(mu, AtomicMeasure):
-        a = mu.positions
-        b = np.append(a[1:], a[0] + 1.0)
-        return _w_pieces(chart, a, b, _levels(mu.weights), F_nu)
-    S = lambda phi: F_nu(phi) - mu.cdf(chart.quantile(phi))
-    a = _monotone_pieces(lambda phi: -S(phi))
-    b = np.append(a[1:], a[0] + 1.0)
-    return _w_pieces(chart, a, b, np.zeros(len(a)), S)
+        a, level, S = mu.positions, _levels(mu.weights), F_nu
+    else:
+        S = lambda phi: F_nu(phi) - mu.cdf(chart.quantile(phi))
+        a = _monotone_pieces(lambda phi: -S(phi))
+        level = np.zeros(len(a))
+    return _w_pieces(chart, a, np.append(a[1:], a[0] + 1.0), level, S)
 
 
 def atomize_by_cdf(cdf: Callable, cells: int) -> AtomicMeasure:
@@ -452,10 +435,8 @@ def wasserstein(mu, nu) -> float:
     if isinstance(mu, AtomicMeasure):
         if isinstance(nu, AtomicMeasure):
             return _w_atomic_atomic(mu, nu)
-        if isinstance(nu, LebesgueMeasure):
-            return _w_atomic_charted(mu, None)
-        if isinstance(nu, DiffeoInvariantDensity):
-            return _w_atomic_charted(mu, nu.h)
+        if isinstance(nu, (LebesgueMeasure, DiffeoInvariantDensity)):
+            return _w_atomic_charted(mu, getattr(nu, "h", None))
     elif isinstance(mu, LebesgueMeasure) and isinstance(nu, LebesgueMeasure):
         return 0.0
     return _w_continuous(mu, nu)

@@ -187,7 +187,7 @@ def test_birkhoff_w_decreases_for_uniquely_ergodic():
 
 def test_identity_density_is_one():
     rho = invariant_measure_of_diffeo(
-        ConjugatedRotation(GOLDEN_MEAN, ConjugacyDiffeo.identity()))
+        ConjugatedRotation(GOLDEN_MEAN, ConjugacyDiffeo([0.0])))
     xs = np.linspace(0, 1, 101)
     assert np.allclose(rho.density(xs), 1.0, atol=1e-13)
     assert np.allclose(rho.cdf(xs), xs, atol=1e-13)

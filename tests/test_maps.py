@@ -319,7 +319,7 @@ def test_orbit_rejects_negative_length_or_burn_in(m):
 
 @pytest.mark.parametrize("m", [
     Discretized(ConjugatedRotation(GOLDEN_MEAN, H), 1000),
-    TunedFamily(FourierSeries.from_real_coeffs([0.3, 0.1], [0.2, 0.05]),
+    TunedFamily(FourierSeries({1: 0.15 - 0.1j, 2: 0.05 - 0.025j}),
                 0.1, 0.4)], ids=lambda m: type(m).__name__)
 def test_stepped_orbit_is_iterated_eval(m):
     # scalar_step is eval itself, or a float closure with eval's values

@@ -43,7 +43,7 @@ def _callables():
         ("ConjugacyDiffeo.deriv", H.deriv),
         ("ConjugacyDiffeo.inverse", H.inverse),
         ("FourierSeries.eval",
-         FourierSeries.from_real_coeffs([0.3, 0.0, 0.2], [0.1, 0.4, 0.0]).eval),
+         FourierSeries({1: 0.15 - 0.05j, 2: -0.2j, 3: 0.1}).eval),
         ("FourierDensity.cdf", FourierDensity({0: 1.0, 1: 0.2, 3: 0.1j}).cdf),
         ("LebesgueMeasure.cdf", LebesgueMeasure().cdf),
         ("DiffeoInvariantDensity.density", density.density),

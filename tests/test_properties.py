@@ -14,6 +14,7 @@ from circlestab.measures import (
     AtomicMeasure,
     DiffeoInvariantDensity,
     LebesgueMeasure,
+    discrepancy,
     wasserstein,
 )
 from test_kernels import w_lebesgue_loop
@@ -50,12 +51,36 @@ def test_w_to_lebesgue_is_rotation_invariant(pw, t):
 
 
 @LAWS
+@given(atomic_inputs(), atomic_inputs())
+def test_w_atomic_is_symmetric_and_zero_on_the_diagonal(pw, qw):
+    mu, nu = AtomicMeasure(*pw), AtomicMeasure(*qw)
+    assert wasserstein(mu, nu) == wasserstein(nu, mu)
+    assert wasserstein(mu, mu) == 0.0
+
+
+@LAWS
+@given(atomic_inputs(), atomic_inputs(), atomic_inputs())
+def test_w_atomic_triangle_inequality(pw, qw, rw):
+    a, b, c = (AtomicMeasure(*x) for x in (pw, qw, rw))
+    assert wasserstein(a, b) <= wasserstein(a, c) + wasserstein(c, b) + 1e-12
+
+
+@LAWS
+@given(atomic_inputs(), atomic_inputs(), unit)
+def test_w_atomic_is_rotation_invariant(pw, qw, t):
+    (p, w), (q, v) = pw, qw
+    assert math.isclose(
+        wasserstein(AtomicMeasure(p + t, w), AtomicMeasure(q + t, v)),
+        wasserstein(AtomicMeasure(p, w), AtomicMeasure(q, v)), abs_tol=1e-12)
+
+
+@LAWS
 @given(atomic_inputs())
 def test_w_to_identity_chart_is_w_to_lebesgue(pw):
     # h = id makes h_* m Lebesgue, so the kernel's h branch must agree
     # with the mass loop for m
     mu = AtomicMeasure(*pw)
-    rho = DiffeoInvariantDensity(ConjugacyDiffeo.identity())
+    rho = DiffeoInvariantDensity(ConjugacyDiffeo([0.0]))
     assert abs(wasserstein(mu, rho) - w_lebesgue_loop(mu)) <= 1e-15
 
 
@@ -64,6 +89,13 @@ def test_w_to_identity_chart_is_w_to_lebesgue(pw):
 def test_w_uniform_grid_to_lebesgue_is_quarter_spacing(n):
     mu = AtomicMeasure.uniform(np.arange(n) / n)
     assert math.isclose(wasserstein(mu, M), 1.0 / (4 * n), abs_tol=1e-14)
+
+
+@LAWS
+@given(st.integers(1, 10_000))
+def test_discrepancy_of_grid_is_one_over_n(n):
+    # the exact formula differences O(1) terms, so its error is absolute
+    assert abs(discrepancy(np.arange(n) / n).value - 1.0 / n) <= 1e-15
 
 
 @LAWS

@@ -172,5 +172,5 @@ def test_conjugacy_is_none_where_it_is_not_carried():
     # sum(|a_n| + |b_n|) is about 4.7 here, so no ConjugacyDiffeo
     assert tune_rotation_number(u, 0.15, GOLDEN_MEAN)[0].conjugacy is None
     assert tune_rotation_number(u, 0.0, GOLDEN_MEAN)[0].conjugacy is None
-    assert tune_rotation_number(FourierSeries.zero(), 0.1,
+    assert tune_rotation_number(FourierSeries([0.0]), 0.1,
                                 GOLDEN_MEAN)[0].conjugacy is None
