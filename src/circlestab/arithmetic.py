@@ -81,6 +81,14 @@ def _pointwise(fn):
     return wrapped
 
 
+def _frac_into(x, out):
+    """frac of the float array x written to out, which must not alias x."""
+    np.floor(x, out=out)
+    np.subtract(x, out, out=out)
+    out[out >= 1.0] = 0.0
+    return out
+
+
 @_pointwise
 def frac(x):
     """Fractional part mapped into [0, 1); works on scalars and arrays.
@@ -88,10 +96,7 @@ def frac(x):
     x - floor(x) is x % 1.0 bit for bit (NaN for NaN and inf) at under
     half the cost; a tiny negative x rounds up to 1.0, folded back to 0.
     """
-    r = np.floor(x, out=np.empty_like(x))
-    np.subtract(x, r, out=r)
-    r[r >= 1.0] = 0.0
-    return r
+    return _frac_into(x, np.empty_like(x))
 
 
 def canonicalize(x: float) -> CirclePoint:

@@ -21,9 +21,9 @@ import numpy as np
 from .arithmetic import (
     GOLDEN_MEAN,
     SQRT2_MINUS_ONE,
+    _frac_into,
     _ols,
     continued_fraction,
-    frac,
 )
 from .errors import CircleStabError, InsufficientDataError
 from .invariant import (
@@ -42,8 +42,9 @@ from .maps import (
 from .measures import (
     AtomicMeasure,
     LebesgueMeasure,
+    _discrepancy_sorted,
+    _dk_verdict,
     bv_library,
-    dk_check,
     pushforward,
     wasserstein,
 )
@@ -409,18 +410,25 @@ def holder_fit(records, bootstrap: int = 1000,
 def run_dk_suite(cases: int = 1000, seed: int = 0,
                  alpha: Union[str, float] = "golden"):
     """Randomized Denjoy-Koksma check on orbits of 10..1e5 points;
-    returns (violations, checked)."""
-    if cases < 1:
-        raise ValueError(f"cases must be >= 1, got {cases}")
+    returns (violations, checked).  Each case is dk_check on frac(x0 +
+    i*alpha), i = 1..N, bit for bit, taken on reused orbit buffers."""
+    if not _is_a(cases, Integral) or cases < 1:
+        raise ValueError(f"cases must be >= 1 (an integer), got {cases!r}")
     a, _ = resolve_alpha(alpha)
+    return sum(not c.ok for c in _dk_cases(cases, seed, a)), cases
+
+
+def _dk_cases(cases: int, seed: int, a: float):
+    """The suite's checks, one per case, in the order the seed draws."""
     rng = np.random.default_rng(seed)
     lib = bv_library()
-    bad = 0
+    ia = np.arange(1, 10 ** 5 + 1) * a
+    shifted, orbit = np.empty_like(ia), np.empty_like(ia)
     for _ in range(cases):
         x0 = rng.uniform()
         N = int(rng.integers(10, 10 ** 5 + 1))
         f = lib[int(rng.integers(0, len(lib)))]
-        orb = frac(x0 + np.arange(1, N + 1) * a)
-        if not dk_check(f, orb).ok:
-            bad += 1
-    return bad, cases
+        orb = _frac_into(np.add(x0, ia[:N], out=shifted[:N]), orbit[:N])
+        mean = float(np.mean(f.eval(orb)))  # summed in orbit order
+        orb.sort()  # already in [0, 1) and finite: alpha is finite
+        yield _dk_verdict(f, mean, _discrepancy_sorted(orb))

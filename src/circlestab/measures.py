@@ -521,7 +521,8 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
 
     mode: 'auto' (exact up to N = 1e4, enclosure beyond), 'exact', or
     'enclosure'.  The enclosure is [D*, 2 D*] from the exact star
-    discrepancy.  The value lies in [1/N, 1].
+    discrepancy.  The value lies in [1/N, 1].  The points are checked,
+    and a sorted copy reduced mod 1 goes to _discrepancy_sorted.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if len(pts) == 0:
@@ -532,6 +533,11 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
         raise ValueError(f"unknown mode {mode!r}")
     x = frac(pts)  # a fresh array, so sorting it leaves points alone
     x.sort()
+    return _discrepancy_sorted(x, mode)
+
+
+def _discrepancy_sorted(x, mode: str = "auto") -> DiscrepancyResult:
+    """discrepancy of points already finite, in [0, 1) and sorted."""
     n = len(x)
     star = _star_discrepancy(x)
     want_exact = mode == "exact" or (mode == "auto"
@@ -741,7 +747,11 @@ def dk_check(f: BVObservable, points) -> DKCheck:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if len(pts) == 0:
         raise ValueError("empty point set")
-    lhs = abs(float(np.mean(f.eval(pts))) - f.integral)
-    d = discrepancy(pts)
+    return _dk_verdict(f, float(np.mean(f.eval(pts))), discrepancy(pts))
+
+
+def _dk_verdict(f, mean: float, d: DiscrepancyResult) -> DKCheck:
+    """The check from the point mean of f and the points' discrepancy."""
+    lhs = abs(mean - f.integral)
     bound = f.variation * d.value
     return DKCheck(lhs=lhs, bound=bound, ok=bool(lhs <= bound + 1e-12))

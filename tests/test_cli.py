@@ -123,6 +123,10 @@ OUT_OF_DOMAIN_SAMPLES = {
     "holder_fit bootstrap '10'": lambda: holder_fit(LINE, bootstrap="10"),
     "dk suite cases -5": lambda: run_dk_suite(cases=-5),
     "dk suite cases 0": lambda: run_dk_suite(cases=0),
+    "dk suite cases True": lambda: run_dk_suite(cases=True),
+    "dk suite cases 2.5": lambda: run_dk_suite(cases=2.5),
+    "dk suite cases 10.0": lambda: run_dk_suite(cases=10.0),
+    "dk suite cases '10'": lambda: run_dk_suite(cases="10"),
 }
 
 

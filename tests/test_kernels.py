@@ -1,13 +1,15 @@
 """The array kernels against the per-element code they replaced, kept
 here as oracles: the CDF levels against prefix sums taken exactly in
 integers, W to Lebesgue with one `mass(t)` call per breakpoint on those
-exact levels, the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for `frac`, the
-three-color walk of the functional graph, the Newton inverse of a
-`ConjugacyDiffeo` that evaluated its modes twice per step and the
-stepping loop of `CircleMap.orbit` with no repeat check.  Equality is
-bit for bit, except for the least-squares fits: the closed-form slopes
-of the Holder fit agree with the per-resample `np.polyfit` loop to 1e-12
-relative, and the Diophantine type estimate agrees with the per-window
+exact levels, the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for
+`frac` and `frac` for `_frac_into`, the three-color walk of the
+functional graph, `dk_check` on a fresh orbit per case for the
+Denjoy-Koksma suite, the Newton inverse of a `ConjugacyDiffeo` that
+evaluated its modes twice per step and the stepping loop of
+`CircleMap.orbit` with no repeat check.  Equality is bit for bit,
+except for the least-squares fits: the closed-form slopes of the Holder
+fit agree with the per-resample `np.polyfit` loop to 1e-12 relative,
+and the Diophantine type estimate agrees with the per-window
 `np.polyfit` loop to 1e-13 relative."""
 
 import functools
@@ -24,13 +26,14 @@ import pytest
 from circlestab.arithmetic import (
     GOLDEN_MEAN,
     SQRT2_MINUS_ONE,
+    _frac_into,
     canonicalize,
     continued_fraction,
     frac,
     lacunary_alpha,
 )
 from circlestab.fourier import FourierSeries
-from circlestab.experiments import holder_fit
+from circlestab.experiments import _dk_cases, holder_fit, resolve_alpha
 from circlestab.invariant import analyze_functional_graph
 from circlestab.maps import (
     _CYCLE_BLOCK,
@@ -47,7 +50,9 @@ from circlestab.measures import (
     AtomicMeasure,
     LebesgueMeasure,
     _levels,
+    bv_library,
     cesaro_average,
+    dk_check,
     wasserstein,
 )
 
@@ -253,11 +258,54 @@ def test_frac_equals_mod_one_bitwise():
     assert frac(-1e-17) == 0.0 and frac(-0.0) == 0.0
 
 
+@pytest.mark.parametrize("x", [
+    np.array([-1e-20, -0.0, 0.0, 1e5 * GOLDEN_MEAN, 1.0, 1.5, 2.0 ** 52 + 1,
+              *FRAC_INPUTS]),
+    np.array(-1e-20),
+    np.array(1e5 * SQRT2_MINUS_ONE),
+])
+def test_frac_into_equals_frac_bitwise(x):
+    before = x.copy()
+    got = _frac_into(x, np.empty_like(x))
+    assert bits(got).tobytes() == bits(frac(x)).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
 def test_frac_nonfinite_gives_nan(x):
     with np.errstate(invalid="ignore"):
         assert np.isnan(frac(x))
         assert np.all(np.isnan(frac(np.array([x, x]))))
+
+
+# ------------------------------------------------------------ DK suite
+
+def dk_suite_loop(cases, seed, a):
+    """The suite's cases as dk_check on a fresh orbit each, with the
+    index of the observable drawn and the orbit length."""
+    rng = np.random.default_rng(seed)
+    lib = bv_library()
+    for _ in range(cases):
+        x0 = rng.uniform()
+        N = int(rng.integers(10, 10 ** 5 + 1))
+        k = int(rng.integers(0, len(lib)))
+        orb = frac(x0 + np.arange(1, N + 1) * a)
+        yield k, N, dk_check(lib[k], orb)
+
+
+@pytest.mark.parametrize("alpha", ["golden", "sqrt2", 0.3183098861837907])
+def test_dk_suite_equals_per_case_dk_check(alpha):
+    a, _ = resolve_alpha(alpha)
+    cases, seed = 240, 74845286
+    want = list(dk_suite_loop(cases, seed, a))
+    got = list(_dk_cases(cases, seed, a))
+    assert len(got) == cases
+    for (_, _, w), g in zip(want, got):
+        assert (bits([g.lhs, g.bound]).tobytes(), g.ok) == (
+            bits([w.lhs, w.bound]).tobytes(), w.ok)
+    # both discrepancy branches and every library observable were checked
+    assert {N <= 10 ** 4 for _, N, _ in want} == {True, False}
+    assert {k for k, _, _ in want} == set(range(len(bv_library())))
 
 
 # ------------------------------------------------------------ functional graph

@@ -14,6 +14,7 @@ from circlestab.maps import (
     Rotation,
 )
 from circlestab.measures import (
+    _discrepancy_sorted,
     _extreme_discrepancy_exact,
     AtomicMeasure,
     BVObservable,
@@ -311,6 +312,11 @@ def one_pass_discrepancy(pts, mode):
     return DiscrepancyResult(len(x), star, star, 2.0 * star, None)
 
 
+def as_bits(r):
+    return [v if v is None else float(v).hex()
+            for v in (r.n, r.star, r.lower, r.upper, r.exact)]
+
+
 BLOCK_EDGE_POINTS = {
     "sorted_uniform": lambda n: np.sort(np.random.default_rng(n).uniform(
         0, 1, n)),
@@ -329,11 +335,20 @@ def test_blocked_discrepancy_is_the_one_pass_discrepancy(n, points, mode):
     before = pts.copy()
     got = discrepancy(pts, mode)
     want = one_pass_discrepancy(pts, mode)
-    as_bits = lambda r: [v if v is None else float(v).hex()
-                         for v in (r.n, r.star, r.lower, r.upper, r.exact)]
     assert as_bits(got) == as_bits(want)
     # discrepancy sorts its own copy in place, never the caller's array
     assert pts.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 10 ** 4, 10 ** 4 + 1, _BLOCK + 1])
+@pytest.mark.parametrize("mode", ["auto", "exact", "enclosure"])
+def test_sorted_entry_is_discrepancy_of_reduced_sorted_points(n, mode):
+    pts = np.random.default_rng(n).uniform(-3, 3, n)
+    x = np.sort(frac(pts))
+    want = discrepancy(pts, mode)
+    got = _discrepancy_sorted(x, mode)
+    assert as_bits(got) == as_bits(want)
+    assert as_bits(discrepancy(x, mode)) == as_bits(want)
 
 
 def test_discrepancy_rejects_empty():

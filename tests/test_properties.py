@@ -12,9 +12,11 @@ from circlestab.maps import ConjugacyDiffeo
 from circlestab.measures import (
     MERGE_TOL,
     AtomicMeasure,
+    BVObservable,
     DiffeoInvariantDensity,
     LebesgueMeasure,
     discrepancy,
+    dk_check,
     wasserstein,
 )
 from test_kernels import w_lebesgue_loop
@@ -96,6 +98,32 @@ def test_w_uniform_grid_to_lebesgue_is_quarter_spacing(n):
 def test_discrepancy_of_grid_is_one_over_n(n):
     # the exact formula differences O(1) terms, so its error is absolute
     assert abs(discrepancy(np.arange(n) / n).value - 1.0 / n) <= 1e-15
+
+
+# BV observables with known variation: indicator arcs (a > b wraps),
+# harmonics of frequency 1..8 and tents of either sign
+bv_observables = st.one_of(
+    st.builds(BVObservable.indicator, unit, unit),
+    st.builds(BVObservable.harmonic, st.integers(1, 8), st.floats(-3.0, 3.0),
+              st.booleans()),
+    st.builds(BVObservable.hat, unit, st.floats(-3.0, 3.0)))
+point_sets = st.lists(st.one_of(unit, clustered), min_size=1, max_size=200)
+
+
+@st.composite
+def orbits(draw):
+    x0, a = draw(unit), draw(unit)
+    n = draw(st.sampled_from([1, 2, 13, 144, 1000, 10 ** 4, 10 ** 4 + 1,
+                              30_000]))
+    return frac(x0 + np.arange(1, n + 1) * a)
+
+
+@LAWS
+@given(bv_observables, st.one_of(point_sets, orbits()))
+def test_denjoy_koksma_holds_on_bv_observables(f, pts):
+    # Koksma's inequality |mean f - int f| <= V(f) D_N holds for any
+    # finite point set, not only for rotation orbits
+    assert dk_check(f, pts).ok
 
 
 @LAWS
