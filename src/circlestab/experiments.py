@@ -429,6 +429,6 @@ def _dk_cases(cases: int, seed: int, a: float):
         N = int(rng.integers(10, 10 ** 5 + 1))
         f = lib[int(rng.integers(0, len(lib)))]
         orb = _frac_into(np.add(x0, ia[:N], out=shifted[:N]), orbit[:N])
-        mean = float(np.mean(f.eval(orb)))  # summed in orbit order
+        mean = float(np.mean(f.eval(orb)))  # orbit order, as dk_check sums
         orb.sort()  # already in [0, 1) and finite: alpha is finite
         yield _dk_verdict(f, mean, _discrepancy_sorted(orb))
