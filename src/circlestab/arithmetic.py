@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -208,6 +209,8 @@ def continued_fraction(alpha: RealLike, k: int) -> DiophantineProfile:
     low-denominator rational to support the requested depth) a
     TruncationError carrying the achieved depth is raised.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(alpha, float) and not math.isfinite(alpha):

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arithmetic import _ols, continued_fraction, frac
+from .arithmetic import _ols, continued_fraction
 from .errors import CircleStabError, InsufficientDataError, ResourceLimitError
 from .experiments import (
     DISCRETIZATION_FAMILIES,
@@ -161,7 +161,8 @@ def _cmd_discrepancy(args) -> int:
             limit=DISCREPANCY_POINT_CAP)
     points = []
     for N in args.ladder:
-        orb = frac(np.arange(1, N + 1) * alpha)
+        orb = np.arange(1.0, N + 1.0)
+        orb *= alpha  # discrepancy reduces mod 1
         d = discrepancy(orb, mode=args.mode)
         points.append({"n": int(N), "lower": d.lower, "upper": d.upper,
                        "exact": d.exact, "star": d.star})

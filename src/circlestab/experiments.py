@@ -261,7 +261,7 @@ def stability_scan(config: ExperimentConfig) -> ScanResult:
         meta = {"alpha": label, "j": j, "p": cv.p, "q": cv.q}
         recs = []
         if config.family == "attractor_repeller":
-            ar = AttractorRepeller(alpha, j, profile, config.bump_strength)
+            ar = AttractorRepeller(j, profile, config.bump_strength)
             att = _verified_uniform(ar, ar.attracting_orbit())
             rep = _verified_uniform(ar, ar.repelling_orbit())
             recs.append(ScalingRecord(

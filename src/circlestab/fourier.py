@@ -124,26 +124,6 @@ class FourierSeries:
 
     __call__ = eval
 
-    def as_scalar_fn(self):
-        """Closure evaluating u at a scalar via math.cos/sin, for tight
-        orbit loops where numpy per-call overhead dominates; it takes
-        eval's operations in eval's order."""
-        terms = [(n, 2.0 * self._c[n].real, 2.0 * self._c[n].imag)
-                 for n in range(1, self.n_max + 1) if self._c[n] != 0]
-        mean = self.mean
-        cos, sin = math.cos, math.sin
-        twopi = 2.0 * math.pi
-
-        def u(x: float) -> float:
-            s = mean
-            for n, cr, ci in terms:
-                ph = twopi * ((n * x) % 1.0)
-                s += cr * cos(ph)
-                s -= ci * sin(ph)
-            return s
-
-        return u
-
     # -------------------------------------------------- calculus, norms
 
     def derivative(self) -> "FourierSeries":

@@ -148,7 +148,7 @@ def analyze_functional_graph(mapping: Discretized,
     cyc, g = _cycle_nodes(succ)
     cid = _cycle_ids(succ, cyc)
     length = np.bincount(cid)
-    on_cycle = np.empty(N, dtype=np.int64)   # cycle index of cycle nodes
+    on_cycle = np.empty(N, dtype=np.int32)   # cycle index, < N < 2^31
     on_cycle[cyc] = cid
     basin = np.bincount(np.take(on_cycle, g), minlength=len(length))
     # free the N-sized arrays before the measures are built

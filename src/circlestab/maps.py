@@ -1,6 +1,6 @@
-"""Circle maps: rotations, the attractor-repeller perturbation family,
-rotation-number-tuned trig families, explicitly conjugated rotations
-and grid discretizations.
+"""Circle maps: rotations, rotation-number-tuned trig families (the
+attractor-repeller perturbation family among them), explicitly
+conjugated rotations and grid discretizations.
 
 Each map knows its canonical evaluation on [0,1), a degree-1 lift
 F(x+1) = F(x)+1, and the displacement F(x)-x used by the rotation
@@ -8,9 +8,10 @@ number estimator.  Orbits of Rotation and ConjugatedRotation have
 closed-form vectorized paths (one rounding per point instead of one
 per step); ConjugatedRotation orbits and Discretized grid images run
 elementwise in blocks of _BLOCK points.  Everything else iterates
-scalar_step, which is eval except where a float closure pays:
-TunedFamily and AttractorRepeller step math.sin/math.cos closures
-along their long orbits (the tuner's direct check, Birkhoff orbits).
+scalar_step, which is eval except where a float closure pays: there
+is one, the math.sin/math.cos closure of TunedFamily, for the long
+orbits of tuned families and of the attractor-repeller (the tuner's
+direct check, Birkhoff orbits).
 A stepped orbit stops at the first exact repeat within a 4096-point
 window and tiles the cycle, bit-identical to stepping every point.  A
 TunedFamily made by the tuner carries the conjugacy h it solved, so
@@ -62,8 +63,14 @@ _INVERSE_STEPS = 50      # and fails after this many steps
 
 
 def _check_orbit_len(n: int, burn_in: int = 0) -> None:
-    """ValueError for a negative length or burn-in; ResourceLimitError,
-    before allocating, for an orbit over the cap."""
+    """ValueError for a length or burn-in that is a bool, not an integer
+    or negative; ResourceLimitError, before allocating, for an orbit
+    over the cap."""
+    for v in (n, burn_in):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(
+                f"orbit length {n!r} and burn-in {burn_in!r} must be "
+                "integers")
     if n < 0 or burn_in < 0:
         raise ValueError(
             f"orbit length {n} and burn-in {burn_in} must be >= 0")
@@ -177,23 +184,44 @@ class TunedFamily(CircleMap):
         return x + self.c + self.epsilon * self.u.eval(x)
 
     def scalar_step(self):
-        ufn = self.u.as_scalar_fn()
-        c, eps = self.c, self.epsilon
-        return lambda x: (x + c + eps * ufn(x)) % 1.0
+        """f on a float by math.cos/math.sin, with eval's operations in
+        eval's order on Python floats (numpy scalars would double the
+        cost of a step).  A product with a zero coefficient is skipped:
+        it adds +-0.0, so it can change only the sign of a zero s, and
+        so of a zero x + c + eps*s, which % 1.0 folds to 0.0."""
+        u = self.u
+        terms = [(n, 2.0 * a.real, 2.0 * a.imag)
+                 for n in range(1, u.n_max + 1) if (a := u.coeff(n))]
+        mean, c, eps = u.mean, self.c, self.epsilon
+        cos, sin, twopi = math.cos, math.sin, 2.0 * math.pi
+
+        def step(x: float) -> float:
+            s = mean
+            for n, cr, ci in terms:
+                ph = twopi * ((n * x) % 1.0)
+                if cr:
+                    s += cr * cos(ph)
+                if ci:
+                    s -= ci * sin(ph)
+            return (x + c + eps * s) % 1.0
+
+        return step
 
 
-class AttractorRepeller(CircleMap):
-    """T_j(x) = D_delta(x + p_j/q_j) with D_delta(y) = y + delta*g(y),
-    g(y) = -bump_strength * sin(2 pi q_j y).
+class AttractorRepeller(TunedFamily):
+    """T_j(x) = x + p_j/q_j + delta_j * g(x) mod 1 with
+    g(x) = -bump_strength * sin(2 pi q_j x): the tuned family with
+    u = g, epsilon = delta_j and c = p_j/q_j.  As q_j * p_j/q_j is an
+    integer, T_j = D_delta(x + p_j/q_j) with D_delta(y) = y + delta g(y).
 
     g vanishes on Gamma_att = {i/q_j} and Gamma_rep = {(i+1/2)/q_j}, is
     negative on each [y_i, y_i + 1/(2 q_j)] and positive on the
     complement, so Gamma_att attracts and Gamma_rep repels.  The
     rotation part is the convergent p_j/q_j itself, which keeps both
-    orbits exactly invariant and |T_j - R_alpha| <= 2 delta_j.
+    orbits invariant up to rounding and |T_j - R_alpha| <= 2 delta_j.
     """
 
-    def __init__(self, alpha: float, j: int, profile: DiophantineProfile,
+    def __init__(self, j: int, profile: DiophantineProfile,
                  bump_strength: float):
         if not (0 <= j < len(profile.convergents)):
             raise ValueError(
@@ -210,26 +238,11 @@ class AttractorRepeller(CircleMap):
             raise ValueError(
                 f"bump too steep at j={j}: delta*b*2*pi*q = {margin:.3g} >= 1; "
                 "use a deeper convergent or smaller bump_strength")
-        self.alpha = float(alpha)
         self.j = int(j)
-        self.profile = profile
         self.bump_strength = float(bump_strength)
         self.p, self.q, self.delta = cv.p, cv.q, cv.delta
-        self._rot = self.p / self.q
-
-    def _bump(self, y):
-        return -self.bump_strength * np.sin(
-            2.0 * math.pi * np.asarray(frac(self.q * np.asarray(y, dtype=float))))
-
-    @_pointwise
-    def eval(self, x):
-        y = frac(x + self._rot)
-        return frac(y + self.delta * self._bump(y))
-
-    @_pointwise
-    def lift(self, x):
-        y = x + self._rot
-        return y + self.delta * self._bump(frac(y))
+        super().__init__(FourierSeries({cv.q: 0.5j * self.bump_strength}),
+                         cv.delta, cv.p / cv.q)
 
     def attracting_orbit(self) -> np.ndarray:
         """Gamma_att = multiples of p_j/q_j, i.e. the grid {i/q_j}."""
@@ -237,17 +250,6 @@ class AttractorRepeller(CircleMap):
 
     def repelling_orbit(self) -> np.ndarray:
         return (np.arange(self.q) + 0.5) / self.q
-
-    def scalar_step(self):
-        rot, d, b, q = self._rot, self.delta, self.bump_strength, self.q
-        twopi = 2.0 * math.pi
-        sin = math.sin
-
-        def step(x: float) -> float:
-            y = (x + rot) % 1.0
-            return (y - d * b * sin(twopi * ((q * y) % 1.0))) % 1.0
-
-        return step
 
 
 class ConjugacyDiffeo:

@@ -28,9 +28,11 @@ from circlestab.experiments import (
     write_records_csv,
 )
 from circlestab.fourier import FourierSeries
+from circlestab.invariant import birkhoff_measure
 from circlestab.maps import (
     AttractorRepeller,
     ConjugacyDiffeo,
+    Rotation,
     TunedFamily,
 )
 from circlestab.measures import (
@@ -39,6 +41,7 @@ from circlestab.measures import (
     discrepancy,
     dk_check,
 )
+from circlestab.response import fd_response
 
 
 def cli(argv):
@@ -127,6 +130,18 @@ OUT_OF_DOMAIN_SAMPLES = {
     "dk suite cases 2.5": lambda: run_dk_suite(cases=2.5),
     "dk suite cases 10.0": lambda: run_dk_suite(cases=10.0),
     "dk suite cases '10'": lambda: run_dk_suite(cases="10"),
+    "orbit length 2.5": lambda: Rotation(GOLDEN_MEAN).orbit(0.0, 2.5),
+    "orbit length True": lambda: TunedFamily(FourierSeries.cosine(), 0.1,
+                                             0.3).orbit(0.0, True),
+    "orbit burn-in 2.5": lambda: Rotation(GOLDEN_MEAN).orbit(0.0, 3, 2.5),
+    "birkhoff_measure n 2.5": lambda: birkhoff_measure(Rotation(GOLDEN_MEAN),
+                                                       0.1, 2.5),
+    "fd_response orbit_len 2.5": lambda: fd_response(
+        FourierSeries.cosine(), GOLDEN_MEAN, FourierSeries.cosine(), [1e-2],
+        orbit_len=2.5),
+    "continued_fraction k 2.5": lambda: continued_fraction(GOLDEN_MEAN, 2.5),
+    "continued_fraction k 3.0": lambda: continued_fraction(GOLDEN_MEAN, 3.0),
+    "continued_fraction k True": lambda: continued_fraction(GOLDEN_MEAN, True),
 }
 
 
@@ -230,7 +245,7 @@ def test_stability_record_reproducible_from_metadata():
                            depth=12)
     rec = stability_scan(cfg)[0]
     prof = continued_fraction(GOLDEN_MEAN, 12)
-    rebuilt = AttractorRepeller(GOLDEN_MEAN, rec.metadata["j"], prof, 1.0)
+    rebuilt = AttractorRepeller(rec.metadata["j"], prof, 1.0)
     assert (rebuilt.p, rebuilt.q) == (rec.metadata["p"], rec.metadata["q"])
     assert rec.size_param == rebuilt.delta
 

@@ -400,8 +400,7 @@ def test_graph_equals_loop_on_identity_constant_and_chain(N):
 
 
 DIFFEO = ConjugatedRotation(GOLDEN_MEAN, ConjugacyDiffeo([0.2], [0.1]))
-ATTRACTOR = AttractorRepeller(GOLDEN_MEAN, 5,
-                              continued_fraction(GOLDEN_MEAN, 8), 1.0)
+ATTRACTOR = AttractorRepeller(5, continued_fraction(GOLDEN_MEAN, 8), 1.0)
 
 
 @pytest.mark.parametrize("inner", [Rotation(GOLDEN_MEAN), Rotation(0.37),
@@ -509,7 +508,7 @@ class GridShift(CircleMap):
 def test_orbit_equals_loop_on_attractor_repeller_ladder(b, burn_in):
     # the float orbits turn exactly periodic by step 28,312 (b = 0.5, j = 15)
     for j in range(5, 16):
-        ar = AttractorRepeller(GOLDEN_MEAN, j, PROFILE, b)
+        ar = AttractorRepeller(j, PROFILE, b)
         assert np.array_equal(bits(ar.orbit(0.123, 40_000, burn_in)),
                               bits(orbit_loop(ar, 0.123, 40_000, burn_in)))
 
@@ -533,7 +532,7 @@ def test_orbit_equals_loop_on_tuned_family_and_steps_in_full():
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
 @pytest.mark.parametrize("m", [
-    AttractorRepeller(GOLDEN_MEAN, 5, PROFILE, 0.77),
+    AttractorRepeller(5, PROFILE, 0.77),
     Discretized(Rotation(0.37), 100), GridShift(1), GridShift(B)],
     ids=["attractor-repeller", "discretized-rotation", "fixed-point",
          "period-B"])
@@ -542,7 +541,7 @@ def test_orbit_equals_loop_at_block_edges(m, n):
 
 
 def test_orbit_stops_stepping_at_a_repeat():
-    ar = AttractorRepeller(GOLDEN_MEAN, 5, PROFILE, 0.77)
+    ar = AttractorRepeller(5, PROFILE, 0.77)
     steps = count_steps(ar)
     ar.orbit(0.123, 10 ** 5)
     assert steps[0] < 10 ** 4

@@ -36,7 +36,7 @@ def sample_maps():
         Rotation(0.3),
         Rotation(GOLDEN_MEAN),
         TunedFamily(FourierSeries.cosine(), 0.05, 0.4),
-        AttractorRepeller(PROF.alpha, 5, PROF, 1.0),
+        AttractorRepeller(5, PROF, 1.0),
         ConjugatedRotation(GOLDEN_MEAN, H),
         Discretized(Rotation(GOLDEN_MEAN), 64),
     ]
@@ -102,7 +102,7 @@ GRID_INNER_MAPS = {
     "rotation": Rotation(GOLDEN_MEAN),
     "conjugated": ConjugatedRotation(
         GOLDEN_MEAN, ConjugacyDiffeo([0.2, -0.05, 0.1], [0.03, 0.0, -0.1])),
-    "attractor_repeller": AttractorRepeller(GOLDEN_MEAN, 5, PROF, 1.0),
+    "attractor_repeller": AttractorRepeller(5, PROF, 1.0),
     "tuned": TunedFamily(FourierSeries.cosine(), 0.05, 0.4),
 }
 
@@ -166,13 +166,13 @@ def test_discretize_takes_numpy_integer_n():
 # ------------------------------------------------------- attractor-repeller
 
 def test_ar_attracting_orbit_is_q_grid():
-    T = AttractorRepeller(PROF.alpha, 5, PROF, 1.0)
+    T = AttractorRepeller(5, PROF, 1.0)
     assert T.q == 13 and T.p == 8
     assert np.allclose(np.sort(T.attracting_orbit()), np.arange(13) / 13, atol=0)
 
 
 def test_ar_orbit_converges_to_gamma_att():
-    T = AttractorRepeller(PROF.alpha, 5, PROF, 1.0)
+    T = AttractorRepeller(5, PROF, 1.0)
     x = 0.01
     for _ in range(1000):
         x = T.eval(x)
@@ -181,7 +181,7 @@ def test_ar_orbit_converges_to_gamma_att():
 
 
 def test_ar_sup_distance_to_rotation():
-    T = AttractorRepeller(PROF.alpha, 5, PROF, 1.0)
+    T = AttractorRepeller(5, PROF, 1.0)
     R = Rotation(GOLDEN_MEAN)
     xs = RNG.uniform(0, 1, 10_000)
     d = np.array([circle_dist(a, b) for a, b in zip(T.eval(xs), R.eval(xs))])
@@ -190,7 +190,7 @@ def test_ar_sup_distance_to_rotation():
 
 def test_ar_invariant_sets():
     for j in (3, 5, 8):
-        T = AttractorRepeller(PROF.alpha, j, PROF, 1.0)
+        T = AttractorRepeller(j, PROF, 1.0)
         for orbit in (T.attracting_orbit(), T.repelling_orbit()):
             img = T.eval(orbit)
             for y in img:
@@ -199,7 +199,7 @@ def test_ar_invariant_sets():
 
 def test_ar_derivative_signs_at_orbits():
     # attractor multiplier < 1, repeller multiplier > 1
-    T = AttractorRepeller(PROF.alpha, 5, PROF, 1.0)
+    T = AttractorRepeller(5, PROF, 1.0)
     eps = 1e-7
     for g in T.attracting_orbit():
         mult = (T.lift(g + eps) - T.lift(g - eps)) / (2 * eps)
@@ -209,16 +209,33 @@ def test_ar_derivative_signs_at_orbits():
         assert mult > 1.0
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("j, b", [(5, 1.0), (8, 0.77), (12, 0.5)])
+def test_ar_is_the_tuned_family_of_its_bump(j, b):
+    # T_j = x + p/q + delta * u(x) with u = -b sin(2 pi q x), bit for bit
+    T = AttractorRepeller(j, PROF, b)
+    cv = PROF.convergents[j]
+    fam = TunedFamily(FourierSeries({cv.q: 0.5j * b}), cv.delta, cv.p / cv.q)
+    assert isinstance(T, TunedFamily)
+    xs = np.random.default_rng(j).uniform(0.0, 1.0, 1000)
+    assert np.array_equal(bits(T.eval(xs)), bits(fam.eval(xs)))
+    assert np.array_equal(bits(T.lift(xs)), bits(fam.lift(xs)))
+    assert bits(T.eval(0.123)) == bits(fam.eval(0.123))
+
+
 def test_ar_validation():
     with pytest.raises(ValueError):
-        AttractorRepeller(PROF.alpha, 99, PROF, 1.0)
+        AttractorRepeller(99, PROF, 1.0)
     with pytest.raises(ValueError):
-        AttractorRepeller(PROF.alpha, 5, PROF, 0.0)
+        AttractorRepeller(5, PROF, 0.0)
     with pytest.raises(ValueError):
-        AttractorRepeller(PROF.alpha, 5, PROF, 1.5)
+        AttractorRepeller(5, PROF, 1.5)
     # shallow convergent: delta * b * 2 pi q >= 1, not a diffeomorphism
     with pytest.raises(ValueError):
-        AttractorRepeller(PROF.alpha, 1, PROF, 1.0)
+        AttractorRepeller(1, PROF, 1.0)
 
 
 # ------------------------------------------------------- rotation number
@@ -320,7 +337,8 @@ def test_orbit_rejects_negative_length_or_burn_in(m):
 @pytest.mark.parametrize("m", [
     Discretized(ConjugatedRotation(GOLDEN_MEAN, H), 1000),
     TunedFamily(FourierSeries({1: 0.15 - 0.1j, 2: 0.05 - 0.025j}),
-                0.1, 0.4)], ids=lambda m: type(m).__name__)
+                0.1, 0.4),
+    AttractorRepeller(8, PROF, 0.77)], ids=lambda m: type(m).__name__)
 def test_stepped_orbit_is_iterated_eval(m):
     # scalar_step is eval itself, or a float closure with eval's values
     x, want = 0.37, []
@@ -328,6 +346,30 @@ def test_stepped_orbit_is_iterated_eval(m):
         x = m.eval(x)
         want.append(x)
     assert np.array_equal(m.orbit(0.37, 300), want)
+
+
+def u_with_zeroed_halves(seed):
+    """1-8 random modes, all real, all imaginary or mixed; some modes
+    and, for odd seeds, the mean exactly 0."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    re, im = rng.normal(0.0, 0.1, k), rng.normal(0.0, 0.1, k)
+    c = [re + 0j, 1j * im, re + 1j * im][seed % 3]
+    c[rng.uniform(size=k) < 0.25] = 0.0
+    mean = 0.0 if seed % 2 else rng.normal(0.0, 0.1)
+    return FourierSeries(np.concatenate(([mean], c)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tuned_orbit_with_zeroed_halves_is_iterated_eval(seed):
+    # the closure skips the products whose coefficient is exactly 0,
+    # which eval takes; the points must not move by a bit
+    fam = TunedFamily(u_with_zeroed_halves(seed), 0.1, 0.3819660112501051)
+    x, want = 0.37, []
+    for _ in range(300):
+        x = fam.eval(x)
+        want.append(x)
+    assert np.array_equal(bits(fam.orbit(0.37, 300)), bits(want))
 
 
 # ------------------------------------------------------- conjugacy diffeo

@@ -26,7 +26,7 @@ H = ConjugacyDiffeo([0.2, 0.05], [0.0, 0.1])
 MAPS = [
     Rotation(GOLDEN_MEAN),
     TunedFamily(FourierSeries.cosine(), 0.05, 0.4),
-    AttractorRepeller(PROF.alpha, 5, PROF, 1.0),
+    AttractorRepeller(5, PROF, 1.0),
     ConjugatedRotation(GOLDEN_MEAN, H),
     Discretized(ConjugatedRotation(GOLDEN_MEAN, H), 64),
 ]

@@ -141,7 +141,8 @@ def atomic_and_diffeo(draw):
     c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * modes,
                                max_size=2 * modes)))
     total = float(np.sum(np.abs(c)))
-    c *= draw(st.floats(0.0, 0.95)) / total if total > 0 else 0.0
+    if total > 0:  # c / total first: s / total is inf for a subnormal total
+        c = c / total * draw(st.floats(0.0, 0.95))
     return (AtomicMeasure(p, w / np.sum(w)),
             DiffeoInvariantDensity(ConjugacyDiffeo(c[:modes], c[modes:])))
 
