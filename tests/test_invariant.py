@@ -139,8 +139,8 @@ def test_graph_linear_time_scaling():
 
 
 def test_graph_traced_peak_of_a_diffeo_grid():
-    # the peak is the basin count over N nodes; with the cycle index of
-    # each node held as int32 it read 23.2 MiB, against 30.8 as int64
+    # the peak is the basin count over the N nodes, 23.2 MiB when the
+    # per-node cycle index is int32
     N = 10 ** 6
     m = Discretized(ConjugatedRotation(GOLDEN_MEAN, ConjugacyDiffeo([0.2])),
                     N)
