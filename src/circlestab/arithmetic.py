@@ -82,6 +82,14 @@ def _pointwise(fn):
     return wrapped
 
 
+def _check_count(name: str, v, least: int = 0) -> None:
+    """ValueError unless v is an integer, not a bool, and v >= least."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+            or v < least:
+        raise ValueError(
+            f"got {name} {v!r}; {name} must be >= {least} (an integer)")
+
+
 def _frac_into(x, out):
     """frac of the float array x written to out, which must not alias x."""
     np.floor(x, out=out)
@@ -209,10 +217,7 @@ def continued_fraction(alpha: RealLike, k: int) -> DiophantineProfile:
     low-denominator rational to support the requested depth) a
     TruncationError carrying the achieved depth is raised.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     a_exact = Fraction(alpha)

@@ -21,6 +21,7 @@ import numpy as np
 from .arithmetic import (
     GOLDEN_MEAN,
     SQRT2_MINUS_ONE,
+    _check_count,
     _frac_into,
     _ols,
     continued_fraction,
@@ -176,9 +177,7 @@ class ExperimentConfig:
             raise ValueError("alpha must be a preset name or a number")
         if not isinstance(self.family, str):
             raise ValueError("family must be a string")
-        for name in ("depth", "orbit_len", "burn_in"):
-            if not _is_a(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer")
+        _check_count("depth", self.depth)  # orbit_len, burn_in below
         if not _is_a(self.bump_strength, Real):
             raise ValueError("bump_strength must be a number")
         for name, kind, what in (("ladder", Integral, "integers"),
@@ -360,9 +359,7 @@ def holder_fit(records, bootstrap: int = 1000,
     of the slopes of `bootstrap` resamples, drawn in one call (one per 2^20
     indices) and fitted row by row, less those at a single size.
     """
-    if not _is_a(bootstrap, Integral) or bootstrap < 0:
-        raise ValueError(
-            f"bootstrap must be an integer >= 0, got {bootstrap!r}")
+    _check_count("bootstrap", bootstrap)
     pts = []
     dropped = 0
     for r in records:
@@ -412,8 +409,7 @@ def run_dk_suite(cases: int = 1000, seed: int = 0,
     """Randomized Denjoy-Koksma check on orbits of 10..1e5 points;
     returns (violations, checked).  Each case is dk_check on frac(x0 +
     i*alpha), i = 1..N, bit for bit, taken on reused orbit buffers."""
-    if not _is_a(cases, Integral) or cases < 1:
-        raise ValueError(f"cases must be >= 1 (an integer), got {cases!r}")
+    _check_count("cases", cases, 1)
     a, _ = resolve_alpha(alpha)
     return sum(not c.ok for c in _dk_cases(cases, seed, a)), cases
 

@@ -12,7 +12,9 @@ large n.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -22,34 +24,40 @@ from .arithmetic import _pointwise, frac
 __all__ = ["FourierSeries", "FourierDensity", "pairing"]
 
 
-def _trig_sums(spectra, x):
-    """[c_0 + sum_n (2 Re c_n cos(2 pi n x) - 2 Im c_n sin(2 pi n x))
-    for each half-spectrum c = c[0..n_max] in spectra], at the points x.
+def _nonzero_modes(spectra):
+    """What _trig_sums reads of the equal-length half-spectra c[0..n_max]:
+    [c_0 of each] and (n, ((2 Re c_n, 2 Im c_n) of each)) for each n >= 1
+    nonzero in some spectrum, ascending, in Python (not numpy) numbers."""
+    c = np.array(spectra, dtype=complex)
+    ns = np.flatnonzero(np.any(c[:, 1:] != 0, axis=0)) + 1
+    re, im = ((2.0 * part[:, ns]).T.tolist() for part in (c.real, c.imag))
+    return (c.real[:, 0].tolist(),
+            [(n, tuple(zip(r, i))) for n, r, i in zip(ns.tolist(), re, im)])
 
-    The spectra have equal lengths.  Each mode that is nonzero in some
-    spectrum costs one frac, one sin and one cos, shared by all spectra,
-    and each sum accumulates in place: out += (2 Re c_n) cos, then
-    out -= (2 Im c_n) sin.  A 0-d x gives 0-d arrays.
+
+def _trig_sums(modes, x):
+    """[c_0 + sum_n (2 Re c_n cos(2 pi n x) - 2 Im c_n sin(2 pi n x))
+    for each half-spectrum c of modes = _nonzero_modes(spectra)], at x.
+
+    Each listed mode costs one frac, one sin and one cos, shared by all
+    spectra, and each sum accumulates in place: out += (2 Re c_n) cos,
+    then out -= (2 Im c_n) sin.  A 0-d x gives 0-d arrays.
     """
+    means, terms = modes
     x = np.asarray(x, dtype=float)
-    # Python complex numbers index and test faster than numpy scalars,
-    # which counts when x is the few points of a bisection step
-    rows = [np.asarray(c, dtype=complex).tolist() for c in spectra]
-    outs = [np.empty_like(x) for _ in rows]
-    for out, c in zip(outs, rows):
-        out.fill(c[0].real)
+    outs = [np.empty_like(x) for _ in means]
+    for out, c0 in zip(outs, means):
+        out.fill(c0)
     # buffers passed as out=, so that a 0-d x stays an array throughout
     cos, t = np.empty_like(x), np.empty_like(x)
-    for n in range(1, len(rows[0])):
-        if not any(c[n] for c in rows):
-            continue
+    for n, coeffs in terms:
         ph = np.asarray(frac(np.multiply(x, n, out=t)))
         ph *= 2.0 * math.pi
         np.cos(ph, out=cos)
         np.sin(ph, out=ph)
-        for out, c in zip(outs, rows):
-            out += np.multiply(2.0 * c[n].real, cos, out=t)
-            out -= np.multiply(2.0 * c[n].imag, ph, out=t)
+        for out, (cr, ci) in zip(outs, coeffs):
+            out += np.multiply(cr, cos, out=t)
+            out -= np.multiply(ci, ph, out=t)
         del ph  # free before the next mode's frac allocates its own
     return outs
 
@@ -64,6 +72,9 @@ class FourierSeries:
 
     def __init__(self, coeffs: Union[Mapping[int, complex], Iterable[complex]]):
         if isinstance(coeffs, Mapping):
+            for n in coeffs:
+                if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                    raise ValueError(f"mode {n!r} is not an integer")
             n_max = max((abs(int(n)) for n in coeffs), default=0)
             c = np.zeros(n_max + 1, dtype=complex)
             seen = {}
@@ -120,9 +131,13 @@ class FourierSeries:
     @_pointwise
     def eval(self, x):
         """u(x), real; scalar or ndarray x."""
-        return _trig_sums([self._c], x)[0]
+        return _trig_sums(self._modes, x)[0]
 
     __call__ = eval
+
+    @functools.cached_property
+    def _modes(self):
+        return _nonzero_modes([self._c])
 
     # -------------------------------------------------- calculus, norms
 
@@ -162,16 +177,21 @@ class FourierDensity(FourierSeries):
     def is_probability(self) -> bool:
         return self._c[0].real == 1.0
 
-    @_pointwise
-    def cdf(self, x):
-        """F(x) = integral_0^x density, closed form; scalar or ndarray."""
-        # c_0 x + P(x) - P(0) with P' = density - c_0; P(0) is evaluated
-        # with the same operations as P(x), so F(0) = 0 and F(1) = c_0
-        # exactly
+    @functools.cached_property
+    def _antiderivative_modes(self):
+        """The modes of P with P' = density - c_0 and P_hat(0) = 0."""
         n = np.arange(1, len(self._c))
         p = np.zeros_like(self._c)
         p[1:] = self._c[1:] / (2j * math.pi * n)
-        P, P0 = _trig_sums([p], x)[0], _trig_sums([p], 0.0)[0]
+        return _nonzero_modes([p])
+
+    @_pointwise
+    def cdf(self, x):
+        """F(x) = integral_0^x density, closed form; scalar or ndarray."""
+        # c_0 x + P(x) - P(0); P(0) is evaluated with the same operations
+        # as P(x), so F(0) = 0 and F(1) = c_0 exactly
+        p = self._antiderivative_modes
+        P, P0 = _trig_sums(p, x)[0], _trig_sums(p, 0.0)[0]
         return self._c[0].real * x + (P - P0)
 
 

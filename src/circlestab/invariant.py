@@ -8,22 +8,21 @@ and trees hanging off it.  The invariant probability measures are exactly
 the convex combinations of uniform measures on the cycles; the "physical"
 one weights each cycle by the fraction of grid nodes that fall into it.
 
-The graph is analysed in array passes by pointer doubling.  Composing
-the image array with itself, g <- g o g, shrinks its image until g
-permutes it; the first composition that leaves the image size unchanged
-proves that, and the image is then exactly the set of cycle nodes.  That
-takes at most ceil(log2 N) + 1 compositions, and one for a permutation
-such as a discretized rotation.  Min-propagation over the M cycle nodes
-(ceil(log2 M) rounds) then labels each with its cycle's smallest node.
+The graph is analysed in array passes by pointer doubling.  Unless the
+image array is a permutation (a discretized rotation, say), it is
+composed with itself, g <- g o g, a fixed (N - 1).bit_length() times:
+then g = succ^(2^k) with 2^k >= N - 1 >= the longest tail, so the image
+of g is exactly the set of cycle nodes.  Min-propagation over the M
+cycle nodes (ceil(log2 M) rounds) then labels each with its cycle's
+smallest node.
 """
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
 
-from .arithmetic import canonicalize
+from .arithmetic import _check_count, canonicalize
 from .errors import ResourceLimitError
 from .maps import (
     CircleMap,
@@ -76,26 +75,21 @@ def _cycle_nodes(succ: np.ndarray):
     """The cycle nodes of succ, ascending, and g = succ^(2^k) with every
     g[v] on a cycle.
 
-    Doubles g <- g o g until its image stops shrinking: image(g o g) =
-    g(image g) lies inside image g, so equal sizes mean g maps S = image g
-    onto itself, a permutation of S.  Every node of S is then periodic
-    under g and so under succ, and every cycle node lies in the image of
-    any power of succ, so S is exactly the set of cycle nodes.  The image
-    equals that set once 2^k reaches the longest tail, so the loop takes
-    at most ceil(log2 N) + 1 compositions; for a permutation, one.
+    A tail has at most N - 1 nodes, so k = (N - 1).bit_length()
+    compositions g <- g o g give 2^k >= the longest tail, and every cycle
+    node lies in the image of any power of succ: the image of g is then
+    exactly the set of cycle nodes.  One image pass first returns a
+    permutation, every node of which is on a cycle, with k = 0.
     """
     on = np.zeros(len(succ), dtype=bool)
     on[succ] = True
-    size = np.count_nonzero(on)
     g = succ
-    while True:
-        g = np.take(g, g)
+    if not on.all():
+        for _ in range((len(succ) - 1).bit_length()):
+            g = np.take(g, g)
         on[:] = False
         on[g] = True
-        shrunk = np.count_nonzero(on)
-        if shrunk == size:
-            return np.flatnonzero(on), g
-        size = shrunk
+    return np.flatnonzero(on), g
 
 
 def _cycle_ids(succ: np.ndarray, cyc: np.ndarray) -> np.ndarray:
@@ -126,16 +120,14 @@ def analyze_functional_graph(mapping: Discretized,
                              N: int) -> FunctionalGraphAnalysis:
     """Cycle decomposition of T_N on the grid by pointer doubling.
 
-    Array passes only, O(N log N) in the worst case: the cycle nodes take
-    at most ceil(log2 N) + 1 compositions of the image array, stopping
-    exactly when its image stops shrinking (one composition for a
-    permutation such as a discretized rotation), and the M cycle nodes
-    then take ceil(log2 M) rounds of min-propagation.
+    Array passes only, O(N log N): the cycle nodes take (N - 1).bit_length()
+    compositions of the image array and one image pass after them (none
+    for a permutation such as a discretized rotation), and the M cycle
+    nodes then take ceil(log2 M) rounds of min-propagation.
     """
     if not isinstance(mapping, Discretized):
         raise TypeError("analyze_functional_graph needs a Discretized map")
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise ValueError(f"N must be an integer, got {N!r}")
+    _check_count("N", N, 1)
     if mapping.N != N:
         raise ValueError(f"grid mismatch: map has N={mapping.N}, got N={N}")
     N = int(N)

@@ -25,20 +25,20 @@ array.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .arithmetic import (
     DiophantineProfile,
+    _check_count,
     _checked_divisor,
     _pointwise,
     canonicalize,
     frac,
 )
 from .errors import ConvergenceError, ResourceLimitError, TuningError
-from .fourier import FourierSeries, _trig_sums
+from .fourier import FourierSeries, _nonzero_modes, _trig_sums
 
 __all__ = [
     "ORBIT_LEN_CAP",
@@ -66,14 +66,8 @@ def _check_orbit_len(n: int, burn_in: int = 0) -> None:
     """ValueError for a length or burn-in that is a bool, not an integer
     or negative; ResourceLimitError, before allocating, for an orbit
     over the cap."""
-    for v in (n, burn_in):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(
-                f"orbit length {n!r} and burn-in {burn_in!r} must be "
-                "integers")
-    if n < 0 or burn_in < 0:
-        raise ValueError(
-            f"orbit length {n} and burn-in {burn_in} must be >= 0")
+    _check_count("orbit length", n)
+    _check_count("burn-in", burn_in)
     if n + burn_in > ORBIT_LEN_CAP:
         raise ResourceLimitError(
             f"orbit of {n} points after {burn_in} burn-in steps exceeds "
@@ -189,10 +183,8 @@ class TunedFamily(CircleMap):
         cost of a step).  A product with a zero coefficient is skipped:
         it adds +-0.0, so it can change only the sign of a zero s, and
         so of a zero x + c + eps*s, which % 1.0 folds to 0.0."""
-        u = self.u
-        terms = [(n, 2.0 * a.real, 2.0 * a.imag)
-                 for n in range(1, u.n_max + 1) if (a := u.coeff(n))]
-        mean, c, eps = u.mean, self.c, self.epsilon
+        terms = [(n, cr, ci) for n, ((cr, ci),) in self.u._modes[1]]
+        mean, c, eps = self.u.mean, self.c, self.epsilon
         cos, sin, twopi = math.cos, math.sin, 2.0 * math.pi
 
         def step(x: float) -> float:
@@ -275,29 +267,28 @@ class ConjugacyDiffeo:
                 f"sum(|a_n|+|b_n|) = {s:.3g} is not < 1: not an admissible "
                 "diffeo")
         self.a, self.b = a, b
-        self.coeff_sum = s
-        # half-spectra (see _trig_sums) of h - x and of
-        # h' = 1 + sum_n (a_n cos(2 pi n x) - b_n sin(2 pi n x))
+        # the modes (see _nonzero_modes) of h - x, of h' = 1 +
+        # sum_n (a_n cos(2 pi n x) - b_n sin(2 pi n x)) and of both
         n4pi = 4.0 * math.pi * np.arange(1, len(a) + 1)
-        self._eta = np.zeros(len(a) + 1, dtype=complex)
-        self._eta.real[1:], self._eta.imag[1:] = b / n4pi, -a / n4pi
-        self._dh = np.ones(len(a) + 1, dtype=complex)
-        self._dh.real[1:], self._dh.imag[1:] = a / 2.0, b / 2.0
+        eta = np.zeros(len(a) + 1, dtype=complex)
+        eta.real[1:], eta.imag[1:] = b / n4pi, -a / n4pi
+        dh = np.ones(len(a) + 1, dtype=complex)
+        dh.real[1:], dh.imag[1:] = a / 2.0, b / 2.0
+        self._eta, self._dh, self._eta_dh = (
+            _nonzero_modes(c) for c in ([eta], [dh], [eta, dh]))
 
     def displacement_fn(self, x):
         """h(x) - x, periodic."""
-        return _trig_sums([self._eta], x)[0]
+        return _trig_sums(self._eta, x)[0]
 
     def displacement_integral(self, x, d):
         """integral of h - id over [x, x + d] as sin(pi n d) / (pi n) times
         each mode at the midpoint: no antiderivative values cancel."""
         mid = x + 0.5 * d
         out = np.zeros_like(mid)
-        for n in np.flatnonzero(self._eta):
-            mode = np.zeros(n + 1, dtype=complex)
-            mode[n] = self._eta[n]
-            out += _trig_sums([mode], mid)[0] * (np.sin(math.pi * n * d)
-                                                 / (math.pi * n))
+        for n, coeffs in self._eta[1]:
+            out += _trig_sums(([0.0], [(n, coeffs)]), mid)[0] * (
+                np.sin(math.pi * n * d) / (math.pi * n))
         return out
 
     @_pointwise
@@ -309,7 +300,7 @@ class ConjugacyDiffeo:
 
     @_pointwise
     def deriv(self, x):
-        return _trig_sums([self._dh], x)[0]
+        return _trig_sums(self._dh, x)[0]
 
     @_pointwise
     def inverse(self, y):
@@ -319,7 +310,7 @@ class ConjugacyDiffeo:
         z = y.copy()
         for _ in range(_INVERSE_STEPS):
             # in place: r = z + disp - y and z - r / dh as written
-            r, dh = _trig_sums([self._eta, self._dh], z)
+            r, dh = _trig_sums(self._eta_dh, z)
             r += z
             r -= y
             done = np.abs(r) <= _INVERSE_TOL  # each point stops on its own
@@ -377,10 +368,7 @@ class Discretized(CircleMap):
     """
 
     def __init__(self, inner: CircleMap, N: int):
-        if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-            raise ValueError(f"N must be an integer, got {N!r}")
-        if N < 1:
-            raise ValueError("N must be >= 1")
+        _check_count("N", N, 1)
         self.inner = inner
         self.N = int(N)
 

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .arithmetic import _pointwise, canonicalize, frac
+from .arithmetic import _check_count, _pointwise, canonicalize, frac
 from .errors import ResourceLimitError
 from .fourier import FourierDensity
 from .maps import _BLOCK, CircleMap, ConjugacyDiffeo
@@ -565,6 +565,9 @@ class BVObservable:
         self.variation = float(variation)
         self.integral = float(integral)
         self.label = label
+        # a nan or inf amplitude, height or value shows in one of them
+        if not all(map(math.isfinite, (self.variation, self.integral))):
+            raise ValueError(f"{label}: variation and integral must be finite")
 
     def eval(self, x):
         return self._eval(x)
@@ -603,6 +606,7 @@ class BVObservable:
     def harmonic(cls, k: int, amplitude: float = 1.0,
                  phase_sin: bool = False) -> "BVObservable":
         """amplitude * cos(2 pi k x) (or sin); V = 4 |amplitude| k."""
+        _check_count("k", k, 1)
         k = int(k)
 
         @_pointwise

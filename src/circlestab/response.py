@@ -59,22 +59,17 @@ def solve_homological(u: FourierSeries, alpha: float,
         raise ValueError(
             f"n_max = {n_max} below the maximal frequency {u.n_max} of u")
     coeffs = {0: 0.0}
-    for n in range(1, u.n_max + 1):
-        un = u.coeff(n)
-        if un == 0:
-            continue
-        coeffs[n] = un / _checked_divisor(alpha, n)
+    for n, _ in u._modes[1]:
+        coeffs[n] = u.coeff(n) / _checked_divisor(alpha, n)
     return FourierSeries(coeffs)
 
 
 def linear_response_density(u: FourierSeries, alpha: float) -> FourierDensity:
     """Signed density d with d_hat(n) = 2 pi i n u_hat(n)/(1 - e^{2 pi i n a})."""
     coeffs = {0: 0.0}
-    for n in range(1, u.n_max + 1):
-        un = u.coeff(n)
-        if un == 0:
-            continue
-        coeffs[n] = 2.0j * math.pi * n * un / (-_checked_divisor(alpha, n))
+    for n, _ in u._modes[1]:
+        coeffs[n] = (2.0j * math.pi * n * u.coeff(n)
+                     / (-_checked_divisor(alpha, n)))
     return FourierDensity(coeffs)
 
 

@@ -97,6 +97,12 @@ NONFINITE_INPUTS = {
     "record inf size": lambda: ScalingRecord("f", math.inf, 0.1, "physical"),
     "csv nan w": lambda: read_records_csv(CSV_HEADER + "f,1,nan,physical"),
     "csv inf size": lambda: read_records_csv(CSV_HEADER + "f,inf,1,physical"),
+    "harmonic nan amplitude": lambda: BVObservable.harmonic(1, math.nan),
+    "harmonic inf amplitude": lambda: BVObservable.harmonic(2, -math.inf),
+    "hat nan height": lambda: BVObservable.hat(0.5, height=math.nan),
+    "hat inf height": lambda: BVObservable.hat(0.5, height=math.inf),
+    "constant nan": lambda: BVObservable.constant(math.nan),
+    "constant inf": lambda: BVObservable.constant(-math.inf),
 }
 
 
@@ -142,6 +148,14 @@ OUT_OF_DOMAIN_SAMPLES = {
     "continued_fraction k 2.5": lambda: continued_fraction(GOLDEN_MEAN, 2.5),
     "continued_fraction k 3.0": lambda: continued_fraction(GOLDEN_MEAN, 3.0),
     "continued_fraction k True": lambda: continued_fraction(GOLDEN_MEAN, True),
+    "harmonic k -2": lambda: BVObservable.harmonic(-2),
+    "harmonic k 0": lambda: BVObservable.harmonic(0),
+    "harmonic k 1.5": lambda: BVObservable.harmonic(1.5),
+    "harmonic k 2.0": lambda: BVObservable.harmonic(2.0),
+    "harmonic k True": lambda: BVObservable.harmonic(True),
+    "fourier mode 1.5": lambda: FourierSeries({0: 0.5, 1.5: 1.0}),
+    "fourier mode True": lambda: FourierSeries({True: 1.0}),
+    "fourier cosine 1.5": lambda: FourierSeries.cosine(1.5),
 }
 
 

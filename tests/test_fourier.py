@@ -8,6 +8,7 @@ from circlestab.arithmetic import frac
 from circlestab.fourier import (
     FourierDensity,
     FourierSeries,
+    _nonzero_modes,
     _trig_sums,
     pairing,
 )
@@ -146,10 +147,59 @@ def test_trig_sums_of_several_spectra_equal_separate_calls():
     for c in spectra:
         c[5] = 0.0        # zero in every spectrum: skipped
     x = np.concatenate([rng.uniform(-2.0, 3.0, 20_000), [0.0, 1.0, 0.5]])
-    together = _trig_sums(spectra, x)
+    together = _trig_sums(_nonzero_modes(spectra), x)
     assert len(together) == len(spectra)
     for c, out in zip(spectra, together):
-        assert np.array_equal(bits(out), bits(_trig_sums([c], x)[0]))
+        alone = _trig_sums(_nonzero_modes([c]), x)[0]
+        assert np.array_equal(bits(out), bits(alone))
+
+
+def trig_sums_dense(spectra, x):
+    """The per-mode loop _trig_sums had: every mode up to n_max, each
+    spectrum converted by tolist() on every call, and a mode skipped when
+    it is zero in every spectrum."""
+    x = np.asarray(x, dtype=float)
+    rows = [np.asarray(c, dtype=complex).tolist() for c in spectra]
+    outs = [np.empty_like(x) for _ in rows]
+    for out, c in zip(outs, rows):
+        out.fill(c[0].real)
+    cos, t = np.empty_like(x), np.empty_like(x)
+    for n in range(1, len(rows[0])):
+        if not any(c[n] for c in rows):
+            continue
+        ph = np.asarray(frac(np.multiply(x, n, out=t)))
+        ph *= 2.0 * math.pi
+        np.cos(ph, out=cos)
+        np.sin(ph, out=ph)
+        for out, c in zip(outs, rows):
+            out += np.multiply(2.0 * c[n].real, cos, out=t)
+            out -= np.multiply(2.0 * c[n].imag, ph, out=t)
+    return outs
+
+
+def test_sparse_spectra_up_to_mode_1e6_equal_the_dense_loop():
+    rng = np.random.default_rng(15)
+    n_max = 10 ** 6
+    modes = np.concatenate(
+        ([1, 2, n_max - 1, n_max], rng.choice(np.arange(3, n_max - 1), 16,
+                                              replace=False)))
+    spectra = [np.zeros(n_max + 1, dtype=complex) for _ in range(2)]
+    for c, mean in zip(spectra, (0.3, 1.0)):
+        c[0] = mean
+        re, im = rng.normal(size=(2, len(modes)))
+        c[modes] = re + 1j * im
+    spectra[0][modes[0]] = 0.0          # zero in one spectrum only
+    spectra[1][modes[1]] = 0.25j        # a zero real part
+    spectra[0][modes[2]] = -0.5         # a zero imaginary part
+    x = np.concatenate([rng.uniform(-1.0, 2.0, 2000), [0.0, 0.5, 1.0]])
+    for got, want in zip(_trig_sums(_nonzero_modes(spectra), x),
+                         trig_sums_dense(spectra, x)):
+        assert np.array_equal(bits(got), bits(want))
+    u = FourierSeries({int(n): spectra[0][n] for n in np.flatnonzero(
+        spectra[0])})
+    assert u.n_max == n_max
+    assert np.array_equal(bits(u.eval(x)),
+                          bits(trig_sums_dense([spectra[0]], x)[0]))
 
 
 def test_trig_sums_zero_dimensional_point():
@@ -157,9 +207,9 @@ def test_trig_sums_zero_dimensional_point():
     spectra = [random_spectrum(rng, 4, 0.0), random_spectrum(rng, 4, 1.0)]
     xs = rng.uniform(-1.0, 2.0, 50)
     for k, x in enumerate(xs):
-        outs = _trig_sums(spectra, np.float64(x))
+        outs = _trig_sums(_nonzero_modes(spectra), np.float64(x))
         assert all(isinstance(o, np.ndarray) and o.shape == () for o in outs)
-        for o, row in zip(outs, _trig_sums(spectra, xs)):
+        for o, row in zip(outs, _trig_sums(_nonzero_modes(spectra), xs)):
             assert bits(o) == bits(row[k])
 
 

@@ -399,6 +399,32 @@ def test_graph_equals_loop_on_identity_constant_and_chain(N):
     assert_graph_matches_loop(TableMap(np.maximum(np.arange(N) - 1, 0)))
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 13])
+def test_graph_equals_loop_on_chains_one_past_a_power_of_two(k):
+    # the tail of 2^k + 1 nodes needs all (N - 1).bit_length() = k + 1
+    # compositions: after k of them node N - 1 is still one step short
+    N = 2 ** k + 2
+    assert_graph_matches_loop(TableMap(np.maximum(np.arange(N) - 1, 0)))
+
+
+@pytest.mark.parametrize("k", [2, 6, 10])
+def test_graph_equals_loop_on_a_rho(k):
+    # nodes 0, 1, 2 form a 3-cycle and nodes 3..N-1 a tail of 2^k + 1
+    # nodes running into node 2, relabelled at random
+    N = 2 ** k + 4
+    table = np.concatenate(([1, 2, 0], np.arange(2, N - 1)))
+    assert_graph_matches_loop(TableMap(table))
+    perm = np.random.default_rng(k).permutation(N)
+    relabelled = np.empty(N, dtype=np.int64)
+    relabelled[perm] = perm[table]
+    assert_graph_matches_loop(TableMap(relabelled))
+
+
+@pytest.mark.parametrize("table", [[0], [0, 0], [0, 1], [1, 0], [1, 1]])
+def test_graph_equals_loop_on_every_map_of_one_or_two_nodes(table):
+    assert_graph_matches_loop(TableMap(table))
+
+
 DIFFEO = ConjugatedRotation(GOLDEN_MEAN, ConjugacyDiffeo([0.2], [0.1]))
 ATTRACTOR = AttractorRepeller(5, continued_fraction(GOLDEN_MEAN, 8), 1.0)
 

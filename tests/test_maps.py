@@ -348,6 +348,18 @@ def test_stepped_orbit_is_iterated_eval(m):
     assert np.array_equal(m.orbit(0.37, 300), want)
 
 
+def test_deep_attractor_repeller_visits_its_one_mode():
+    # u holds q + 1 = 832,041 coefficients of which one is nonzero; eval
+    # and the float closure visit that mode alone, with eval's bits
+    m = AttractorRepeller(28, continued_fraction(GOLDEN_MEAN, 30), 1.0)
+    assert m.q == 832_040 and [n for n, _ in m.u._modes[1]] == [m.q]
+    x, want = 0.37, []
+    for _ in range(300):
+        x = m.eval(x)
+        want.append(x)
+    assert np.array_equal(m.orbit(0.37, 300), want)
+
+
 def u_with_zeroed_halves(seed):
     """1-8 random modes, all real, all imaginary or mixed; some modes
     and, for odd seeds, the mean exactly 0."""
