@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arithmetic import _ols, continued_fraction
+from .arithmetic import _check_count, _ols, continued_fraction
 from .errors import CircleStabError, InsufficientDataError, ResourceLimitError
 from .experiments import (
     DISCRETIZATION_FAMILIES,
@@ -153,6 +153,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_discrepancy(args) -> int:
     alpha, label = resolve_alpha(args.alpha)
+    for N in args.ladder:  # every entry, before any work
+        _check_count("N", N, 1)
     n_max = max(args.ladder)
     if n_max > DISCREPANCY_POINT_CAP:
         raise ResourceLimitError(

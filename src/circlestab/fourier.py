@@ -196,9 +196,9 @@ class FourierDensity(FourierSeries):
 
 
 def pairing(psi: FourierSeries, rho: FourierSeries) -> float:
-    """integral psi * rho dm = sum_n psi_hat(-n) rho_hat(n), real."""
-    n = min(psi.n_max, rho.n_max)
+    """integral psi * rho dm = sum_n psi_hat(-n) rho_hat(n), real, over the
+    modes nonzero in both, ascending: any other adds an exact zero."""
     s = psi.coeff(0) * rho.coeff(0)
-    for k in range(1, n + 1):
+    for k in sorted(dict(psi._modes[1]).keys() & dict(rho._modes[1])):
         s += psi.coeff(-k) * rho.coeff(k) + psi.coeff(k) * rho.coeff(-k)
     return float(s.real)

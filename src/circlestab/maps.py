@@ -19,11 +19,12 @@ its invariant means can be taken as integrals over h_* m
 (response.fd_response) and its orbits in closed form through
 ConjugatedRotation; TunedFamily.orbit itself still iterates f.  The
 rotation number evaluates the displacement on such an orbit as one
-array.
+array.  Newton for h^-1 starts from a table of h^-1 built once per h.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -60,6 +61,7 @@ _BLOCK = 1 << 16         # points per block of an elementwise array pass
 _CYCLE_BLOCK = 1 << 12   # stepped points per repeat check, and its window
 _INVERSE_TOL = 1e-14     # Newton for h^-1 stops at |h(z) - y| <= this
 _INVERSE_STEPS = 50      # and fails after this many steps
+_INVERSE_NODES = 1 << 12  # Newton for h^-1 starts from a table at k / this
 
 
 def _check_orbit_len(n: int, burn_in: int = 0) -> None:
@@ -248,9 +250,9 @@ class ConjugacyDiffeo:
     """h(x) = x + sum_n (a_n sin(2 pi n x) + b_n cos(2 pi n x)) / (2 pi n).
 
     Requires sum(|a_n| + |b_n|) < 1 so that h' >= 1 - sum > 0 and h is a
-    degree-1 circle diffeomorphism.  The inverse is found by Newton from
-    the starting point y (the displacement is < 1/(2 pi)), until the
-    residual |h(z) - y| is at most 1e-14 at every point.
+    degree-1 circle diffeomorphism.  The inverse is found by Newton from a
+    table of h^-1 at k/2^12, built once per h, until the residual
+    |h(z) - y| is at most 1e-14 at every point.
     """
 
     def __init__(self, a, b=None):
@@ -302,12 +304,14 @@ class ConjugacyDiffeo:
     def deriv(self, x):
         return _trig_sums(self._dh, x)[0]
 
-    @_pointwise
-    def inverse(self, y):
-        """z with h(z) = y, computed by Newton until |h(z) - y| <= 1e-14;
-        each point stops on its own.  A ConvergenceError's estimate and
-        error_bound describe only the points of this call."""
-        z = y.copy()
+    @functools.cached_property
+    def _inverse_table(self):
+        """(k/M, h^-1(k/M) by Newton from k/M) for k <= M = _INVERSE_NODES;
+        only a start, so a node left unconverged is kept, never raised."""
+        nodes = np.arange(_INVERSE_NODES + 1) / _INVERSE_NODES
+        return nodes, self._newton(nodes, nodes.copy())[0]
+
+    def _newton(self, y, z):  # from z in place; (z, whether all stopped)
         for _ in range(_INVERSE_STEPS):
             # in place: r = z + disp - y and z - r / dh as written
             r, dh = _trig_sums(self._eta_dh, z)
@@ -315,12 +319,21 @@ class ConjugacyDiffeo:
             r -= y
             done = np.abs(r) <= _INVERSE_TOL  # each point stops on its own
             if np.all(done):
-                break
+                return z, True
             np.divide(r, dh, out=dh)
             np.subtract(z, dh, out=dh)
             np.copyto(z, dh, where=~done)
             del r, dh  # free before the next step allocates its own
-        else:
+        return z, False
+
+    @_pointwise
+    def inverse(self, y):
+        """z with h(z) = y by Newton from floor(y) + the table interpolated
+        at y - floor(y), each point stopping at |h(z) - y| <= 1e-14.  A
+        ConvergenceError describes only the points of this call."""
+        z = np.floor(y, out=np.empty_like(y))  # out= keeps a 0-d z an array
+        z += np.interp(y - z, *self._inverse_table)
+        if not self._newton(y, z)[1]:  # z is stepped in place
             worst = float(np.max(np.abs(z + self.displacement_fn(z) - y)))
             raise ConvergenceError(
                 f"Newton for h^-1 did not reach {_INVERSE_TOL} in "

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import circlestab
 
+from circlestab import cli as cli_module
 from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction
 from circlestab.cli import run_cli
 from circlestab.errors import InsufficientDataError
@@ -115,6 +116,15 @@ def test_constructors_reject_nonfinite(build):
 
 # samples and sizes out of the domain: non-finite, negative or empty
 LINE = [(0.1, 0.2), (0.01, 0.05), (0.001, 0.01)]
+
+
+def discrepancy_ladder(*ladder):
+    """The discrepancy command's handler on the parsed --ladder entries."""
+    args = cli_module._build_parser().parse_args(
+        ["discrepancy", "--ladder", *map(str, ladder)])
+    return args.handler(args)
+
+
 OUT_OF_DOMAIN_SAMPLES = {
     "discrepancy nan": lambda: discrepancy([0.1, math.nan]),
     "discrepancy inf": lambda: discrepancy([0.1, math.inf]),
@@ -156,6 +166,9 @@ OUT_OF_DOMAIN_SAMPLES = {
     "fourier mode 1.5": lambda: FourierSeries({0: 0.5, 1.5: 1.0}),
     "fourier mode True": lambda: FourierSeries({True: 1.0}),
     "fourier cosine 1.5": lambda: FourierSeries.cosine(1.5),
+    "discrepancy ladder 100 0": lambda: discrepancy_ladder(100, 0),
+    "discrepancy ladder -5": lambda: discrepancy_ladder(-5),
+    "discrepancy ladder 0 100": lambda: discrepancy_ladder(0, 100),
 }
 
 
@@ -467,6 +480,21 @@ def test_cli_discrepancy_caps_the_ladder():
     # far beyond any allocation, so only the cap can give this exit
     code, _, err = cli(["discrepancy", "--ladder", str(10 ** 15)])
     assert code == 2 and "exceeds the cap" in err
+
+
+def test_cli_discrepancy_checks_every_ladder_entry_first(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return discrepancy(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "discrepancy", counted)
+    for ladder in (["100", "0"], ["-5"], ["100", "1000", "-1"]):
+        code, out, err = cli(["discrepancy", "--ladder", *ladder])
+        assert code == 1 and out == ""
+        assert err.startswith("config error: got N") and "must be >= 1" in err
+    assert calls == []  # no entry was computed
 
 
 def test_cli_response_caps_the_orbit():

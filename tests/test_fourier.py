@@ -106,6 +106,34 @@ def test_pairing_matches_quadrature():
     assert pairing(psi, rho) == pytest.approx(num, abs=1e-10)
 
 
+def pairing_dense(psi, rho):
+    """The loop pairing had: every mode up to min(n_max), through coeff."""
+    s = psi.coeff(0) * rho.coeff(0)
+    for k in range(1, min(psi.n_max, rho.n_max) + 1):
+        s += psi.coeff(-k) * rho.coeff(k) + psi.coeff(k) * rho.coeff(-k)
+    return float(s.real)
+
+
+def random_sparse_series(rng):
+    """Up to 8 modes below 40, some of them shared with another draw, with
+    zero real or imaginary parts, a zero mean, or a zero top mode."""
+    coeffs = {0: rng.normal() * (rng.random() < 0.7)}
+    for n in rng.integers(1, 40, rng.integers(0, 9)):
+        re, im = rng.normal(size=2) * (rng.random(2) < 0.8)
+        coeffs[int(n)] = complex(re, im)
+    coeffs.setdefault(int(rng.integers(1, 60)), 0.0)
+    return FourierSeries(coeffs)
+
+
+def test_pairing_equals_the_dense_loop_on_sparse_spectra():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        psi, rho = random_sparse_series(rng), random_sparse_series(rng)
+        got, want = pairing(psi, rho), pairing_dense(psi, rho)
+        # a skipped mode adds +-0.0, which moves only the sign of a zero
+        assert bits(got) == bits(want) or got == want == 0.0
+
+
 # ------------------------------------------------ the shared evaluator
 
 def bits(a):

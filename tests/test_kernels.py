@@ -5,8 +5,9 @@ exact levels, the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for
 `frac` and `frac` for `_frac_into`, the three-color walk of the
 functional graph, `dk_check` on a fresh orbit per case for the
 Denjoy-Koksma suite, the Newton inverse of a `ConjugacyDiffeo` that
-evaluated its modes twice per step and the stepping loop of
-`CircleMap.orbit` with no repeat check.  Equality is bit for bit,
+evaluated its modes twice per step (from the same table start, and
+within the residual tolerance from the old start z = y) and the
+stepping loop of `CircleMap.orbit` with no repeat check.  Equality is bit for bit,
 except for the least-squares fits: the closed-form slopes of the Holder
 fit agree with the per-resample `np.polyfit` loop to 1e-12 relative,
 and the Diophantine type estimate agrees with the per-window
@@ -37,6 +38,7 @@ from circlestab.experiments import _dk_cases, holder_fit, resolve_alpha
 from circlestab.invariant import analyze_functional_graph
 from circlestab.maps import (
     _CYCLE_BLOCK,
+    _INVERSE_NODES,
     AttractorRepeller,
     CircleMap,
     ConjugacyDiffeo,
@@ -440,35 +442,68 @@ def test_graph_equals_loop_on_discretized_maps(inner, N):
 
 # ------------------------------------------------------------ inverse of h
 
-def inverse_two_calls(h, y, tol=1e-14, max_iter=50):
-    """Newton for h^-1 with the modes evaluated once for the residual
-    and again for the derivative.  The displacement adds the cos term of
-    each mode, then the sin term, with coefficients b_n / (2 pi n) and
-    a_n / (2 pi n), as the shared evaluator does."""
+def displacement_loop(h, x):
+    """h(x) - x adding the cos term of each mode, then the sin term, with
+    coefficients b_n / (2 pi n) and a_n / (2 pi n), as the shared
+    evaluator does."""
+    out = np.zeros(x.shape)
+    for n in range(1, len(h.a) + 1):
+        ph = 2.0 * np.pi * np.asarray(frac(n * x))
+        out = out + h.b[n - 1] / (2.0 * np.pi * n) * np.cos(ph)
+        out = out + h.a[n - 1] / (2.0 * np.pi * n) * np.sin(ph)
+    return out
 
-    def displacement(x):
-        out = np.zeros(x.shape)
-        for n in range(1, len(h.a) + 1):
-            ph = 2.0 * np.pi * np.asarray(frac(n * x))
-            out = out + h.b[n - 1] / (2.0 * np.pi * n) * np.cos(ph)
-            out = out + h.a[n - 1] / (2.0 * np.pi * n) * np.sin(ph)
-        return out
 
-    def deriv(x):
-        out = np.ones(x.shape)
-        for n in range(1, len(h.a) + 1):
-            ph = 2.0 * np.pi * np.asarray(frac(n * x))
-            out = out + h.a[n - 1] * np.cos(ph) - h.b[n - 1] * np.sin(ph)
-        return out
+def deriv_loop(h, x):
+    out = np.ones(x.shape)
+    for n in range(1, len(h.a) + 1):
+        ph = 2.0 * np.pi * np.asarray(frac(n * x))
+        out = out + h.a[n - 1] * np.cos(ph) - h.b[n - 1] * np.sin(ph)
+    return out
 
-    z = y.copy()
+
+def newton_two_calls(h, y, z, tol=1e-14, max_iter=50):
+    """Newton for h^-1 from z with the modes evaluated once for the
+    residual and again for the derivative; z as the last step left it,
+    converged or not."""
     for _ in range(max_iter):
-        r = z + displacement(z) - y
+        r = z + displacement_loop(h, z) - y
         done = np.abs(r) <= tol
         if np.all(done):
             break
-        z = np.where(done, z, z - r / deriv(z))
-    return z, displacement(y), deriv(y)
+        z = np.where(done, z, z - r / deriv_loop(h, z))
+    return z
+
+
+def inverse_two_calls(h, y):
+    """newton_two_calls from floor(y) + a table of h^-1 at the nodes k/M,
+    k = 0..M, interpolated at y - floor(y); the table is newton_two_calls
+    from the nodes."""
+    nodes = np.arange(_INVERSE_NODES + 1) / _INVERSE_NODES
+    table = newton_two_calls(h, nodes, nodes.copy())
+    fl = np.floor(y)
+    return newton_two_calls(h, y, fl + np.interp(y - fl, nodes, table))
+
+
+def random_conjugacy(rng, modes, size):
+    """h with sum(|a_n| + |b_n|) = size spread at random over the modes."""
+    c = rng.dirichlet(np.ones(2 * modes)) * size * rng.choice([-1, 1],
+                                                              2 * modes)
+    return ConjugacyDiffeo(c[:modes], c[modes:])
+
+
+def assert_inverse_matches_oracles(h, y):
+    """h.inverse(y) bit for bit against inverse_two_calls, in one array
+    call and point by point on the last three points, and within the
+    residual tolerance of the old Newton from the start z = y: both
+    residuals are at most 1e-14, so |dz| * h'(z) <= 2e-14."""
+    z = h.inverse(y)
+    assert np.array_equal(bits(z), bits(inverse_two_calls(h, y)))
+    assert all(bits(h.inverse(v)) == bits(z[k])
+               for k, v in enumerate(y[-3:], len(y) - 3))
+    assert np.all(np.abs(z + h.displacement_fn(z) - y) <= 1e-14)
+    from_y = newton_two_calls(h, y, y.copy())
+    assert np.all(np.abs(z - from_y) * h.deriv(z) <= 2e-14)
 
 
 @pytest.mark.parametrize("modes", [1, 2, 5])
@@ -476,15 +511,38 @@ def test_conjugacy_inverse_equals_two_call_newton(modes):
     rng = np.random.default_rng(modes)
     y = np.concatenate([rng.uniform(0, 1, 100_000), [0.0, 0.5, 1.0 - 1e-16]])
     for _ in range(3):
-        c = rng.dirichlet(np.ones(2 * modes)) * 0.9 * rng.choice([-1, 1],
-                                                                 2 * modes)
-        h = ConjugacyDiffeo(c[:modes], c[modes:])
-        z, disp, der = inverse_two_calls(h, y)
-        assert np.array_equal(bits(h.inverse(y)), bits(z))
-        assert np.array_equal(bits(h.displacement_fn(y)), bits(disp))
-        assert np.array_equal(bits(h.deriv(y)), bits(der))
-        assert all(bits(h.inverse(v)) == bits(z[k])
-                   for k, v in enumerate(y[-3:], len(y) - 3))
+        h = random_conjugacy(rng, modes, 0.9)
+        assert_inverse_matches_oracles(h, y)
+        assert np.array_equal(bits(h.displacement_fn(y)),
+                              bits(displacement_loop(h, y)))
+        assert np.array_equal(bits(h.deriv(y)), bits(deriv_loop(h, y)))
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4, 5])
+def test_near_critical_inverse_equals_two_call_newton(modes):
+    # sum(|a_n| + |b_n|) = 0.99, so h' may come down to 0.01; y off the
+    # unit interval, on every node of the table, and just below 1
+    rng = np.random.default_rng(100 + modes)
+    nodes = np.arange(_INVERSE_NODES + 1) / _INVERSE_NODES
+    y = np.concatenate([rng.uniform(-3, 3, 20_000), nodes, [1.0 - 1e-16]])
+    for _ in range(3):
+        assert_inverse_matches_oracles(random_conjugacy(rng, modes, 0.99), y)
+
+
+@pytest.mark.parametrize("h", [
+    ConjugacyDiffeo([0.2], [0.05]),
+    ConjugacyDiffeo([0.2, -0.05, 0.1], [0.03, 0.0, -0.1]),
+    ConjugacyDiffeo([0.5, 0.2], [-0.19, 0.1]),
+], ids=["bench-like", "three-modes", "near-critical"])
+def test_grid_image_equals_the_one_from_y(h):
+    # the table start moves h^-1 by rounding only: no node of the grid
+    # image moves against Newton from z = y
+    N = 100_000
+    T = Discretized(ConjugatedRotation(GOLDEN_MEAN, h), N)
+    x = np.arange(N) / N
+    z = newton_two_calls(h, x, x.copy())
+    from_y = T._project(frac(h.eval(frac(z) + T.inner.alpha)))
+    assert np.array_equal(T.grid_image(), from_y)
 
 
 # ------------------------------------------------------------ stepped orbits

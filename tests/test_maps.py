@@ -123,7 +123,10 @@ def test_grid_image_newton_failure_in_a_block(monkeypatch):
     # reads as the one-pass error did, and describes the failing block
     monkeypatch.setattr(maps, "_INVERSE_STEPS", 1)
     N = 3 * _BLOCK + 7
-    TN = Discretized(GRID_INNER_MAPS["conjugated"], N)
+    h = GRID_INNER_MAPS["conjugated"].h
+    # a fresh h, so that its table of h^-1 is built under the one-step cap
+    TN = Discretized(ConjugatedRotation(GOLDEN_MEAN,
+                                        ConjugacyDiffeo(h.a, h.b)), N)
     with pytest.raises(ConvergenceError) as one_pass:
         TN.inner.eval(np.arange(N) / N)
     with pytest.raises(ConvergenceError) as first_block:
@@ -133,6 +136,11 @@ def test_grid_image_newton_failure_in_a_block(monkeypatch):
     assert str(blocked.value) == str(one_pass.value)
     assert blocked.value.estimate == first_block.value.estimate
     assert blocked.value.error_bound == first_block.value.error_bound
+    # the error is about the block's own points, not the table that
+    # starts Newton: a failure there would read the same for every block
+    with pytest.raises(ConvergenceError) as second_block:
+        TN.inner.eval(np.arange(_BLOCK, 2 * _BLOCK) / N)
+    assert second_block.value.error_bound != first_block.value.error_bound
 
 
 def test_discretization_scan_records_a_block_failure(monkeypatch):
@@ -146,6 +154,23 @@ def test_discretization_scan_records_a_block_failure(monkeypatch):
     scan = discretization_scan(config)
     assert len(scan) == 0
     assert scan.failures == [(N, f"ConvergenceError: {one_pass.value}")]
+
+
+def test_inverse_of_a_block_takes_two_trig_passes(monkeypatch):
+    # from the table start, one Newton update and the residual check;
+    # Newton from z = y took five passes on this h
+    h = ConjugacyDiffeo([0.2], [0.05])
+    h.inverse(0.5)  # builds the table
+    calls = []
+
+    def counted(modes, x):
+        calls.append(len(x))
+        return trig_sums(modes, x)
+
+    trig_sums = maps._trig_sums
+    monkeypatch.setattr(maps, "_trig_sums", counted)
+    h.inverse(np.arange(_BLOCK) / _BLOCK)
+    assert calls == [_BLOCK] * len(calls) and 1 <= len(calls) <= 2
 
 
 def test_discretize_rejects_bad_n():
