@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .arithmetic import (
     _frac_into,
     _ols,
     continued_fraction,
+    frac,
 )
 from .errors import CircleStabError, InsufficientDataError
 from .invariant import (
@@ -408,23 +409,55 @@ def run_dk_suite(cases: int = 1000, seed: int = 0,
                  alpha: Union[str, float] = "golden"):
     """Randomized Denjoy-Koksma check on orbits of 10..1e5 points;
     returns (violations, checked).  Each case is dk_check on frac(x0 +
-    i*alpha), i = 1..N, bit for bit, taken on reused orbit buffers."""
+    i*alpha), i = 1..N, bit for bit; an orbit is sorted only where it
+    cannot be read in order off one circular order of the i*alpha (see
+    _dk_cases).  ValueError if i*alpha overflows for some i <= 1e5."""
     _check_count("cases", cases, 1)
     a, _ = resolve_alpha(alpha)
     return sum(not c.ok for c in _dk_cases(cases, seed, a)), cases
 
 
 def _dk_cases(cases: int, seed: int, a: float):
-    """The suite's checks, one per case, in the order the seed draws."""
+    """The suite's checks, one per case, in the order the seed draws.
+
+    frac(x0 + i*a), i <= N, is the set {i*a} turned by x0.  So the table
+    i*a is ordered once by frac, and the cases run in decreasing N, each
+    dropping i > N from the last order by one compress.  An orbit read
+    in that order that ascends after one turn goes to the star pass
+    with its turn; any other is sorted, so the bits never rest on gaps.
+    """
+    if not math.isfinite(a * 10 ** 5):
+        raise ValueError(f"alpha {a!r} overflows the orbit table i*alpha")
     rng = np.random.default_rng(seed)
     lib = bv_library()
+    draws = [(rng.uniform(), int(rng.integers(10, 10 ** 5 + 1)),
+              lib[int(rng.integers(0, len(lib)))]) for _ in range(cases)]
     ia = np.arange(1, 10 ** 5 + 1) * a
+    circ = ia[np.argsort(frac(ia))]  # the i*a in circular order
     shifted, orbit = np.empty_like(ia), np.empty_like(ia)
-    for _ in range(cases):
-        x0 = rng.uniform()
-        N = int(rng.integers(10, 10 ** 5 + 1))
-        f = lib[int(rng.integers(0, len(lib)))]
+    checks = [None] * cases
+    for c in sorted(range(cases), key=lambda c: -draws[c][1]):
+        x0, N, f = draws[c]
+        if len(circ) > N:  # drop i > N: i*a moves away from 0 as i grows
+            lim = ia[N - 1]  # (a = 0: every i*a ties, and any N will do)
+            circ = circ[circ <= lim] if a > 0 else circ[circ >= lim][:N]
         orb = _frac_into(np.add(x0, ia[:N], out=shifted[:N]), orbit[:N])
         mean = float(np.mean(f.eval(orb)))  # orbit order, as dk_check sums
-        orb.sort()  # already in [0, 1) and finite: alpha is finite
-        yield _dk_verdict(f, mean, _discrepancy_sorted(orb))
+        s = _frac_into(np.add(x0, circ, out=shifted[:N]), orb)
+        w = _ascending_turn(s)
+        if w is None:
+            s.sort()
+            w = 0
+        checks[c] = _dk_verdict(f, mean, _discrepancy_sorted(s, w=w))
+    return checks
+
+
+def _ascending_turn(s) -> Optional[int]:
+    """w such that s[w:] then s[:w] ascends, read off s's one descent;
+    None if s has more than one, or if its last point passes its first."""
+    down = np.flatnonzero(s[1:] < s[:-1])
+    if len(down) == 0:
+        return 0
+    if len(down) == 1 and s[-1] < s[0]:
+        return int(down[0]) + 1
+    return None

@@ -488,32 +488,37 @@ class DiscrepancyResult:
         return self.value
 
 
-def _star_discrepancy(x_sorted: np.ndarray) -> float:
-    # max of i/n - x_(i) and x_(i) - (i-1)/n, by blocks: max is exact
-    n = len(x_sorted)
+def _star_discrepancy(x: np.ndarray, w: int = 0) -> float:
+    """Star discrepancy of points in [0, 1) whose sorted order is x[w:]
+    then x[:w]: x[j] has rank k = (j - w) mod n + 1."""
+    # max of k/n - x[j] and x[j] - (k-1)/n, by blocks: max is exact
+    n = len(x)
     worst = -np.inf
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        x = x_sorted[lo:hi]
-        q = np.arange(lo, hi + 1, dtype=float)  # (i-1)/n and i/n share q
-        q /= n
-        d = q[1:] - x
-        worst = max(worst, np.max(d), np.max(np.subtract(x, q[:-1], out=d)))
+    for start, stop, k0 in ((w, n, -w), (0, w, n - w)):  # k - 1 = j + k0
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            xb = x[lo:hi]
+            q = np.arange(lo + k0, hi + k0 + 1, dtype=float)
+            q /= n  # (k-1)/n and k/n share q
+            d = q[1:] - xb
+            worst = max(worst, np.max(d),
+                        np.max(np.subtract(xb, q[:-1], out=d)))
     return float(worst)
 
 
-def _extreme_discrepancy_exact(x_sorted: np.ndarray) -> float:
+def _extreme_discrepancy_exact(x_sorted: np.ndarray, star: float) -> float:
     # sup over closed arcs of count/n - length and length - count/n,
-    # reduced to prefix maxima over sorted points (O(n) after sort)
+    # reduced to prefix maxima over sorted points (O(n) after sort); the
+    # arcs with an end at 0 give the star discrepancy, passed in
     x = x_sorted
     n = len(x)
-    j = np.arange(1, n + 1)
-    pref_over = np.maximum.accumulate(x - j / n)
-    over = np.max((j + 1) / n - x + pref_over)
-    pref_under = np.maximum.accumulate(j / n - x)
-    under = np.max(x - (j - 1) / n + pref_under)
-    edge = max(np.max(x - (j - 1) / n), np.max(j / n - x))
-    return float(max(over, under, edge))
+    q = np.arange(n + 2, dtype=float)
+    q /= n  # (j-1)/n, j/n and (j+1)/n for j = 1..n
+    pref_over = np.maximum.accumulate(x - q[1:-1])
+    over = np.max(q[2:] - x + pref_over)
+    pref_under = np.maximum.accumulate(q[1:-1] - x)
+    under = np.max(x - q[:-2] + pref_under)
+    return float(max(over, under, star))
 
 
 def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
@@ -536,14 +541,16 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
     return _discrepancy_sorted(x, mode)
 
 
-def _discrepancy_sorted(x, mode: str = "auto") -> DiscrepancyResult:
-    """discrepancy of points already finite, in [0, 1) and sorted."""
+def _discrepancy_sorted(x, mode: str = "auto",
+                        w: int = 0) -> DiscrepancyResult:
+    """discrepancy of points already finite and in [0, 1) whose sorted
+    order is x[w:] then x[:w]."""
     n = len(x)
-    star = _star_discrepancy(x)
+    star = _star_discrepancy(x, w)
     want_exact = mode == "exact" or (mode == "auto"
                                      and n <= EXACT_DISCREPANCY_CAP)
     if want_exact:
-        d = _extreme_discrepancy_exact(x)
+        d = _extreme_discrepancy_exact(np.roll(x, -w) if w else x, star)
         return DiscrepancyResult(n=n, star=star, lower=d, upper=d, exact=d)
     return DiscrepancyResult(n=n, star=star, lower=star, upper=2.0 * star,
                              exact=None)

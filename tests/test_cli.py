@@ -146,6 +146,8 @@ OUT_OF_DOMAIN_SAMPLES = {
     "dk suite cases 2.5": lambda: run_dk_suite(cases=2.5),
     "dk suite cases 10.0": lambda: run_dk_suite(cases=10.0),
     "dk suite cases '10'": lambda: run_dk_suite(cases="10"),
+    "dk suite alpha 1e305": lambda: run_dk_suite(cases=5, alpha=1e305),
+    "dk suite alpha -1e305": lambda: run_dk_suite(cases=5, alpha=-1e305),
     "orbit length 2.5": lambda: Rotation(GOLDEN_MEAN).orbit(0.0, 2.5),
     "orbit length True": lambda: TunedFamily(FourierSeries.cosine(), 0.1,
                                              0.3).orbit(0.0, True),
@@ -414,6 +416,9 @@ def test_cli_exit_codes(tmp_path):
     for cases in ("-5", "0"):
         code, _, err = cli(["dk-check", "--cases", cases])
         assert code == 1 and "cases must be >= 1" in err
+    # i*alpha overflows: a config error, not three DK violations
+    code, out, err = cli(["dk-check", "--cases", "3", "--alpha", "1e305"])
+    assert code == 1 and "overflows" in err and "violations" not in out
     assert cli(["--help"])[0] == 0
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from circlestab import experiments
 from circlestab.arithmetic import (
     GOLDEN_MEAN,
     SQRT2_MINUS_ONE,
@@ -282,6 +283,9 @@ def test_frac_nonfinite_gives_nan(x):
 
 # ------------------------------------------------------------ DK suite
 
+ascending_turn = experiments._ascending_turn
+
+
 def dk_suite_loop(cases, seed, a):
     """The suite's cases as dk_check on a fresh orbit each, with the
     index of the observable drawn and the orbit length."""
@@ -295,10 +299,26 @@ def dk_suite_loop(cases, seed, a):
         yield k, N, dk_check(lib[k], orb)
 
 
-@pytest.mark.parametrize("alpha", ["golden", "sqrt2", 0.3183098861837907])
-def test_dk_suite_equals_per_case_dk_check(alpha):
+# orbits the suite reads sorted off the circular order of {i*alpha} on
+# every case, and orbits it sorts on every case (ties in that order)
+NEVER_SORTED = {"golden", "sqrt2"}
+ALWAYS_SORTED = {0.25, 0.5}
+
+
+@pytest.mark.parametrize("alpha", [
+    "golden", "sqrt2", 0.3183098861837907, -GOLDEN_MEAN, 0.0, 0.25, 0.5,
+    1e-9, 1e6 + GOLDEN_MEAN])
+def test_dk_suite_equals_per_case_dk_check(alpha, monkeypatch):
     a, _ = resolve_alpha(alpha)
     cases, seed = 240, 74845286
+    sorts = []
+
+    def counted_turn(s):
+        w = ascending_turn(s)
+        sorts.append(w is None)
+        return w
+
+    monkeypatch.setattr(experiments, "_ascending_turn", counted_turn)
     want = list(dk_suite_loop(cases, seed, a))
     got = list(_dk_cases(cases, seed, a))
     assert len(got) == cases
@@ -308,6 +328,19 @@ def test_dk_suite_equals_per_case_dk_check(alpha):
     # both discrepancy branches and every library observable were checked
     assert {N <= 10 ** 4 for _, N, _ in want} == {True, False}
     assert {k for k, _, _ in want} == set(range(len(bv_library())))
+    assert len(sorts) == cases
+    if alpha in NEVER_SORTED:
+        assert not any(sorts)
+    if alpha in ALWAYS_SORTED:
+        assert all(sorts)
+
+
+@pytest.mark.parametrize("s, w", [
+    ([0.1, 0.2, 0.3], 0), ([0.5, 0.7, 0.1, 0.2], 2), ([0.9, 0.1], 1),
+    ([0.5, 0.7, 0.1, 0.6], None), ([0.3, 0.1, 0.2, 0.05], None),
+    ([0.2, 0.1, 0.2], None), ([0.4], 0)])
+def test_ascending_turn_reads_the_one_descent(s, w):
+    assert ascending_turn(np.array(s)) == w
 
 
 # ------------------------------------------------------------ functional graph

@@ -16,6 +16,7 @@ from circlestab.maps import (
 from circlestab.measures import (
     _discrepancy_sorted,
     _extreme_discrepancy_exact,
+    _star_discrepancy,
     AtomicMeasure,
     BVObservable,
     DiscrepancyResult,
@@ -307,7 +308,7 @@ def one_pass_discrepancy(pts, mode):
     x = np.sort(frac(np.asarray(pts, dtype=float)))
     star = one_pass_star_discrepancy(x)
     if mode == "exact":
-        d = _extreme_discrepancy_exact(x)
+        d = _extreme_discrepancy_exact(x, star)
         return DiscrepancyResult(len(x), star, d, d, d)
     return DiscrepancyResult(len(x), star, star, 2.0 * star, None)
 
@@ -349,6 +350,68 @@ def test_sorted_entry_is_discrepancy_of_reduced_sorted_points(n, mode):
     got = _discrepancy_sorted(x, mode)
     assert as_bits(got) == as_bits(want)
     assert as_bits(discrepancy(x, mode)) == as_bits(want)
+
+
+STAR_POINTS = {
+    "sorted_uniform": lambda n: np.sort(np.random.default_rng(n).uniform(
+        0, 1, n)),
+    "golden_orbit": lambda n: np.sort(np.arange(1, n + 1) * GOLDEN_MEAN
+                                      % 1.0),
+    "ties": lambda n: np.sort(np.random.default_rng(n).integers(0, 7, n)
+                              / 7.0),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, _BLOCK + 1, 10 ** 5])
+@pytest.mark.parametrize("points", list(STAR_POINTS))
+def test_turned_star_discrepancy_is_the_linear_one(n, points):
+    # x turned right by w: x[w:] then x[:w] ascends, as the DK suite reads
+    x = STAR_POINTS[points](n)
+    want = float(one_pass_star_discrepancy(x)).hex()
+    assert float(_star_discrepancy(x)).hex() == want
+    rng = np.random.default_rng(n + 1)
+    for w in sorted({0, 1, n - 1, int(rng.integers(n)), n // 2} - {n}):
+        turned = np.roll(x, w)
+        assert float(_star_discrepancy(turned, w)).hex() == want
+        if n <= 10 ** 4 + 1:
+            for mode in ("exact", "enclosure"):
+                assert as_bits(_discrepancy_sorted(turned, mode, w)) == \
+                    as_bits(_discrepancy_sorted(x, mode))
+
+
+def three_expression_exact(x):
+    """The exact extreme discrepancy with its own star pass (edge) and
+    j/n, (j+1)/n, (j-1)/n each divided afresh from integers."""
+    n = len(x)
+    j = np.arange(1, n + 1)
+    pref_over = np.maximum.accumulate(x - j / n)
+    over = np.max((j + 1) / n - x + pref_over)
+    pref_under = np.maximum.accumulate(j / n - x)
+    under = np.max(x - (j - 1) / n + pref_under)
+    edge = max(np.max(x - (j - 1) / n), np.max(j / n - x))
+    return float(max(over, under, edge)), float(edge)
+
+
+def exact_discrepancy_sets():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 10, 97, 1000, 9999, 10 ** 4):
+        yield np.sort(rng.uniform(0, 1, n))
+        for make in STAR_POINTS.values():
+            yield make(n)
+    for _ in range(300):  # ties on a coarse grid, where edge can be the max
+        yield np.sort(rng.integers(0, 5, int(rng.integers(1, 50))) / 5)
+
+
+def test_exact_discrepancy_takes_the_star_pass_in():
+    edge_wins = 0
+    for x in exact_discrepancy_sets():
+        want, edge = three_expression_exact(x)
+        star = _star_discrepancy(x)
+        assert float(star).hex() == float(edge).hex()
+        assert float(_extreme_discrepancy_exact(x, star)).hex() == \
+            float(want).hex()
+        edge_wins += want == edge > _extreme_discrepancy_exact(x, 0.0)
+    assert edge_wins > 0  # the star term is needed, not only carried
 
 
 def test_discrepancy_rejects_empty():
