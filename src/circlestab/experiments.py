@@ -44,6 +44,7 @@ from .maps import (
 from .measures import (
     AtomicMeasure,
     LebesgueMeasure,
+    _arc_mean,
     _discrepancy_sorted,
     _dk_verdict,
     bv_library,
@@ -410,8 +411,10 @@ def run_dk_suite(cases: int = 1000, seed: int = 0,
     """Randomized Denjoy-Koksma check on orbits of 10..1e5 points;
     returns (violations, checked).  Each case is dk_check on frac(x0 +
     i*alpha), i = 1..N, bit for bit; an orbit is sorted only where it
-    cannot be read in order off one circular order of the i*alpha (see
-    _dk_cases).  ValueError if i*alpha overflows for some i <= 1e5."""
+    cannot be read in order off one circular order of the i*alpha, an
+    indicator's mean is counted off that order, and a case with V = 0
+    takes no discrepancy (see _dk_cases).  ValueError if i*alpha
+    overflows for some i <= 1e5."""
     _check_count("cases", cases, 1)
     a, _ = resolve_alpha(alpha)
     return sum(not c.ok for c in _dk_cases(cases, seed, a)), cases
@@ -425,6 +428,15 @@ def _dk_cases(cases: int, seed: int, a: float):
     dropping i > N from the last order by one compress.  An orbit read
     in that order that ascends after one turn goes to the star pass
     with its turn; any other is sorted, so the bits never rest on gaps.
+
+    Two kinds of case skip passes and keep their bits:
+    - an indicator reads no orbit in orbit order and evaluates nothing.
+      Its mean is the count of points on its arc off the ascending read
+      (_arc_mean), which is np.mean of its 0/1 values exactly, and that
+      read holds the orbit's values, on which frac is the identity;
+    - a case with V = 0 (the constant) keeps its orbit-order mean but
+      reads no circle and takes no discrepancy: its bound V * D is the
+      same zero for every D.
     """
     if not math.isfinite(a * 10 ** 5):
         raise ValueError(f"alpha {a!r} overflows the orbit table i*alpha")
@@ -438,16 +450,22 @@ def _dk_cases(cases: int, seed: int, a: float):
     checks = [None] * cases
     for c in sorted(range(cases), key=lambda c: -draws[c][1]):
         x0, N, f = draws[c]
+        if f._arc is None:  # orbit order, as dk_check sums
+            orb = _frac_into(np.add(x0, ia[:N], out=shifted[:N]), orbit[:N])
+            mean = float(np.mean(f.eval(orb)))
+        if f.variation == 0.0:
+            checks[c] = _dk_verdict(f, mean, None)
+            continue
         if len(circ) > N:  # drop i > N: i*a moves away from 0 as i grows
             lim = ia[N - 1]  # (a = 0: every i*a ties, and any N will do)
             circ = circ[circ <= lim] if a > 0 else circ[circ >= lim][:N]
-        orb = _frac_into(np.add(x0, ia[:N], out=shifted[:N]), orbit[:N])
-        mean = float(np.mean(f.eval(orb)))  # orbit order, as dk_check sums
-        s = _frac_into(np.add(x0, circ, out=shifted[:N]), orb)
+        s = _frac_into(np.add(x0, circ, out=shifted[:N]), orbit[:N])
         w = _ascending_turn(s)
         if w is None:
             s.sort()
             w = 0
+        if f._arc is not None:
+            mean = _arc_mean(f._arc, s, w)
         checks[c] = _dk_verdict(f, mean, _discrepancy_sorted(s, w=w))
     return checks
 

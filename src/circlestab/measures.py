@@ -451,8 +451,9 @@ def pushforward(m: CircleMap, mu: AtomicMeasure) -> AtomicMeasure:
 
 def cesaro_average(mu: AtomicMeasure, alpha: float, n: int) -> AtomicMeasure:
     """(1/n) sum_{i=1..n} L_{R_alpha}^i mu, an atomic measure."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     total = n * len(mu)
     if total > CESARO_ATOM_CAP:
         raise ResourceLimitError(
@@ -572,6 +573,7 @@ class BVObservable:
         self.variation = float(variation)
         self.integral = float(integral)
         self.label = label
+        self._arc = None  # the closed arc (a, b) of an indicator
         # a nan or inf amplitude, height or value shows in one of them
         if not all(map(math.isfinite, (self.variation, self.integral))):
             raise ValueError(f"{label}: variation and integral must be finite")
@@ -588,7 +590,12 @@ class BVObservable:
 
     @classmethod
     def indicator(cls, a: float, b: float) -> "BVObservable":
-        """1_{[a,b]} on the circle (a <= b as canonical reps, else wraps)."""
+        """1_{[a,b]} on the circle (a <= b as canonical reps, else wraps).
+
+        It keeps the canonical (a, b) as _arc, so a mean over points read
+        in ascending order can count them (_arc_mean) instead of
+        evaluating: the DK suite takes an indicator's mean that way.
+        """
         a, b = canonicalize(a), canonicalize(b)
 
         @_pointwise
@@ -599,7 +606,9 @@ class BVObservable:
             return ((xs >= a) | (xs <= b)).astype(float)
 
         length = (b - a) if a <= b else (1.0 - a + b)
-        return cls(ev, 2.0, length, f"1_[{a:g},{b:g}]")
+        obs = cls(ev, 2.0, length, f"1_[{a:g},{b:g}]")
+        obs._arc = (a, b)
+        return obs
 
     @classmethod
     def constant(cls, value: float) -> "BVObservable":
@@ -615,11 +624,15 @@ class BVObservable:
         """amplitude * cos(2 pi k x) (or sin); V = 4 |amplitude| k."""
         _check_count("k", k, 1)
         k = int(k)
+        trig = np.sin if phase_sin else np.cos
 
         @_pointwise
         def ev(x):
-            ph = 2.0 * math.pi * np.asarray(frac(k * x))
-            return amplitude * (np.sin(ph) if phase_sin else np.cos(ph))
+            # amplitude * trig(2 pi * frac(k x)), in place on frac's array
+            ph = np.asarray(frac(k * x))
+            np.multiply(ph, 2.0 * math.pi, out=ph)
+            trig(ph, out=ph)
+            return np.multiply(ph, amplitude, out=ph)
 
         name = "sin" if phase_sin else "cos"
         return cls(ev, 4.0 * abs(amplitude) * k, 0.0,
@@ -632,9 +645,12 @@ class BVObservable:
 
         @_pointwise
         def ev(x):
+            # height * (1 - 2 d), in place on frac's array
             d = np.asarray(frac(x - c))
-            d = np.minimum(d, 1.0 - d)  # circle distance to center
-            return height * (1.0 - 2.0 * d)
+            np.minimum(d, 1.0 - d, out=d)  # circle distance to center
+            np.multiply(d, 2.0, out=d)
+            np.subtract(1.0, d, out=d)
+            return np.multiply(d, height, out=d)
 
         # mean: E[dist to c] = 1/4 under Lebesgue, so integral = height/2
         return cls(ev, 2.0 * abs(height), height / 2.0,
@@ -761,8 +777,36 @@ def dk_check(f: BVObservable, points) -> DKCheck:
     return _dk_verdict(f, float(np.mean(f.eval(pts))), discrepancy(pts))
 
 
-def _dk_verdict(f, mean: float, d: DiscrepancyResult) -> DKCheck:
-    """The check from the point mean of f and the points' discrepancy."""
+def _arc_mean(arc, x, w: int = 0) -> float:
+    """Mean over x of the indicator of the closed arc (a, b) (wrapping if
+    a > b), for points in [0, 1) whose sorted order is x[w:] then x[:w].
+
+    It counts each ascending piece by bisection.  That is np.mean of the
+    indicator's 0/1 values bit for bit: their every partial sum is an
+    integer below 2^53, so the sum is the count, divided once by n.
+    """
+    a, b = arc
+    n = len(x)
+
+    def count(lo, lo_side, hi, hi_side):
+        return sum(int(np.searchsorted(p, hi, hi_side)
+                       - np.searchsorted(p, lo, lo_side))
+                   for p in (x[w:], x[:w]))
+
+    if a <= b:
+        inside = count(a, "left", b, "right")  # a <= x <= b
+    else:
+        inside = n - count(b, "right", a, "left")  # not b < x < a
+    return inside / n
+
+
+def _dk_verdict(f, mean: float,
+                d: Optional[DiscrepancyResult]) -> DKCheck:
+    """The check from the point mean of f and the points' discrepancy.
+
+    d may be None if V(f) = 0: the bound V * D is then the same zero for
+    every D in [1/N, 1], so it is taken at D = 1.
+    """
     lhs = abs(mean - f.integral)
-    bound = f.variation * d.value
+    bound = f.variation * (1.0 if d is None else d.value)
     return DKCheck(lhs=lhs, bound=bound, ok=bool(lhs <= bound + 1e-12))

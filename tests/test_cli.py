@@ -39,6 +39,7 @@ from circlestab.maps import (
 from circlestab.measures import (
     AtomicMeasure,
     BVObservable,
+    cesaro_average,
     discrepancy,
     dk_check,
 )
@@ -116,6 +117,7 @@ def test_constructors_reject_nonfinite(build):
 
 # samples and sizes out of the domain: non-finite, negative or empty
 LINE = [(0.1, 0.2), (0.01, 0.05), (0.001, 0.01)]
+DIRAC = AtomicMeasure.dirac(0.0)
 
 
 def discrepancy_ladder(*ladder):
@@ -171,6 +173,13 @@ OUT_OF_DOMAIN_SAMPLES = {
     "discrepancy ladder 100 0": lambda: discrepancy_ladder(100, 0),
     "discrepancy ladder -5": lambda: discrepancy_ladder(-5),
     "discrepancy ladder 0 100": lambda: discrepancy_ladder(0, 100),
+    "cesaro n 0": lambda: cesaro_average(DIRAC, GOLDEN_MEAN, 0),
+    "cesaro n True": lambda: cesaro_average(DIRAC, GOLDEN_MEAN, True),
+    "cesaro n 2.5": lambda: cesaro_average(DIRAC, GOLDEN_MEAN, 2.5),
+    "cesaro n 3.0": lambda: cesaro_average(DIRAC, GOLDEN_MEAN, 3.0),
+    "cesaro alpha nan": lambda: cesaro_average(DIRAC, math.nan, 3),
+    "cesaro alpha inf": lambda: cesaro_average(DIRAC, math.inf, 3),
+    "cesaro alpha -inf": lambda: cesaro_average(DIRAC, -math.inf, 3),
 }
 
 

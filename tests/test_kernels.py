@@ -284,6 +284,7 @@ def test_frac_nonfinite_gives_nan(x):
 # ------------------------------------------------------------ DK suite
 
 ascending_turn = experiments._ascending_turn
+discrepancy_sorted = experiments._discrepancy_sorted
 
 
 def dk_suite_loop(cases, seed, a):
@@ -328,11 +329,48 @@ def test_dk_suite_equals_per_case_dk_check(alpha, monkeypatch):
     # both discrepancy branches and every library observable were checked
     assert {N <= 10 ** 4 for _, N, _ in want} == {True, False}
     assert {k for k, _, _ in want} == set(range(len(bv_library())))
-    assert len(sorts) == cases
+    # a case with V = 0 (the constant) reads no circle
+    assert len(sorts) == sum(bv_library()[k].variation != 0.0
+                             for k, _, _ in want)
     if alpha in NEVER_SORTED:
         assert not any(sorts)
     if alpha in ALWAYS_SORTED:
         assert all(sorts)
+
+
+def test_dk_suite_counts_indicators_and_takes_no_discrepancy_at_v0(
+        monkeypatch):
+    cases, seed = 240, 74845286
+    want = list(dk_suite_loop(cases, seed, GOLDEN_MEAN))
+
+    def boom(x):
+        raise AssertionError("the suite evaluated an indicator")
+
+    def library():
+        lib = bv_library()
+        for f in lib:
+            if f._arc is not None:
+                f._eval = boom
+        return lib
+
+    seen = []
+
+    def counted_discrepancy(s, *args, **kwargs):
+        seen.append(len(s))
+        return discrepancy_sorted(s, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "bv_library", library)
+    monkeypatch.setattr(experiments, "_discrepancy_sorted",
+                        counted_discrepancy)
+    got = list(_dk_cases(cases, seed, GOLDEN_MEAN))
+    for (_, _, w), g in zip(want, got):
+        assert (bits([g.lhs, g.bound]).tobytes(), g.ok) == (
+            bits([w.lhs, w.bound]).tobytes(), w.ok)
+    lib = bv_library()
+    assert {lib[k].label for k, _, _ in want} >= {
+        f.label for f in lib if f._arc is not None or f.variation == 0.0}
+    assert sorted(seen) == sorted(N for k, N, _ in want
+                                  if lib[k].variation != 0.0)
 
 
 @pytest.mark.parametrize("s, w", [

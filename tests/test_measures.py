@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from circlestab.maps import (
     Rotation,
 )
 from circlestab.measures import (
+    _arc_mean,
     _discrepancy_sorted,
     _extreme_discrepancy_exact,
     _star_discrepancy,
@@ -229,6 +231,14 @@ def test_cesaro_resource_cap():
     mu = AtomicMeasure.uniform(np.arange(25) / 25.0)
     with pytest.raises(ResourceLimitError):
         cesaro_average(mu, GOLDEN_MEAN, 10 ** 6)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_cesaro_names_a_nonfinite_alpha_before_any_work(alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no work, so no numpy warning
+        with pytest.raises(ValueError, match="alpha"):
+            cesaro_average(AtomicMeasure.dirac(0.0), alpha, 3)
 
 
 # ------------------------------------------------------------ discrepancy
@@ -461,6 +471,83 @@ def test_indicator_wraps():
     f = BVObservable.indicator(0.9, 0.3)
     assert f.eval(0.95) == 1.0 and f.eval(0.1) == 1.0 and f.eval(0.5) == 0.0
     assert f.integral == pytest.approx(0.4)
+
+
+def test_only_an_indicator_keeps_its_arc():
+    assert BVObservable.indicator(-0.1, 2.3)._arc == (
+        frac(-0.1), frac(2.3))
+    for f in bv_library() + [prop30_observable(2)]:
+        assert (f._arc is None) == (not f.label.startswith("1_["))
+
+
+ARCS = [(0.0, 0.5), (0.2, 0.7), (0.9, 0.3), (0.3, 0.3), (0.0, 0.0)]
+TOP = 1.0 - 2.0 ** -53  # the largest float below 1
+
+
+def arc_point_sets(a, b, n):
+    rng = np.random.default_rng(n)
+    yield rng.uniform(0, 1, n)
+    ends = rng.uniform(0, 1, n)  # both ends exactly, 0 and TOP
+    ends[:4] = [a, b, 0.0, TOP][:n]
+    yield ends
+    yield rng.integers(0, 10, n) / 10  # ties, on the ends here too
+    yield np.full(n, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000])
+@pytest.mark.parametrize("a, b", ARCS)
+def test_counted_indicator_mean_is_the_mean_of_eval(a, b, n):
+    f = BVObservable.indicator(a, b)
+    for pts in arc_point_sets(a, b, n):
+        want = float(np.mean(f.eval(pts))).hex()
+        x = np.sort(pts)
+        for w in range(n):  # x turned right by w: x[w:] then x[:w] ascends
+            assert float(_arc_mean(f._arc, np.roll(x, w), w)).hex() == want
+
+
+def harmonic_oracle(k, amplitude, phase_sin):
+    """harmonic's evaluation as it read before it worked in place."""
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        ph = 2.0 * math.pi * np.asarray(frac(k * x))
+        return amplitude * (np.sin(ph) if phase_sin else np.cos(ph))
+    return ev
+
+
+def hat_oracle(c, height):
+    """hat's evaluation as it read before it worked in place."""
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(frac(x - c))
+        d = np.minimum(d, 1.0 - d)
+        return height * (1.0 - 2.0 * d)
+    return ev
+
+
+IN_PLACE_CASES = [
+    (BVObservable.harmonic(1), harmonic_oracle(1, 1.0, False)),
+    (BVObservable.harmonic(2, amplitude=0.5), harmonic_oracle(2, 0.5, False)),
+    (BVObservable.harmonic(5, 0.2, True), harmonic_oracle(5, 0.2, True)),
+    (BVObservable.harmonic(3, -2, True), harmonic_oracle(3, -2, True)),
+    (BVObservable.hat(0.5), hat_oracle(0.5, 1.0)),
+    (BVObservable.hat(0.25, height=2.0), hat_oracle(0.25, 2.0)),
+    (BVObservable.hat(-0.1, height=-3), hat_oracle(frac(-0.1), -3)),
+]
+
+
+@pytest.mark.parametrize("f, oracle", IN_PLACE_CASES,
+                         ids=[f.label for f, _ in IN_PLACE_CASES])
+def test_in_place_observables_equal_their_old_expressions(f, oracle):
+    pts = np.concatenate([RNG.uniform(-3, 3, 1000),
+                          [0.0, -0.0, 0.25, 0.5, TOP, -1e-300, 1e6 + 0.3]])
+    before = pts.copy()
+    got = f.eval(pts)
+    assert got.tobytes() == oracle(pts).tobytes()
+    assert pts.tobytes() == before.tobytes()  # the caller's array is kept
+    for x in pts[::50]:
+        v = f.eval(float(x))
+        assert type(v) is float
+        assert v.hex() == float(oracle(float(x))).hex()
 
 
 # ------------------------------------------------------------ prop30
