@@ -146,7 +146,7 @@ def analyze_functional_graph(mapping: Discretized,
     # free the N-sized arrays before the measures are built
     del succ, g, on_cycle
 
-    # each cycle's nodes ascending, the order AtomicMeasure sorts fastest
+    # the stable argsort of cid splits the nodes by cycle, each ascending
     ascending = np.split(cyc[np.argsort(cid, kind="stable")],
                          np.cumsum(length)[:-1])
     cycle_measures = [AtomicMeasure.uniform(c / N) for c in ascending]
@@ -160,8 +160,7 @@ def analyze_functional_graph(mapping: Discretized,
 def birkhoff_measure(mapping: CircleMap, x0: float, n: int,
                      burn_in: int = 0) -> AtomicMeasure:
     """Empirical measure (1/n) sum delta_{T^i x0}, i = burn_in+1..burn_in+n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     pts = mapping.orbit(canonicalize(x0), n, burn_in)
     return AtomicMeasure.uniform(pts)
 
@@ -173,8 +172,7 @@ def birkhoff_average(mapping: CircleMap, f: Callable, n: int,
     f may be any vectorized callable (a BVObservable's eval, a
     FourierSeries' eval, a plain ufunc expression).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     xs = mapping.orbit(canonicalize(x0), n, burn_in)
     return _wb_mean(np.asarray(f(xs), dtype=float))
 

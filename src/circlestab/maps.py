@@ -452,12 +452,11 @@ def rotation_number(m: CircleMap, iters: int = 1 << 15,
     Raises ConvergenceError carrying the best estimate if the bound
     exceeds tol; pass tol=None to always get the estimate.
     """
+    _check_count("iters", iters, 4)
     if isinstance(m, Discretized):
         raise ValueError("rotation number undefined for discretized maps")
     if isinstance(m, Rotation):
         return RotationNumber(m.alpha, 0.0)
-    if iters < 4:
-        raise ValueError("iters must be >= 4")
 
     disps = m.displacement(np.concatenate(([0.0], m.orbit(0.0, iters - 1))))
     est = _wb_mean(disps)

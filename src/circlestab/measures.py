@@ -121,6 +121,14 @@ class AtomicMeasure:
     wide the chain, and merge into its first position with weights added
     in order; the last atom folds into the first if within MERGE_TOL
     across the 0/1 wrap.  Weights must be positive and sum to 1 +- 1e-12.
+
+    Equal weights sort the fresh frac copy of the positions in place and
+    keep the weights as they are.  The bits are those of a stable sort:
+    frac never returns -0.0 and non-finite positions are refused, so
+    tied positions are equal floats and any sort gives the same array,
+    and a run of r equal weights sums to the same bits in any order.
+    Unequal weights keep the stable argsort, so tied atoms add in input
+    order.
     """
 
     def __init__(self, positions, weights):
@@ -136,8 +144,11 @@ class AtomicMeasure:
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
         p = np.asarray(frac(p))
-        order = np.argsort(p, kind="stable")
-        p, w = p[order], w[order]
+        if np.all(w == w[0]):
+            p.sort()
+        else:
+            order = np.argsort(p, kind="stable")
+            p, w = p[order], w[order]
         starts = np.append(True, np.diff(p) > MERGE_TOL)
         # bincount adds each run's weights in index order, not pairwise
         w = np.bincount(np.cumsum(starts) - 1, weights=w)
@@ -156,7 +167,8 @@ class AtomicMeasure:
     def uniform(cls, points) -> "AtomicMeasure":
         points = np.atleast_1d(np.asarray(points, dtype=float))
         n = len(points)
-        return cls(points, np.full(n, 1.0 / n))
+        # n = 0 gets the constructor's ValueError, not a ZeroDivisionError
+        return cls(points, np.full(n, 1.0 / max(n, 1)))
 
     def __len__(self):
         return len(self.positions)

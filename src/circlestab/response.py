@@ -26,6 +26,7 @@ import numpy as np
 from .arithmetic import (
     DIVISOR_FLOOR,
     DiophantineProfile,
+    _check_count,
     _checked_divisor,
     frac,
 )
@@ -151,8 +152,7 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
         raise ValueError("eps values must be finite")
     if any(e <= 0 for e in ladder):
         raise ValueError("eps values must be positive")
-    if orbit_len < 1:  # birkhoff_average's floor, checked on every path
-        raise ValueError(f"orbit length {orbit_len} must be >= 1")
+    _check_count("orbit_len", orbit_len, 1)  # birkhoff_average's floor
     _check_orbit_len(orbit_len, burn_in)  # before any tuning
 
     psi0 = psi.mean

@@ -29,12 +29,13 @@ from circlestab.experiments import (
     write_records_csv,
 )
 from circlestab.fourier import FourierSeries
-from circlestab.invariant import birkhoff_measure
+from circlestab.invariant import birkhoff_average, birkhoff_measure
 from circlestab.maps import (
     AttractorRepeller,
     ConjugacyDiffeo,
     Rotation,
     TunedFamily,
+    rotation_number,
 )
 from circlestab.measures import (
     AtomicMeasure,
@@ -180,6 +181,7 @@ OUT_OF_DOMAIN_SAMPLES = {
     "cesaro alpha nan": lambda: cesaro_average(DIRAC, math.nan, 3),
     "cesaro alpha inf": lambda: cesaro_average(DIRAC, math.inf, 3),
     "cesaro alpha -inf": lambda: cesaro_average(DIRAC, -math.inf, 3),
+    "uniform empty": lambda: AtomicMeasure.uniform([]),
 }
 
 
@@ -187,6 +189,52 @@ OUT_OF_DOMAIN_SAMPLES = {
                          ids=OUT_OF_DOMAIN_SAMPLES.keys())
 def test_samples_reject_nonfinite(run):
     with pytest.raises(ValueError):
+        run()
+
+
+TUNED = TunedFamily(FourierSeries.cosine(), 0.1, 0.3)
+
+# every count a caller passes is checked by arithmetic._check_count, whose
+# message names the argument as the caller passed it
+COUNT_ARGUMENTS = {
+    "birkhoff_measure n 0": ("n", lambda: birkhoff_measure(
+        Rotation(GOLDEN_MEAN), 0.1, 0)),
+    "birkhoff_measure n 2.5": ("n", lambda: birkhoff_measure(
+        Rotation(GOLDEN_MEAN), 0.1, 2.5)),
+    "birkhoff_measure n True": ("n", lambda: birkhoff_measure(
+        Rotation(GOLDEN_MEAN), 0.1, True)),
+    "birkhoff_average n 0": ("n", lambda: birkhoff_average(
+        Rotation(GOLDEN_MEAN), np.cos, 0)),
+    "birkhoff_average n 2.5": ("n", lambda: birkhoff_average(
+        Rotation(GOLDEN_MEAN), np.cos, 2.5)),
+    "birkhoff_average n 3.0": ("n", lambda: birkhoff_average(
+        Rotation(GOLDEN_MEAN), np.cos, 3.0)),
+    "rotation_number iters 3": ("iters", lambda: rotation_number(
+        TUNED, iters=3)),
+    "rotation_number iters 4.5": ("iters", lambda: rotation_number(
+        TUNED, iters=4.5)),
+    "rotation_number iters 5.0": ("iters", lambda: rotation_number(
+        TUNED, iters=5.0)),
+    "rotation_number iters True": ("iters", lambda: rotation_number(
+        TUNED, iters=True)),
+    "rotation_number Rotation iters 4.5": ("iters", lambda: rotation_number(
+        Rotation(GOLDEN_MEAN), iters=4.5)),
+    "fd_response orbit_len 0": ("orbit_len", lambda: fd_response(
+        FourierSeries.cosine(), GOLDEN_MEAN, FourierSeries.cosine(), [1e-2],
+        orbit_len=0)),
+    "fd_response orbit_len 2.5": ("orbit_len", lambda: fd_response(
+        FourierSeries.cosine(), GOLDEN_MEAN, FourierSeries.cosine(), [1e-2],
+        orbit_len=2.5)),
+    "fd_response orbit_len True": ("orbit_len", lambda: fd_response(
+        FourierSeries.cosine(), GOLDEN_MEAN, FourierSeries.cosine(), [1e-2],
+        orbit_len=True)),
+}
+
+
+@pytest.mark.parametrize("name, run", COUNT_ARGUMENTS.values(),
+                         ids=COUNT_ARGUMENTS.keys())
+def test_counts_are_checked_under_the_callers_name(name, run):
+    with pytest.raises(ValueError, match=f"^got {name} .*; {name} must be"):
         run()
 
 

@@ -5,16 +5,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circlestab.arithmetic import GOLDEN_MEAN, circle_dist, frac
+from circlestab.arithmetic import (
+    GOLDEN_MEAN,
+    circle_dist,
+    continued_fraction,
+    frac,
+)
 from circlestab.errors import ResourceLimitError
 from circlestab.fourier import FourierDensity
 from circlestab.maps import (
     _BLOCK,
+    AttractorRepeller,
     ConjugacyDiffeo,
     ConjugatedRotation,
     Rotation,
 )
 from circlestab.measures import (
+    MERGE_TOL,
     _arc_mean,
     _discrepancy_sorted,
     _extreme_discrepancy_exact,
@@ -76,6 +83,94 @@ def test_atomic_sorted_and_canonical():
     mu = AtomicMeasure([1.7, -0.4, 0.2], [0.3, 0.3, 0.4])
     assert np.all(np.diff(mu.positions) > 0)
     assert np.all((mu.positions >= 0) & (mu.positions < 1))
+
+
+def stable_argsort_atoms(positions, weights):
+    """The constructor's sort and merge by one stable argsort for any
+    weights: tied atoms keep input order and add in it."""
+    p = frac(np.atleast_1d(np.asarray(positions, dtype=float)))
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    order = np.argsort(p, kind="stable")
+    p, w = p[order], w[order]
+    starts = np.append(True, np.diff(p) > MERGE_TOL)
+    w = np.bincount(np.cumsum(starts) - 1, weights=w)
+    p = p[starts]
+    if len(p) > 1 and (p[0] + 1.0) - p[-1] <= MERGE_TOL:
+        w[0] += w[-1]
+        p, w = p[:-1], w[:-1]
+    return p, w
+
+
+def ar12_birkhoff_orbit():
+    ar = AttractorRepeller(12, continued_fraction(GOLDEN_MEAN, 30), 1.0)
+    return ar.orbit(0.123, 10 ** 5, 1000)
+
+
+EQUAL_WEIGHT_POSITIONS = {
+    "duplicates": lambda: [0.3, 0.7, 0.3, 0.3, 0.1, 0.7, 0.0, 0.0],
+    "chains": lambda: [0.3 + k * 8e-16 for k in range(6)]
+    + [0.6 + k * 1e-15 for k in range(4)] + [0.6 + 5e-15, 0.9],
+    "across the wrap": lambda: [0.0, 1.0 - 5e-16, 0.5, 1.0 - 2e-16,
+                                4e-16, 0.25],
+    "signed zeros": lambda: [-0.0, 0.0, 0.5, -0.0, 0.25, 0.0],
+    "outside [0, 1)": lambda: [-0.25, 1.75, 0.75, -3.0, 3.0, 2.5, -1e-17,
+                               1.0, -1.0, 0.5],
+    "n = 1": lambda: [0.4],
+    "n = 2": lambda: [0.9, 0.1],
+    "n = 2 merging": lambda: [1.2, 0.2],
+    "AR j = 12 Birkhoff": ar12_birkhoff_orbit,
+    "Kronecker": lambda: Rotation(GOLDEN_MEAN).orbit(0.0, 10 ** 5),
+}
+
+
+@pytest.mark.parametrize("positions", EQUAL_WEIGHT_POSITIONS.values(),
+                         ids=EQUAL_WEIGHT_POSITIONS.keys())
+def test_equal_weight_atoms_equal_the_stable_argsort(positions):
+    pos = np.asarray(positions(), dtype=float)
+    rng = np.random.default_rng(23)
+    for p in (pos, pos[::-1], rng.permutation(pos)):
+        w = np.full(len(p), 1.0 / len(p))
+        kept = p.copy()
+        mu = AtomicMeasure(p, w)
+        op, ow = stable_argsort_atoms(p, w)
+        assert np.array_equal(mu.positions.view(np.int64), op.view(np.int64))
+        assert np.array_equal(mu.weights.view(np.int64), ow.view(np.int64))
+        assert np.array_equal(p.view(np.int64), kept.view(np.int64))
+        assert len(mu) == 1 or np.all(np.diff(mu.positions) > MERGE_TOL)
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2), (0, 2, 1), (1, 0, 2),
+                                  (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+def test_unequal_tied_weights_add_in_input_order(perm):
+    tied = [(0.1, 0.2, 0.3)[i] for i in perm]
+    pos, w = [0.5, 0.5, 0.5, 0.2], tied + [0.4]
+    mu = AtomicMeasure(pos, w)
+    op, ow = stable_argsort_atoms(pos, w)
+    assert np.array_equal(mu.positions.view(np.int64), op.view(np.int64))
+    assert np.array_equal(mu.weights.view(np.int64), ow.view(np.int64))
+    assert mu.weights[1] == (tied[0] + tied[1]) + tied[2]
+    # the order matters: (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+
+
+def test_only_unequal_weights_argsort(monkeypatch):
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("equal weights took an argsort")
+
+    monkeypatch.setattr(np, "argsort", refused)
+    mu = AtomicMeasure.uniform([0.7, -0.3, 0.2, 0.7])
+    assert mu.positions.tolist() == [0.2, 0.7]
+    assert mu.weights.tolist() == [0.25, 0.75]
+    monkeypatch.setattr(np, "argsort", counted)
+    AtomicMeasure([0.7, 0.2, 0.7], [0.25, 0.25, 0.5])
+    assert calls == ["stable"]
 
 
 # ------------------------------------------------------------ wasserstein
