@@ -13,7 +13,6 @@ from .arithmetic import (
     DiophantineProfile,
     TruncationError,
     canonicalize,
-    circle_dist,
     continued_fraction,
     diophantine_type_estimate,
     lacunary_alpha,

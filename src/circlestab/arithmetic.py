@@ -34,7 +34,6 @@ __all__ = [
     "DiophantineProfile",
     "TruncationError",
     "canonicalize",
-    "circle_dist",
     "continued_fraction",
     "diophantine_type_estimate",
     "frac",
@@ -60,8 +59,7 @@ def lacunary_alpha(terms: int = 3) -> Fraction:
     With terms=3 this is 2^-4 + 2^-16 + 2^-64, which is *not* representable
     as a double (the mantissa would need 61 bits), hence the Fraction.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    _check_count("terms", terms, 1)
     return sum(Fraction(1, 2 ** (4 ** i)) for i in range(1, terms + 1))
 
 
@@ -117,12 +115,6 @@ def canonicalize(x: float) -> CirclePoint:
     if r >= 1.0:  # rounding of x - floor(x) for tiny negative x
         r = 0.0
     return r
-
-
-def circle_dist(x: float, y: float) -> float:
-    """Distance on R/Z: min(|x-y| mod 1, 1 - |x-y| mod 1), always <= 1/2."""
-    d = abs(canonicalize(x) - canonicalize(y))
-    return min(d, 1.0 - d)
 
 
 def _reduced_half_phase_sin_cos(alpha: float, n: int) -> Tuple[float, float]:

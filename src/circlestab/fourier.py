@@ -3,8 +3,8 @@
 FourierSeries stores coefficients u_hat(n) for 0 <= n <= n_max only;
 the negative-frequency half is implied by the reality constraint
 u_hat(-n) = conj(u_hat(n)), so evaluation is real by construction.
-Every trig sum of the package (a series, a density's CDF, a conjugacy
-h and its derivative) is evaluated by one function, _trig_sums.  It
+Every trig sum of the package (a series, a conjugacy h and its
+derivative) is evaluated by one function, _trig_sums.  It
 reduces each phase n*x mod 1 before multiplying by 2*pi, which keeps
 the argument of cos/sin small and the roundoff near eps even for
 large n.
@@ -172,27 +172,6 @@ class FourierDensity(FourierSeries):
         else:
             raise ValueError(
                 f"density mean must be 0 or 1, got {c0!r}")
-
-    @property
-    def is_probability(self) -> bool:
-        return self._c[0].real == 1.0
-
-    @functools.cached_property
-    def _antiderivative_modes(self):
-        """The modes of P with P' = density - c_0 and P_hat(0) = 0."""
-        n = np.arange(1, len(self._c))
-        p = np.zeros_like(self._c)
-        p[1:] = self._c[1:] / (2j * math.pi * n)
-        return _nonzero_modes([p])
-
-    @_pointwise
-    def cdf(self, x):
-        """F(x) = integral_0^x density, closed form; scalar or ndarray."""
-        # c_0 x + P(x) - P(0); P(0) is evaluated with the same operations
-        # as P(x), so F(0) = 0 and F(1) = c_0 exactly
-        p = self._antiderivative_modes
-        P, P0 = _trig_sums(p, x)[0], _trig_sums(p, 0.0)[0]
-        return self._c[0].real * x + (P - P0)
 
 
 def pairing(psi: FourierSeries, rho: FourierSeries) -> float:

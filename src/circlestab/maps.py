@@ -217,7 +217,8 @@ class AttractorRepeller(TunedFamily):
 
     def __init__(self, j: int, profile: DiophantineProfile,
                  bump_strength: float):
-        if not (0 <= j < len(profile.convergents)):
+        _check_count("j", j, 0)
+        if not j < len(profile.convergents):
             raise ValueError(
                 f"convergent index {j} out of range "
                 f"(profile has {len(profile.convergents)})")

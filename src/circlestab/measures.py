@@ -1,18 +1,16 @@
-"""Measures on the circle: atomic, Lebesgue, trig-polynomial densities,
-the W distance, discrepancy, Denjoy-Koksma checks, bounded-variation
-observables, pushforward and Cesaro averaging.
+"""Measures on the circle: atomic, Lebesgue and the invariant measure
+h_* m of a conjugated rotation; the W distance, discrepancy,
+Denjoy-Koksma checks, bounded-variation observables, pushforward and
+Cesaro averaging.
 
 W is the circular 1-Wasserstein distance min_c integral |F_mu - F_nu - c| dx
-(the sup-norm constraint of the underlying dual norm is inactive for
-probability pairs since any 1-Lipschitz potential on a diameter-1/2
-space recenters into [-1/4,1/4]).  An atomic measure against an atomic
-one, m or the invariant measure h_* m of a conjugated rotation is closed
-form, exact up to the rounding of correctly rounded CDF levels.  Against
-a trig-polynomial density, and between continuous measures, the integral
-is taken in the coordinates phi = F(x) of a measure with a closed-form
-quantile (Rabin-Delon-Gousseau, J. Math. Imaging Vis. 41, 2011;
-Cabrelli-Molter, J. Comput. Appl. Math. 57, 1995), by Gauss-Legendre on
-pieces where the integrand is smooth, so its error is at rounding level.
+(Rabin-Delon-Gousseau, J. Math. Imaging Vis. 41, 2011; the sup-norm
+constraint of the underlying dual norm is inactive for probability pairs
+since any 1-Lipschitz potential on a diameter-1/2 space recenters into
+[-1/4,1/4]).  It is closed form for an atomic measure against an atomic
+one, m or h_* m, and for m against h_* m: exact up to the rounding of
+correctly rounded CDF levels and of the roots and medians that Newton
+finds.  wasserstein refuses every other pair.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import numpy as np
 
 from .arithmetic import _check_count, _pointwise, canonicalize, frac
 from .errors import ResourceLimitError
-from .fourier import FourierDensity
 from .maps import _BLOCK, CircleMap, ConjugacyDiffeo
 
 __all__ = [
@@ -68,20 +65,12 @@ class LebesgueMeasure:
     def cdf(self, x):
         return x.copy()
 
-    quantile = cdf
-
-    @_pointwise
-    def quantile_deriv(self, phi):
-        return np.ones(phi.shape)
-
 
 class DiffeoInvariantDensity:
     """Invariant measure h_* m of T = h o R_alpha o h^{-1}.
 
     Density 1/h'(h^{-1}(x)) and CDF h^{-1}(x) - h^{-1}(0).  W against an
-    atomic measure is closed form in the chart z = h^{-1}(x); against a
-    continuous one the closed-form quantile h(h^{-1}(0) + phi) is the
-    chart of the continuous kernel.
+    atomic measure or m is closed form in the chart z = h^{-1}(x).
     """
 
     def __init__(self, h: ConjugacyDiffeo):
@@ -92,21 +81,9 @@ class DiffeoInvariantDensity:
     def density(self, x):
         return 1.0 / self.h.deriv(self.h.inverse(x))
 
-    eval = density
-    __call__ = density
-
     @_pointwise
     def cdf(self, x):
         return self.h.inverse(x) - self._inv0
-
-    @_pointwise
-    def quantile(self, phi):
-        """g(phi) = h(h^{-1}(0) + phi), the inverse of cdf as a lift."""
-        return self.h.eval(self._inv0 + phi)
-
-    @_pointwise
-    def quantile_deriv(self, phi):
-        return self.h.deriv(self._inv0 + phi)
 
     def __repr__(self):
         return (f"DiffeoInvariantDensity(a={self.h.a.tolist()}, "
@@ -219,7 +196,41 @@ def _w_atomic_atomic(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return float(np.einsum("i,i->", seg, np.abs(G - c)))
 
 
-_MEDIAN_STEPS = 64  # guarded Newton steps for the x-median; bisection needs 54
+_NEWTON_STEPS = 64  # guarded Newton steps; bisection alone needs 54
+_FREE_STEPS = 12    # Newton steps before each one must halve the last
+
+
+def _guarded_newton(f, x, lo, hi):
+    """Where the falling f crosses 0 in [lo, hi], elementwise, by Newton
+    from x; f(x) is (f, -f') at x.
+
+    Each step moves the end of the bracket on x's side to x.  A step
+    that would leave the bracket, or has slope 0 or inf, bisects it;
+    so does one longer than half the last step, after _FREE_STEPS:
+    near a kink or an extremum Newton can hop between two points either
+    side of the crossing, and the bracket then hardly shrinks.  A point
+    stops once its step is below 2^-52, the ulp of 1.
+    """
+    x, lo, hi = (np.array(v, dtype=float) for v in (x, lo, hi))
+    done = np.zeros(x.shape, dtype=bool)
+    last = np.full(x.shape, math.inf)
+    for i in range(_NEWTON_STEPS):
+        value, slope = f(x)
+        right = value <= 0.0  # x at or right of the crossing
+        lo, hi = np.where(right, lo, x), np.where(right, x, hi)
+        new = np.divide(value, slope, out=np.full(x.shape, math.nan),
+                        where=(slope > 0.0) & (slope < math.inf))
+        new += x
+        ok = (lo <= new) & (new <= hi)
+        if i >= _FREE_STEPS:
+            ok &= np.abs(new - x) <= 0.5 * last
+        new = np.where(ok, new, 0.5 * (lo + hi))
+        last = np.abs(new - x)
+        np.copyto(x, new, where=~done)
+        done |= last < 2.0 ** -52
+        if done.all():
+            break
+    return x
 
 
 def _w_atomic_charted(mu: AtomicMeasure,
@@ -230,10 +241,9 @@ def _w_atomic_charted(mu: AtomicMeasure,
     constant, on the piece [z_k, z_{k+1}] after atom k of level L_k.  G
     sweeps [L_k - z_{k+1}, L_k - z_k] with |G'| = 1, so it pushes dz to
     a mixture of uniforms, whose median, taken at all interval ends at
-    once, is c for m.  For h, Newton on the x-mass of {G > c},
+    once, is c for m.  For h, _guarded_newton on the x-mass of {G > c},
     sum h(r_k) - h(z_k) = 1/2 with r_k = clip(L_k - c, z_k, z_{k+1}),
-    finishes c; a step that leaves the bracket, or has slope 0, bisects.
-    With eta = h - id, each piece integrates by parts to
+    finishes c.  With eta = h - id, each piece integrates by parts to
     integral |G - c| dz + [|G - c| eta] + integral sign(G - c) eta.
     """
     z = mu.positions if h is None else h.inverse(mu.positions)
@@ -253,20 +263,15 @@ def _w_atomic_charted(mu: AtomicMeasure,
     c = float(ends[k - 1]) + (0.5 - masses[k - 1]) / max(dens, 1)
     if h is not None:
         eta = h.displacement_fn(z)
-        bracket = [float(lo_s[0]), float(hi_s[-1])]
-        for _ in range(_MEDIAN_STEPS):
+
+        def excess(c):  # the x-mass of {G > c} less 1/2, and its -slope
             r = np.clip(L - c, z, z_next)
             # h(r) - h(z) as small terms, so c resolves to an ulp
-            excess = float(np.sum((r - z) + (h.displacement_fn(r) - eta)))
-            excess -= 0.5  # falls with c
-            bracket[excess <= 0.0] = c
-            slope = float(np.sum(h.deriv(r[(r > z) & (r < z_next)])))
-            new = c + excess / slope if slope > 0.0 else math.nan
-            if not bracket[0] <= new <= bracket[1]:
-                new = 0.5 * (bracket[0] + bracket[1])
-            step, c = abs(new - c), new
-            if step < 2.0 ** -52:  # below what L - c resolves
-                break
+            mass = float(np.sum((r - z) + (h.displacement_fn(r) - eta)))
+            inner = r[(r > z) & (r < z_next)]
+            return mass - 0.5, float(np.sum(h.deriv(inner)))
+
+        c = float(_guarded_newton(excess, c, lo_s[0], hi_s[-1]))
     # integral of |g - c| over each uniform piece, F(t) = t|t|/2
     F = lambda t: 0.5 * t * np.abs(t)
     piece = F(hi - c) - F(lo - c)
@@ -279,120 +284,70 @@ def _w_atomic_charted(mu: AtomicMeasure,
     return float(np.sum(piece))
 
 
-# Continuous sides.  A measure whose quantile lift g = F^{-1} has a closed
-# form (m, h_* m) serves as the chart x = g(phi) of the W integral; dx =
-# g'(phi) dphi.  G is integrated by Gauss-Legendre on pieces where it is
-# smooth and monotone, split at the kink of |G - c| and at most
-# _PIECE_MAX wide, so the quadrature error is at rounding level.
-_GL_POINTS = 12
-_PIECE_MAX = 1.0 / 64
-_PANELS_PER_CHUNK = 1 << 16  # bounds the node arrays of one quadrature pass
-_SCAN_POINTS = 1024          # G samples that bracket its extrema
-# Bisection steps for c, for the roots of G - c and for the extrema of G.
-# 2^-40 of the bracket is enough: W is stationary in c, and a kink or an
-# extremum off by dphi moves W by O(dphi^2) and O(dphi^3).
-_BISECTIONS = 40
+def _crossings(t, s):
+    """The cells [t_k, t_{k+1}] over which s changes sign, the sign sgn
+    that makes sgn * s fall over each, and the secant root in each."""
+    k = np.flatnonzero((s[:-1] > 0.0) != (s[1:] > 0.0))
+    sgn = np.where(s[k + 1] > 0.0, -1.0, 1.0)
+    return k, sgn, t[k] + (t[k + 1] - t[k]) * (s[k] / (s[k] - s[k + 1]))
 
 
-def _bisect(right_of, lo, hi):
-    """Elementwise bisection for the point where right_of turns False."""
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        right = right_of(mid)
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    return 0.5 * (lo + hi)
+def _w_lebesgue_charted(h: ConjugacyDiffeo) -> float:
+    """W(m, h_* m), closed form in the chart theta = h^{-1}(x).
 
-
-def _monotone_pieces(G):
-    """Break points of [0, 1) between which the periodic G is monotone:
-    its extrema, bracketed on a grid and refined by bisection on the
-    sign of a central difference."""
-    t = np.arange(_SCAN_POINTS) / _SCAN_POINTS
-    slope = np.sign(np.diff(G(np.append(t, 1.0))))
-    turn = np.nonzero(slope != np.roll(slope, 1))[0]
-    if len(turn) == 0:  # G is constant
-        return np.array([0.0])
-    # a strict max (up = 1) or min (up = -1) lies within a step of t[turn]
-    up = slope[turn - 1]
-    d = 2.0 ** -30
-    e = _bisect(lambda x: up * (G(x + d) - G(x - d)) > 0,
-                t[turn] - 1.0 / _SCAN_POINTS, t[turn] + 1.0 / _SCAN_POINTS)
-    strict = slope[turn] == -up
-    return np.unique(np.asarray(frac(np.where(strict, e, t[turn]))))
-
-
-def _w_pieces(chart, a, b, level, S) -> float:
-    """min_c sum_i integral_{a_i}^{b_i} |level_i - S(phi) - c| dg(phi).
-
-    g is the chart's quantile and G = level_i - S is monotone on each
-    piece [a_i, b_i]; the pieces tile one period.  c is the median of G
-    under dx, found by bisection on m{G > c}, and the roots of G - c by
-    bisection on each piece.
+    There the CDF gap is eta = h - id, up to a constant, and dx = h'
+    dtheta, so W = min_c integral |eta - c| h' dtheta.  Between
+    consecutive roots r_i of eta - c the integrand has one sign, and
+    integral (eta - c) h' = integral eta - c (r_{i+1} - r_i)
+    + [(eta - c)^2 / 2], all closed form.  The extrema of eta, where
+    eta' = h' - 1 changes sign on a grid of max(256, 64 n_max) points,
+    cut the circle into pieces where eta is monotone; each holds at most
+    one root, which _guarded_newton finds.  The median c makes the
+    x-mass of {eta > c}, the sum of h(r_{i+1}) - h(r_i) over the pieces
+    where eta > c, equal 1/2; _guarded_newton finds it from c = 0.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
-    ga, gb = chart.quantile(a), chart.quantile(b)
-    Ga, Gb = level - S(a), level - S(b)
-    down = Ga >= Gb
-    sgn = np.where(down, 1.0, -1.0)  # sgn * (G - c) falls along a piece
+    n = max(256, 64 * len(h.a))
+    t = np.arange(n + 1) / n
+    k, sgn, start = _crossings(t, h.deriv(t) - 1.0)
+    if not len(k):  # h = id
+        return 0.0
+    d = 2.0 ** -24  # eta'' by a central difference, ample for an extremum
 
-    def root(c):
-        """phi in [a, b] with G(phi) = c, clipped to the piece."""
-        r = _bisect(lambda x: sgn * (level - S(x) - c) > 0, a, b)
-        r = np.where(sgn * (Gb - c) >= 0, b, r)
-        return np.where(sgn * (Ga - c) <= 0, a, r)
+    def turn(x):
+        left, right = h.deriv(x - d), h.deriv(x + d)
+        return (sgn * (0.5 * (left + right) - 1.0),
+                sgn * (left - right) / (2.0 * d))
 
-    def above(c):
-        gr = chart.quantile(root(c))
-        return np.sum(np.where(down, gr - ga, gb - gr)) > 0.5
+    e = _guarded_newton(turn, start, t[k], t[k + 1])
+    eta = h.displacement_fn(e)  # eta(e_0 + 1) is eta(e_0), bit for bit
+    t, eta = np.append(e, e[0] + 1.0), np.append(eta, eta[0])
 
-    c = float(_bisect(above, np.min(np.minimum(Ga, Gb)),
-                      np.max(np.maximum(Ga, Gb))))
-    r = root(c)
-    lo, hi = np.concatenate([a, r]), np.concatenate([r, b])
-    lev = np.concatenate([level, level])
-    keep = hi > lo
-    lo, hi, lev = lo[keep], hi[keep], lev[keep]
-    k = np.ceil((hi - lo) / _PIECE_MAX).astype(np.int64)
-    panel = np.repeat(np.arange(len(lo)), k)
-    j = np.arange(len(panel)) - np.repeat(np.cumsum(k) - k, k)
-    width = (hi - lo)[panel] / k[panel]
-    left = lo[panel] + j * width
-    total = 0.0
-    for s in range(0, len(panel), _PANELS_PER_CHUNK):
-        cut = slice(s, s + _PANELS_PER_CHUNK)
-        half = 0.5 * width[cut]
-        x = (left[cut] + half)[:, None] + half[:, None] * nodes
-        f = np.abs(lev[panel[cut]][:, None] - S(x) - c) \
-            * chart.quantile_deriv(x)
-        total += float(np.einsum("ij,j,i->", f, weights, half))
-    return total
+    def pieces(c):
+        """The roots r of eta - c, ascending, the widths r_{i+1} - r_i of
+        the pieces between them, eta - c at the roots, and whether
+        eta > c on the piece after each."""
+        k, sgn, start = _crossings(t, eta - c)
+        r = _guarded_newton(
+            lambda x: (sgn * (h.displacement_fn(x) - c),
+                       sgn * (1.0 - h.deriv(x))),
+            start, t[k], t[k + 1])
+        dr = np.append(r[1:], r[0] + 1.0) - r
+        return r, dr, h.displacement_fn(r) - c, sgn < 0.0
 
+    def excess(c):  # the x-mass of {eta > c} less 1/2, and its -slope
+        r, dr, e, up = pieces(c)
+        # h(r_{i+1}) - h(r_i) as small terms
+        dx = dr + (np.roll(e, -1) - e)
+        dh = h.deriv(r)
+        with np.errstate(divide="ignore"):  # inf at a root where eta' = 0
+            slope = float(np.sum(dh / np.abs(dh - 1.0)))
+        return float(np.sum(dx[up])) - 0.5, slope
 
-def _w_continuous(mu, nu) -> float:
-    """W(mu, nu) for a FourierDensity side or two continuous sides.
-
-    The chart is nu if its quantile is closed-form, else m; h_* m is
-    preferred, since the other side's CDF is then cheap unless it is
-    another h_* m.  In the chart's coordinates
-    G(phi) = F_mu(g(phi)) - F_nu(g(phi)).  Against an atomic mu, nu is
-    a FourierDensity, the chart is m and G is level L_k minus S = F_nu
-    on the piece after atom k.  Otherwise G is smooth and is split at
-    its extrema.  Atomic against m or h_* m is _w_atomic_charted.
-    """
-    charted = (LebesgueMeasure, DiffeoInvariantDensity)
-    if isinstance(mu, charted) and not isinstance(nu,
-                                                  DiffeoInvariantDensity):
-        mu, nu = nu, mu
-    chart = nu if isinstance(nu, charted) else LebesgueMeasure()
-    own = chart is nu
-    F_nu = lambda phi: phi if own else nu.cdf(chart.quantile(phi))
-    if isinstance(mu, AtomicMeasure):
-        a, level, S = mu.positions, _levels(mu.weights), F_nu
-    else:
-        S = lambda phi: F_nu(phi) - mu.cdf(chart.quantile(phi))
-        a = _monotone_pieces(lambda phi: -S(phi))
-        level = np.zeros(len(a))
-    return _w_pieces(chart, a, np.append(a[1:], a[0] + 1.0), level, S)
+    c = float(_guarded_newton(excess, 0.0, np.min(eta), np.max(eta)))
+    r, dr, e, up = pieces(c)
+    piece = (h.displacement_integral(r, dr) - c * dr
+             + 0.5 * (np.roll(e, -1) ** 2 - e ** 2))
+    return float(np.sum(np.where(up, piece, -piece)))
 
 
 def atomize_by_cdf(cdf: Callable, cells: int) -> AtomicMeasure:
@@ -400,8 +355,8 @@ def atomize_by_cdf(cdf: Callable, cells: int) -> AtomicMeasure:
 
     Cell masses are exact CDF increments, so the result differs from the
     original by at most 1/(2*cells) in W.  No W path uses it: the tests
-    take it as the oracle of the continuous kernel, and the traced
-    benchmark (bench/spans.py) binds it by name.
+    take it as an oracle for W against h_* m, and the traced benchmark
+    (bench/spans.py) binds it by name.
     """
     edges = np.arange(cells + 1) / cells
     cum = np.asarray(cdf(edges), dtype=float)
@@ -415,43 +370,31 @@ def atomize_by_cdf(cdf: Callable, cells: int) -> AtomicMeasure:
     return AtomicMeasure(mids[keep], massw)
 
 
-def _check_probability(mu) -> None:
-    if isinstance(mu, (AtomicMeasure, LebesgueMeasure,
-                       DiffeoInvariantDensity)):
-        return
-    if isinstance(mu, FourierDensity):
-        if not mu.is_probability:
-            raise ValueError("signed (zero-mass) density is not a "
-                             "probability measure")
-        n = 64 * (mu.n_max + 1)
-        if np.min(mu.eval(np.arange(n) / n)) < -1e-12:
-            raise ValueError("density is negative somewhere: not a "
-                             "(nonnegative) measure")
-        return
-    raise TypeError(f"wasserstein takes atomic, Lebesgue, FourierDensity "
-                    f"and DiffeoInvariantDensity measures, not {mu!r}")
-
-
 def wasserstein(mu, nu) -> float:
-    """Circular W1 distance between probability measures.
+    """Circular W1 distance between probability measures, closed form.
 
-    Closed form for an atomic side against an atomic, Lebesgue or
-    DiffeoInvariantDensity side, in either order.  A FourierDensity
-    side, or two continuous sides, go to the continuous kernel, exact
-    up to the rounding of its Gauss-Legendre quadrature.
+    Takes an atomic measure against an atomic one, m or h_* m (a
+    DiffeoInvariantDensity), and m against m or h_* m, in either order.
+    Any other pair, such as a FourierDensity side or two h_* m sides,
+    has no closed form here and raises TypeError.
     """
-    _check_probability(mu)
-    _check_probability(nu)
+    sides = (AtomicMeasure, LebesgueMeasure, DiffeoInvariantDensity)
+    if not (isinstance(mu, sides) and isinstance(nu, sides)) or (
+            isinstance(mu, DiffeoInvariantDensity)
+            and isinstance(nu, DiffeoInvariantDensity)):
+        raise TypeError(
+            "wasserstein takes an AtomicMeasure against an AtomicMeasure, "
+            "LebesgueMeasure or DiffeoInvariantDensity, and a "
+            "LebesgueMeasure against a LebesgueMeasure or "
+            f"DiffeoInvariantDensity, not {mu!r} and {nu!r}")
     if isinstance(nu, AtomicMeasure) and not isinstance(mu, AtomicMeasure):
         mu, nu = nu, mu
     if isinstance(mu, AtomicMeasure):
         if isinstance(nu, AtomicMeasure):
             return _w_atomic_atomic(mu, nu)
-        if isinstance(nu, (LebesgueMeasure, DiffeoInvariantDensity)):
-            return _w_atomic_charted(mu, getattr(nu, "h", None))
-    elif isinstance(mu, LebesgueMeasure) and isinstance(nu, LebesgueMeasure):
-        return 0.0
-    return _w_continuous(mu, nu)
+        return _w_atomic_charted(mu, getattr(nu, "h", None))
+    h = getattr(mu, "h", getattr(nu, "h", None))  # None for m against m
+    return 0.0 if h is None else _w_lebesgue_charted(h)
 
 
 # --------------------------------------------------------------- operators
@@ -695,7 +638,8 @@ def prop30_observable(terms: int = 3) -> BVObservable:
     phase loss.  terms > 3 is rejected: f_4 = 2^256 has no representable
     amplitude and the construction stops being testable in floats.
     """
-    if not (1 <= terms <= 3):
+    _check_count("terms", terms, 1)
+    if terms > 3:
         raise ValueError(
             "terms must be in 1..3: the next frequency 2^256 overflows any "
             "useful float range")

@@ -10,7 +10,6 @@ from circlestab.arithmetic import (
     SQRT2_MINUS_ONE,
     TruncationError,
     canonicalize,
-    circle_dist,
     continued_fraction,
     diophantine_type_estimate,
     frac,
@@ -44,21 +43,6 @@ def test_canonicalize_idempotent_and_in_range():
     # the nasty rounding edge: tiny negative must not produce 1.0
     assert canonicalize(-1e-17) == 0.0
     assert frac(-1e-17) == 0.0
-
-
-def test_circle_dist_examples():
-    assert circle_dist(0.1, 0.9) == pytest.approx(0.2, abs=1e-15)
-    assert circle_dist(0.0, 0.5) == 0.5
-    for a in RNG.uniform(0, 1, size=20):
-        assert circle_dist(a, a) == 0.0
-
-
-def test_circle_dist_triangle_inequality():
-    pts = RNG.uniform(0, 1, size=(10_000, 3))
-    for x, y, z in pts:
-        dxy = circle_dist(x, y)
-        assert dxy <= 0.5
-        assert dxy <= circle_dist(x, z) + circle_dist(z, y) + 1e-15
 
 
 # ---------------------------------------------- continued fractions

@@ -13,7 +13,11 @@ from hypothesis import given, settings, strategies as st
 import circlestab
 
 from circlestab import cli as cli_module
-from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction
+from circlestab.arithmetic import (
+    GOLDEN_MEAN,
+    continued_fraction,
+    lacunary_alpha,
+)
 from circlestab.cli import run_cli
 from circlestab.errors import InsufficientDataError
 from circlestab.experiments import (
@@ -43,6 +47,7 @@ from circlestab.measures import (
     cesaro_average,
     discrepancy,
     dk_check,
+    prop30_observable,
 )
 from circlestab.response import fd_response
 
@@ -228,6 +233,15 @@ COUNT_ARGUMENTS = {
     "fd_response orbit_len True": ("orbit_len", lambda: fd_response(
         FourierSeries.cosine(), GOLDEN_MEAN, FourierSeries.cosine(), [1e-2],
         orbit_len=True)),
+    "AttractorRepeller j 2.5": ("j", lambda: AttractorRepeller(
+        2.5, continued_fraction(GOLDEN_MEAN, 20), 1.0)),
+    "AttractorRepeller j True": ("j", lambda: AttractorRepeller(
+        True, continued_fraction(GOLDEN_MEAN, 20), 1.0)),
+    "prop30_observable terms 2.5": ("terms", lambda: prop30_observable(2.5)),
+    "prop30_observable terms True": ("terms",
+                                     lambda: prop30_observable(True)),
+    "lacunary_alpha terms 2.5": ("terms", lambda: lacunary_alpha(2.5)),
+    "lacunary_alpha terms True": ("terms", lambda: lacunary_alpha(True)),
 }
 
 

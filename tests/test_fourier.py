@@ -86,18 +86,6 @@ def test_density_mean_validation():
         FourierDensity({0: 0.5, 1: 0.1})
 
 
-def test_density_cdf_matches_quadrature():
-    rho = FourierDensity({0: 1.0, 1: 0.2 + 0.1j, 3: -0.05j})
-    xs = np.linspace(0, 1, 9)[1:]
-    grid = np.linspace(0, 1, 200_001)
-    dens = rho.eval(grid)
-    for x in xs:
-        k = int(round(x * 200_000))
-        num = np.trapezoid(dens[: k + 1], grid[: k + 1])
-        assert rho.cdf(x) == pytest.approx(num, abs=1e-9)
-    assert rho.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_pairing_matches_quadrature():
     psi = FourierSeries({0: 0.3, 1: 0.25 - 0.05j, 2: 0.1})
     rho = FourierSeries({0: 1.0, 1: 0.5, 2: -0.2j})
@@ -147,18 +135,6 @@ def series_loop(u, x):
         cn = u.coeff(n)
         ph = 2.0 * math.pi * frac(n * x)
         out = out + 2.0 * (cn.real * np.cos(ph) - cn.imag * np.sin(ph))
-    return out
-
-
-def cdf_loop(rho, x):
-    """The per-mode loop FourierDensity.cdf had: each mode integrated in
-    closed form, with cos - 1 so that F(0) = 0."""
-    out = rho.mean * x
-    for n in range(1, rho.n_max + 1):
-        cn = rho.coeff(n)
-        ph = 2.0 * math.pi * frac(n * x)
-        out = out + (cn.real * np.sin(ph) + cn.imag * (np.cos(ph) - 1.0)) \
-            / (math.pi * n)
     return out
 
 
@@ -263,14 +239,3 @@ def test_series_eval_matches_old_loop():
         x = rng.uniform(-1.0, 2.0, 20_000)
         err = np.max(np.abs(u.eval(x) - series_loop(u, x)))
         assert err <= 1e-15 * u.sup_norm_bound()
-
-
-def test_density_cdf_matches_old_loop():
-    rng = np.random.default_rng(14)
-    x = np.concatenate([rng.uniform(-1.0, 2.0, 20_000), [0.0, 1.0]])
-    for mean, n_max in ((1.0, 1), (1.0, 5), (0.0, 3), (1.0, 12)):
-        c = random_spectrum(rng, n_max, mean)
-        c[1:] *= 0.5 / np.sum(np.abs(c[1:]))  # a positive density if mean 1
-        rho = FourierDensity(c)
-        assert np.max(np.abs(rho.cdf(x) - cdf_loop(rho, x))) <= 1e-15
-        assert rho.cdf(0.0) == 0.0 and rho.cdf(1.0) == mean

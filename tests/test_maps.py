@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circlestab.arithmetic import GOLDEN_MEAN, circle_dist, continued_fraction
+from circlestab.arithmetic import GOLDEN_MEAN, canonicalize, continued_fraction
 from circlestab.errors import ConvergenceError, ResourceLimitError
 from circlestab.fourier import FourierSeries
 from circlestab import maps
@@ -29,6 +29,12 @@ from circlestab.maps import (
 RNG = np.random.default_rng(11)
 PROF = continued_fraction(GOLDEN_MEAN, 20)
 H = ConjugacyDiffeo([0.2], [0.0])
+
+
+def circle_dist(x, y):
+    """Distance on R/Z, at most 1/2."""
+    d = abs(canonicalize(x) - canonicalize(y))
+    return min(d, 1.0 - d)
 
 
 def sample_maps():

@@ -7,12 +7,10 @@ import pytest
 
 from circlestab.arithmetic import (
     GOLDEN_MEAN,
-    circle_dist,
     continued_fraction,
     frac,
 )
 from circlestab.errors import ResourceLimitError
-from circlestab.fourier import FourierDensity
 from circlestab.maps import (
     _BLOCK,
     AttractorRepeller,
@@ -201,19 +199,6 @@ def test_w_dirac_vs_lebesgue():
                                                                      abs=1e-14)
 
 
-def test_w_rejects_signed_density():
-    signed = FourierDensity({0: 0.0, 1: 0.2})
-    with pytest.raises(ValueError):
-        wasserstein(signed, M)
-
-
-def test_w_rejects_negative_density():
-    # 1 + 1.6 cos(2 pi x) dips to -0.6: a signed measure of mass 1
-    with pytest.raises(ValueError, match="negative"):
-        wasserstein(FourierDensity({0: 1.0, 1: 0.8}), M)
-    wasserstein(FourierDensity({0: 1.0, 1: 0.5}), M)  # 1 + cos touches 0
-
-
 def test_w_rejects_measure_types_without_a_kernel():
     class CdfOnly:
         def cdf(self, x):
@@ -269,12 +254,6 @@ def test_w_isometry_invariance():
         R = Rotation(beta)
         assert wasserstein(pushforward(R, mu), pushforward(R, nu)) == \
             pytest.approx(wasserstein(mu, nu), abs=1e-12)
-
-
-def test_w_fourier_density_vs_lebesgue_analytic():
-    # G = F_rho - x = (0.2/pi) sin(2 pi x); median 0; integral 0.4/pi^2
-    rho = FourierDensity({0: 1.0, 1: 0.2})
-    assert wasserstein(rho, M) == pytest.approx(0.4 / math.pi ** 2, abs=1e-6)
 
 
 def test_atomize_error_bound():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction, frac
-from circlestab.fourier import FourierDensity, FourierSeries
+from circlestab.fourier import FourierSeries
 from circlestab.invariant import DiffeoInvariantDensity
 from circlestab.maps import (
     AttractorRepeller,
@@ -44,13 +44,9 @@ def _callables():
         ("ConjugacyDiffeo.inverse", H.inverse),
         ("FourierSeries.eval",
          FourierSeries({1: 0.15 - 0.05j, 2: -0.2j, 3: 0.1}).eval),
-        ("FourierDensity.cdf", FourierDensity({0: 1.0, 1: 0.2, 3: 0.1j}).cdf),
         ("LebesgueMeasure.cdf", LebesgueMeasure().cdf),
         ("DiffeoInvariantDensity.density", density.density),
         ("DiffeoInvariantDensity.cdf", density.cdf),
-        ("DiffeoInvariantDensity.quantile", density.quantile),
-        ("DiffeoInvariantDensity.quantile_deriv", density.quantile_deriv),
-        ("LebesgueMeasure.quantile_deriv", LebesgueMeasure().quantile_deriv),
     ]
     out += [(f"bv {obs.label}", obs.eval) for obs in bv_library()]
     return out

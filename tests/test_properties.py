@@ -20,6 +20,7 @@ from circlestab.measures import (
     wasserstein,
 )
 from test_kernels import w_lebesgue_loop
+from test_w_continuous import conjugacies
 
 M = LebesgueMeasure()
 LAWS = settings(derandomize=True, max_examples=150, deadline=None,
@@ -91,6 +92,34 @@ def test_w_to_identity_chart_is_w_to_lebesgue(pw):
 def test_w_uniform_grid_to_lebesgue_is_quarter_spacing(n):
     mu = AtomicMeasure.uniform(np.arange(n) / n)
     assert math.isclose(wasserstein(mu, M), 1.0 / (4 * n), abs_tol=1e-14)
+
+
+@LAWS
+@given(conjugacies(max_modes=3, max_size=0.6), unit)
+def test_w_lebesgue_to_diffeo_is_symmetric_and_rotation_invariant(h, s):
+    # h_s = R_-s o h o R_s has eta_s(x) = eta(x + s) and h_s* m = R_-s* h_* m;
+    # sum(|a_n| + |b_n|) <= 0.6 keeps h_s a diffeomorphism
+    a, b = h.a, h.b
+    phase = 2.0 * math.pi * np.arange(1, len(a) + 1) * s
+    shifted = ConjugacyDiffeo(a * np.cos(phase) - b * np.sin(phase),
+                              a * np.sin(phase) + b * np.cos(phase))
+    rho = DiffeoInvariantDensity(h)
+    w = wasserstein(M, rho)
+    assert w > 0.0 and wasserstein(rho, M) == w
+    assert math.isclose(wasserstein(M, DiffeoInvariantDensity(shifted)), w,
+                        rel_tol=1e-12)
+
+
+def test_w_lebesgue_to_diffeo_triangle_inequality_through_a_grid():
+    # the atomic closed forms give an oracle free of quadrature: with
+    # mu_N the uniform grid, W(m, mu_N) = 1/(4N)
+    n = 10 ** 6
+    grid = AtomicMeasure.uniform(np.arange(n) / n)
+    for h in (ConjugacyDiffeo([0.2]), ConjugacyDiffeo([0.2, 0.05],
+                                                      [0.0, 0.1])):
+        rho = DiffeoInvariantDensity(h)
+        assert abs(wasserstein(M, rho) - wasserstein(grid, rho)) <= \
+            wasserstein(M, grid) + 1e-15
 
 
 @LAWS

@@ -99,7 +99,7 @@ def test_density_closed_form():
 def test_density_zero_mean_signed():
     d = linear_response_density(FourierSeries.cosine(1), G)
     assert d.mean == 0.0
-    assert not d.is_probability
+    assert d.coeff(0) == 0
     assert pairing(FourierSeries({0: 1.0}), d) == 0.0
 
 

@@ -1,10 +1,12 @@
-"""The continuous W kernel (a FourierDensity or an h_* m side) against
-midpoint atomization, the path it replaced, kept as an oracle: the
-atomized W converges at rate M^-2 in the cell count M, so the Richardson
-value w_M + (w_M - w_{M/4}) / 15 cancels the leading error term.  The
-closed form for an atomic measure against h_* m against the
-Gauss-Legendre path it replaced, kept here as an oracle."""
+"""W against h_* m.
 
+The closed forms for an atomic measure and for m against h_* m, against
+the Gauss-Legendre paths they replaced, kept here as oracles, and
+against midpoint atomization of h_* m: the atomized W converges at rate
+M^-2 in the cell count M, so the Richardson value
+w_M + (w_M - w_{M/4}) / 15 cancels the leading error term."""
+
+import functools
 import math
 import warnings
 
@@ -12,10 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlestab.arithmetic import GOLDEN_MEAN
-from circlestab.fourier import FourierDensity
+from circlestab import measures
+from circlestab.arithmetic import GOLDEN_MEAN, frac
+from circlestab.fourier import FourierDensity, FourierSeries
 from circlestab.invariant import analyze_functional_graph
-from circlestab.maps import ConjugacyDiffeo, ConjugatedRotation, Discretized
+from circlestab.maps import (
+    ConjugacyDiffeo,
+    ConjugatedRotation,
+    Discretized,
+    tune_rotation_number,
+)
 from circlestab.measures import (
     AtomicMeasure,
     DiffeoInvariantDensity,
@@ -28,6 +36,7 @@ from test_kernels import exact_levels
 M = LebesgueMeasure()
 GL_POINTS = 12
 PIECE_MAX = 1.0 / 64
+SCAN_POINTS = 1024  # G samples that bracket its extrema
 BISECTIONS = 40
 CONJUGACIES = {
     "h_a=0.2": ConjugacyDiffeo([0.2]),
@@ -43,36 +52,99 @@ def bisect(right_of, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def w_gauss_legendre(mu, rho):
-    """W(mu, rho) for atomic mu and rho = h_* m or m, in the coordinates
-    phi = F_rho(x): G = L_k - phi on the piece after atom k (L_k the
-    exact CDF levels), the median
-    c of G under dx by 40 rounds of bisection on the x-mass of {G > c},
-    and the integral by 12-point Gauss-Legendre on pieces split at the
-    root of G - c and at most 1/64 wide."""
+def chart(h):
+    """The quantile g(phi) = h(h^{-1}(0) + phi) of h_* m, as a lift, and
+    its derivative g'."""
+    z0 = h.inverse(0.0)
+    return (lambda phi: h.eval(z0 + phi)), (lambda phi: h.deriv(z0 + phi))
+
+
+def gauss_legendre(lo, hi, f):
+    """sum_i integral_{lo_i}^{hi_i} f(i, x) dx by 12-point Gauss-Legendre
+    on panels at most 1/64 wide; i is a column of piece indices."""
     nodes, weights = np.polynomial.legendre.leggauss(GL_POINTS)
-    a = rho.cdf(mu.positions)
-    b = np.append(a[1:], a[0] + 1.0)
-    level = exact_levels(mu.weights)
-    ga = rho.quantile(a)
-
-    def above(c):
-        return np.sum(rho.quantile(np.clip(level - c, a, b)) - ga) > 0.5
-
-    c = float(bisect(above, np.min(level - b), np.max(level - a)))
-    r = np.clip(level - c, a, b)
-    lo, hi = np.concatenate([a, r]), np.concatenate([r, b])
-    lev = np.concatenate([level, level])
-    keep = hi > lo
-    lo, hi, lev = lo[keep], hi[keep], lev[keep]
+    keep = np.flatnonzero(hi > lo)
+    lo, hi = lo[keep], hi[keep]
     k = np.ceil((hi - lo) / PIECE_MAX).astype(np.int64)
     panel = np.repeat(np.arange(len(lo)), k)
     j = np.arange(len(panel)) - np.repeat(np.cumsum(k) - k, k)
     width = (hi - lo)[panel] / k[panel]
     half = 0.5 * width
     x = (lo[panel] + j * width + half)[:, None] + half[:, None] * nodes
-    f = np.abs(lev[panel][:, None] - x - c) * rho.quantile_deriv(x)
-    return float(np.einsum("ij,j,i->", f, weights, half))
+    return float(np.einsum("ij,j,i->", f(keep[panel][:, None], x), weights,
+                           half))
+
+
+def w_gauss_legendre(mu, rho):
+    """W(mu, rho) for atomic mu and rho = h_* m, in the coordinates
+    phi = F_rho(x): G = L_k - phi on the piece after atom k (L_k the
+    exact CDF levels), the median
+    c of G under dx by 40 rounds of bisection on the x-mass of {G > c},
+    and the integral by 12-point Gauss-Legendre on pieces split at the
+    root of G - c and at most 1/64 wide."""
+    g, dg = chart(rho.h)
+    a = rho.cdf(mu.positions)
+    b = np.append(a[1:], a[0] + 1.0)
+    level = exact_levels(mu.weights)
+    ga = g(a)
+
+    def above(c):
+        return np.sum(g(np.clip(level - c, a, b)) - ga) > 0.5
+
+    c = float(bisect(above, np.min(level - b), np.max(level - a)))
+    r = np.clip(level - c, a, b)
+    lev = np.concatenate([level, level])
+    return gauss_legendre(np.concatenate([a, r]), np.concatenate([r, b]),
+                          lambda i, x: np.abs(lev[i] - x - c) * dg(x))
+
+
+def monotone_pieces(G):
+    """Break points of [0, 1) between which the periodic G is monotone:
+    its extrema, bracketed on a grid and refined by bisection on the
+    sign of a central difference."""
+    t = np.arange(SCAN_POINTS) / SCAN_POINTS
+    slope = np.sign(np.diff(G(np.append(t, 1.0))))
+    turn = np.nonzero(slope != np.roll(slope, 1))[0]
+    # a strict max (up = 1) or min (up = -1) lies within a step of t[turn]
+    up = slope[turn - 1]
+    d = 2.0 ** -30
+    e = bisect(lambda x: up * (G(x + d) - G(x - d)) > 0,
+               t[turn] - 1.0 / SCAN_POINTS, t[turn] + 1.0 / SCAN_POINTS)
+    strict = slope[turn] == -up
+    return np.unique(np.asarray(frac(np.where(strict, e, t[turn]))))
+
+
+def w_lebesgue_gauss_legendre(h):
+    """W(m, h_* m) in the coordinates phi = F(x) of h_* m, where the CDF
+    gap is G = g(phi) - phi and dx = g'(phi) dphi: G is split at its
+    extrema into monotone pieces, c is the median of G under dx by 40
+    rounds of bisection on the x-mass of {G > c}, each with the roots of
+    G - c by 40 rounds of bisection on each piece, and the integral is
+    12-point Gauss-Legendre on pieces split at those roots and at most
+    1/64 wide."""
+    g, dg = chart(h)
+    G = lambda phi: g(phi) - phi
+    a = monotone_pieces(G)
+    b = np.append(a[1:], a[0] + 1.0)
+    Ga, Gb = G(a), G(b)
+    down = Ga >= Gb
+    sgn = np.where(down, 1.0, -1.0)  # sgn * (G - c) falls along a piece
+
+    def root(c):
+        """phi in [a, b] with G(phi) = c, clipped to the piece."""
+        r = bisect(lambda x: sgn * (G(x) - c) > 0, a, b)
+        r = np.where(sgn * (Gb - c) >= 0, b, r)
+        return np.where(sgn * (Ga - c) <= 0, a, r)
+
+    def above(c):
+        gr = g(root(c))
+        return np.sum(np.where(down, gr - g(a), g(b) - gr)) > 0.5
+
+    c = float(bisect(above, np.min(np.minimum(Ga, Gb)),
+                     np.max(np.maximum(Ga, Gb))))
+    r = root(c)
+    return gauss_legendre(np.concatenate([a, r]), np.concatenate([r, b]),
+                          lambda i, x: np.abs(G(x) - c) * dg(x))
 
 
 def richardson(mu, nu_cdf_cells):
@@ -160,24 +232,130 @@ def test_diffeo_vs_lebesgue_matches_richardson_oracle(diffeo):
     assert wasserstein(M, rho) == w
 
 
-def test_fourier_density_vs_lebesgue_closed_form():
-    # G = F_rho - x = (0.2/pi) sin(2 pi x); median 0; integral 0.4/pi^2
-    rho = FourierDensity({0: 1.0, 1: 0.2})
-    assert abs(wasserstein(rho, M) - 0.4 / math.pi ** 2) <= 1e-14
-
-
-def test_smooth_pairs_match_atomized_oracle():
-    h = ConjugacyDiffeo([0.2, 0.05], [0.0, 0.1])
+def assert_lebesgue_matches_gauss_legendre(h):
     rho = DiffeoInvariantDensity(h)
-    f = FourierDensity({0: 1.0, 1: 0.2, 2: 0.1j})
-    g = FourierDensity({0: 1.0, 3: 0.3})
-    atoms = AtomicMeasure.uniform(np.arange(200) / 200 * 0.7 + 0.01)
-    for mu, nu in [(rho, f), (f, g), (atoms, f),
-                   (rho, DiffeoInvariantDensity(ConjugacyDiffeo([0.1])))]:
-        w = wasserstein(mu, nu)
-        fine = [atomize_by_cdf(m.cdf, 1 << 16)
-                if not isinstance(m, AtomicMeasure) else m for m in (mu, nu)]
-        # the midpoint rule errs by O(M^-2) on smooth CDFs, ~1e-9 here;
-        # with two atomized sides there is no clean expansion to cancel
-        assert abs(w - wasserstein(*fine)) <= 1e-8 * w
-        assert wasserstein(nu, mu) == pytest.approx(w, rel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = wasserstein(M, rho)
+        assert abs(w - w_lebesgue_gauss_legendre(h)) <= 2e-13 * w
+        assert wasserstein(rho, M) == w
+
+
+def test_lebesgue_closed_form_matches_gauss_legendre(diffeo):
+    assert_lebesgue_matches_gauss_legendre(diffeo[0])
+
+
+@functools.cache
+def tuned_conjugacy(eps):
+    """h of x + c + eps cos(2 pi x) tuned to the golden mean."""
+    return tune_rotation_number(FourierSeries.cosine(), eps,
+                                GOLDEN_MEAN)[0].conjugacy
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2, 5e-2, 1e-1])
+def test_lebesgue_closed_form_matches_gauss_legendre_on_tuned_h(eps):
+    assert_lebesgue_matches_gauss_legendre(tuned_conjugacy(eps))
+
+
+@st.composite
+def conjugacies(draw, max_modes=5, max_size=0.95):
+    """h with 1..max_modes modes and sum(|a_n| + |b_n|) in
+    [0.01, max_size]."""
+    modes = draw(st.integers(1, max_modes))
+    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * modes,
+                               max_size=2 * modes)))
+    if not np.any(c):
+        c[0] = 1.0
+    # c / total first: s / total is inf for a subnormal total
+    c = c / float(np.sum(np.abs(c))) * draw(st.floats(0.01, max_size))
+    return ConjugacyDiffeo(c[:modes], c[modes:])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(conjugacies())
+def test_lebesgue_closed_form_matches_gauss_legendre_on_random_h(h):
+    assert_lebesgue_matches_gauss_legendre(h)
+
+
+# h_eps = id + eps cos(2 pi (x - x0)) / (2 sin(pi alpha)) + O(eps^2), so
+# W(m, h_eps* m) / eps -> integral |cos(2 pi x)| / (2 sin(pi alpha)) = L
+L = 1.0 / (math.pi * math.sin(math.pi * GOLDEN_MEAN))
+
+
+def test_linear_response_limit():
+    assert abs(L - 0.34152233125) <= 1e-11
+    w = wasserstein(M, DiffeoInvariantDensity(tuned_conjugacy(1e-4)))
+    assert abs(w / 1e-4 - L) <= 1e-6 * L
+
+
+def test_response_correction_is_cubic():
+    # x -> x + 1/2 maps the family at eps to the one at -eps, so
+    # W = L eps + K eps^3 + ...: the same K at two eps
+    K = [(wasserstein(M, DiffeoInvariantDensity(tuned_conjugacy(eps))) / eps
+          - L) / eps ** 2 for eps in (1e-3, 1e-2)]
+    assert abs(K[0] - K[1]) <= 0.05 * abs(K[1])
+
+
+# The median of eta under h' dtheta for this h sits just off the level
+# of a local extremum of eta, where the x-mass of {eta > c} has an
+# infinite slope: Newton hops between two points either side of it.
+HOPPING = ConjugacyDiffeo(
+    [0.21970254399630604, -0.08530583195492303, 0.1416647753552255,
+     -0.16122359878275389],
+    [-0.005439554093661115, -0.06104151281547883, -0.1119742869702686,
+     -0.13090680126641074])
+
+
+def test_median_search_guards_match_gauss_legendre(monkeypatch):
+    newton, medians = measures._guarded_newton, []
+
+    def recording(f, x, lo, hi):  # logs the steps of the scalar median
+        if np.ndim(x):
+            return newton(f, x, lo, hi)
+        steps = []
+
+        def logged(c):
+            value, slope = f(c)
+            steps.append((float(c), value, slope))
+            return value, slope
+
+        medians.append((float(lo), float(hi), steps))
+        return newton(logged, x, lo, hi)
+
+    monkeypatch.setattr(measures, "_guarded_newton", recording)
+    assert_lebesgue_matches_gauss_legendre(HOPPING)
+    # replay the bracket: each Newton step that was not taken bisected it,
+    # either because it left the bracket or because it hopped back
+    lo, hi, steps = medians[0]
+    left = hopped = 0
+    for (c, value, slope), (after, _, _) in zip(steps, steps[1:]):
+        lo, hi = (lo, c) if value <= 0.0 else (c, hi)
+        newton_step = c + value / slope
+        if after != newton_step:
+            assert after == 0.5 * (lo + hi)
+            left += not lo <= newton_step <= hi
+            hopped += lo <= newton_step <= hi
+    assert left > 0 and hopped > 0
+
+
+def test_identity_conjugacy_is_at_distance_zero():
+    rho = DiffeoInvariantDensity(ConjugacyDiffeo([0.0]))
+    assert wasserstein(M, rho) == 0.0 and wasserstein(rho, M) == 0.0
+    assert wasserstein(M, M) == 0.0
+
+
+@pytest.mark.parametrize("mu, nu", [
+    (FourierDensity({0: 0.0, 1: 0.2}), M),               # signed
+    (M, FourierDensity({0: 1.0, 1: 0.8})),               # negative
+    (FourierDensity({0: 1.0, 1: 0.2}), M),               # probability
+    (AtomicMeasure.dirac(0.1), FourierDensity({0: 1.0, 1: 0.2})),
+    (DiffeoInvariantDensity(CONJUGACIES["h_a=0.2"]),
+     DiffeoInvariantDensity(CONJUGACIES["two-mode"])),   # two h_* m sides
+], ids=["signed density", "negative density", "probability density",
+        "atomic vs density", "two h_* m sides"])
+def test_pairs_without_a_closed_form_are_refused(mu, nu):
+    match = "AtomicMeasure.*LebesgueMeasure.*DiffeoInvariantDensity"
+    with pytest.raises(TypeError, match=match):
+        wasserstein(mu, nu)
+    with pytest.raises(TypeError, match=match):
+        wasserstein(nu, mu)
