@@ -7,11 +7,12 @@ F(x+1) = F(x)+1, and the displacement F(x)-x used by the rotation
 number estimator.  Orbits of Rotation and ConjugatedRotation have
 closed-form vectorized paths (one rounding per point instead of one
 per step); ConjugatedRotation orbits and Discretized grid images run
-elementwise in blocks of _BLOCK points.  Everything else iterates
-scalar_step, which is eval except where a float closure pays: there
-is one, the math.sin/math.cos closure of TunedFamily, for the long
-orbits of tuned families and of the attractor-repeller (the tuner's
-direct check, Birkhoff orbits).
+elementwise in blocks of _BLOCK points.  Everything else is stepped
+4096 points at a time by scalar_steps, which iterates eval except on
+a TunedFamily: there it is one straight-line function of Python
+floats, generated from u's nonzero modes, for the long orbits of tuned
+families and of the attractor-repeller (the tuner's direct check,
+Birkhoff orbits).
 A stepped orbit stops at the first exact repeat within a 4096-point
 window and tiles the cycle, bit-identical to stepping every point.  A
 TunedFamily made by the tuner carries the conjugacy h it solved, so
@@ -95,35 +96,43 @@ class CircleMap:
         """F(x) - x for canonical x; periodic in x."""
         return self.lift(x) - np.asarray(x, dtype=float)
 
-    def scalar_step(self):
-        """x -> T(x) on floats, for the orbit loop; eval unless a map
-        has a faster closure."""
-        return self.eval
+    def scalar_steps(self):
+        """(x, k) -> [T(x), ..., T^k(x)] as a list, for the orbit loop;
+        eval iterated unless a map generates a faster function."""
+        ev = self.eval
+
+        def steps(x, k):
+            return [x := ev(x) for _ in range(k)]
+
+        return steps
 
     def orbit(self, x0: float, n: int, burn_in: int = 0) -> np.ndarray:
         """[T^(burn_in+1) x0, ..., T^(burn_in+n) x0] as a float array.
 
-        Steps scalar_step in blocks of _CYCLE_BLOCK points.  After each
-        block the last point is compared, bit for bit, with the up to
-        _CYCLE_BLOCK points before it.  scalar_step is a pure function of
-        one double, so at a repeat x_i = x_k the orbit is periodic with
-        period i - k from there on, and the rest is filled by tiling
-        that cycle: the array is bit-identical to stepping every point.
-        A longer period is not found, and the orbit is stepped in full.
+        Steps the burn-in and then the points by scalar_steps, in blocks
+        of _CYCLE_BLOCK points; each block goes into the array by one
+        slice assignment.  After each block the last point is compared,
+        bit for bit, with the up to _CYCLE_BLOCK points before it.  A
+        step is a pure function of one double, so at a repeat x_i = x_k
+        the orbit is periodic with period i - k from there on, and the
+        rest is filled by tiling that cycle: the array is bit-identical
+        to stepping every point.  A longer period is not found, and the
+        orbit is stepped in full.
         """
         _check_orbit_len(n, burn_in)
-        step = self.scalar_step()
+        steps = self.scalar_steps()
         x = canonicalize(x0)
-        for _ in range(burn_in):
-            x = step(x)
+        for done in range(0, burn_in, _CYCLE_BLOCK):
+            x = steps(x, min(_CYCLE_BLOCK, burn_in - done))[-1]
         out = np.empty(n)
         bits = out.view(np.int64)  # -0.0 != 0.0, and a NaN matches itself
         i = 0  # points filled
         while i < n:
-            for k in range(i, min(i + _CYCLE_BLOCK, n)):
-                x = step(x)
-                out[k] = x
-            i = k + 1
+            block = steps(x, min(_CYCLE_BLOCK, n - i))
+            out[i:i + len(block)] = block
+            x = block[-1]
+            i += len(block)
+            k = i - 1  # the last point
             window = bits[max(k - _CYCLE_BLOCK, 0):k]
             hits = np.flatnonzero(window == bits[k])
             if len(hits) and i < n:
@@ -179,27 +188,39 @@ class TunedFamily(CircleMap):
     def lift(self, x):
         return x + self.c + self.epsilon * self.u.eval(x)
 
-    def scalar_step(self):
-        """f on a float by math.cos/math.sin, with eval's operations in
-        eval's order on Python floats (numpy scalars would double the
-        cost of a step).  A product with a zero coefficient is skipped:
-        it adds +-0.0, so it can change only the sign of a zero s, and
-        so of a zero x + c + eps*s, which % 1.0 folds to 0.0."""
-        terms = [(n, cr, ci) for n, ((cr, ci),) in self.u._modes[1]]
-        mean, c, eps = self.u.mean, self.c, self.epsilon
-        cos, sin, twopi = math.cos, math.sin, 2.0 * math.pi
-
-        def step(x: float) -> float:
-            s = mean
-            for n, cr, ci in terms:
-                ph = twopi * ((n * x) % 1.0)
-                if cr:
-                    s += cr * cos(ph)
-                if ci:
-                    s -= ci * sin(ph)
-            return (x + c + eps * s) % 1.0
-
-        return step
+    def scalar_steps(self):
+        """f iterated on Python floats by one straight-line function
+        generated for this map.  Per nonzero mode of u, in eval's order:
+        ph = twopi * ((n_i * x) % 1.0), s += cr_i * cos(ph) and
+        s -= ci_i * sin(ph); then x = (x + c + eps * s) % 1.0, with a
+        result of 1.0 folded to 0.0 as frac does.  These are eval's
+        operations in eval's order (numpy scalars would double the cost
+        of a step).  The source names its values by index only; the
+        numbers go in through the namespace.  A product with a zero
+        coefficient is left out: it adds +-0.0, so it can change only
+        the sign of a zero s, and so of a zero x + c + eps*s, which
+        % 1.0 folds to 0.0.  One statement per product: one expression
+        of thousands of terms exceeds the compiler's recursion limit."""
+        env = {"mean": self.u.mean, "c": self.c, "eps": self.epsilon,
+               "cos": math.cos, "sin": math.sin, "twopi": 2.0 * math.pi}
+        lines = ["def steps(x, k):",
+                 "    out = []",
+                 "    for _ in range(k):",
+                 "        s = mean"]
+        for i, (n, ((cr, ci),)) in enumerate(self.u._modes[1]):
+            env[f"n{i}"], env[f"cr{i}"], env[f"ci{i}"] = n, cr, ci
+            lines.append(f"        ph = twopi * ((n{i} * x) % 1.0)")
+            if cr:
+                lines.append(f"        s += cr{i} * cos(ph)")
+            if ci:
+                lines.append(f"        s -= ci{i} * sin(ph)")
+        lines += ["        x = (x + c + eps * s) % 1.0",
+                  "        if x == 1.0:",
+                  "            x = 0.0",
+                  "        out.append(x)",
+                  "    return out"]
+        exec("\n".join(lines), env)
+        return env["steps"]
 
 
 class AttractorRepeller(TunedFamily):
@@ -448,7 +469,9 @@ def rotation_number(m: CircleMap, iters: int = 1 << 15,
     displacement is constant and the value is exact).  The reported
     error_bound is min(1/iters, |full-window - half-window|): the first
     term is the rigorous sandwich for the plain Birkhoff mean, the
-    second the observed weighted-average stabilization.
+    second the observed weighted-average stabilization.  So error_bound
+    is rigorous only when it equals 1/iters; any smaller value is an
+    estimate.
 
     Raises ConvergenceError carrying the best estimate if the bound
     exceeds tol; pass tol=None to always get the estimate.
@@ -631,7 +654,10 @@ def tune_rotation_number(u: FourierSeries, epsilon: float, target_alpha: float,
     f o h = h o R_alpha for (c, h) (see _solve_conjugacy), so it is an
     estimate.  It is accepted only if direct iteration agrees: the
     rotation number of the tuned map over `iters` steps must satisfy
-    |rot - target| + error_bound <= tol.  Raises TuningError, carrying
+    |rot - target| + error_bound <= tol.  That error_bound is rigorous
+    only when it equals 1/iters, so for tol < 1/iters (the defaults:
+    1e-12 against 2^-16) an accepted c passed an estimated bound, and
+    the acceptance is an estimate too.  Raises TuningError, carrying
     the best c and its grid residual or its direct-iteration miss, if
     the solve does not converge or the check fails; this happens close
     to the critical family, e.g. u = cos at eps = 0.159 (eps sup|u'| =

@@ -6,12 +6,12 @@ exact levels, the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for
 functional graph, `dk_check` on a fresh orbit per case for the
 Denjoy-Koksma suite, the Newton inverse of a `ConjugacyDiffeo` that
 evaluated its modes twice per step (from the same table start, and
-within the residual tolerance from the old start z = y) and the
-stepping loop of `CircleMap.orbit` with no repeat check.  Equality is bit for bit,
-except for the least-squares fits: the closed-form slopes of the Holder
-fit agree with the per-resample `np.polyfit` loop to 1e-12 relative,
-and the Diophantine type estimate agrees with the per-window
-`np.polyfit` loop to 1e-13 relative."""
+within the residual tolerance from the old start z = y) and iterated
+`eval`, point by point with no repeat check, for `CircleMap.orbit`.
+Equality is bit for bit, except for the least-squares fits: the
+closed-form slopes of the Holder fit agree with the per-resample
+`np.polyfit` loop to 1e-12 relative, and the Diophantine type estimate
+agrees with the per-window `np.polyfit` loop to 1e-13 relative."""
 
 import functools
 import math
@@ -623,29 +623,28 @@ PROFILE = continued_fraction(GOLDEN_MEAN, 30)
 
 
 def orbit_loop(m, x0, n, burn_in=0):
-    """Every point stepped, with no check for a repeat."""
-    step = m.scalar_step()
+    """Iterated eval: every point stepped, with no check for a repeat."""
     x = canonicalize(x0)
     for _ in range(burn_in):
-        x = step(x)
+        x = m.eval(x)
     out = np.empty(n)
     for i in range(n):
-        x = step(x)
+        x = m.eval(x)
         out[i] = x
     return out
 
 
 def count_steps(m):
-    """Make m count the steps its orbits take; returns the counter."""
-    step = m.scalar_step()
-    calls = [0]
+    """Make m count the points its orbits step; returns the counter."""
+    steps = m.scalar_steps()
+    taken = [0]
 
-    def counted(x):
-        calls[0] += 1
-        return step(x)
+    def counted(x, k):
+        taken[0] += k
+        return steps(x, k)
 
-    m.scalar_step = lambda: counted
-    return calls
+    m.scalar_steps = lambda: counted
+    return taken
 
 
 class GridShift(CircleMap):
@@ -661,11 +660,16 @@ class GridShift(CircleMap):
 @pytest.mark.parametrize("burn_in", [0, 1000])
 @pytest.mark.parametrize("b", [0.5, 0.77, 1.0])
 def test_orbit_equals_loop_on_attractor_repeller_ladder(b, burn_in):
-    # the float orbits turn exactly periodic by step 28,312 (b = 0.5, j = 15)
+    # the float orbits turn exactly periodic by step 28,312 (b = 0.5, j =
+    # 15).  eval is elementwise, so eval of the orbit shifted by one
+    # point is iterated eval, at one array pass instead of 40,000 calls
     for j in range(5, 16):
         ar = AttractorRepeller(j, PROFILE, b)
+        full = ar.orbit(0.123, burn_in + 40_000)
+        assert np.array_equal(
+            bits(ar.eval(np.concatenate(([0.123], full[:-1])))), bits(full))
         assert np.array_equal(bits(ar.orbit(0.123, 40_000, burn_in)),
-                              bits(orbit_loop(ar, 0.123, 40_000, burn_in)))
+                              bits(full[burn_in:]))
 
 
 def test_orbit_equals_loop_on_discretized_diffeo():
@@ -696,10 +700,11 @@ def test_orbit_equals_loop_at_block_edges(m, n):
 
 
 def test_orbit_stops_stepping_at_a_repeat():
+    # the orbit repeats within the first block, and nothing more is stepped
     ar = AttractorRepeller(5, PROFILE, 0.77)
     steps = count_steps(ar)
     ar.orbit(0.123, 10 ** 5)
-    assert steps[0] < 10 ** 4
+    assert steps[0] == B
 
 
 @pytest.mark.parametrize("q, steps_taken", [(B, 2 * B), (B + 1, 5 * B)])

@@ -365,30 +365,57 @@ def test_orbit_rejects_negative_length_or_burn_in(m):
     assert len(m.orbit(0.0, 0)) == 0
 
 
+def assert_orbit_is_iterated_eval(m, x0, n):
+    """m.orbit(x0, n) is eval iterated n times from x0, bit for bit, and
+    every point lies in [0, 1)."""
+    x, want = x0, []
+    for _ in range(n):
+        x = m.eval(x)
+        want.append(x)
+    orbit = m.orbit(x0, n)
+    assert np.array_equal(bits(orbit), bits(want))
+    assert np.all((0.0 <= orbit) & (orbit < 1.0))
+
+
 @pytest.mark.parametrize("m", [
     Discretized(ConjugatedRotation(GOLDEN_MEAN, H), 1000),
     TunedFamily(FourierSeries({1: 0.15 - 0.1j, 2: 0.05 - 0.025j}),
                 0.1, 0.4),
     AttractorRepeller(8, PROF, 0.77)], ids=lambda m: type(m).__name__)
 def test_stepped_orbit_is_iterated_eval(m):
-    # scalar_step is eval itself, or a float closure with eval's values
-    x, want = 0.37, []
-    for _ in range(300):
-        x = m.eval(x)
-        want.append(x)
-    assert np.array_equal(m.orbit(0.37, 300), want)
+    # scalar_steps iterates eval itself, or a generated function with
+    # eval's values
+    assert_orbit_is_iterated_eval(m, 0.37, 300)
+
+
+@pytest.mark.parametrize("u, eps, c", [
+    (FourierSeries({1: 0.0}), 0.0, -1e-20),   # no mode; c < 0 by a hair
+    (FourierSeries({0: -1e-20, 1: 0.1j}), 1.0, 0.0),  # the mean, sin(0)
+], ids=["offset", "mean"])
+def test_tuned_step_folds_one_to_zero(u, eps, c):
+    # from 0 a step is -1e-20, which Python's % 1.0 rounds up to 1.0;
+    # eval folds it to 0.0 by frac, and so must the stepped orbit
+    assert_orbit_is_iterated_eval(TunedFamily(u, eps, c), 0.0, 5)
+
+
+def test_tuned_orbit_of_a_large_spectrum_is_iterated_eval():
+    # 5,000 nonzero modes, one statement per product in the generated
+    # function: as one expression this many terms would not compile
+    rng = np.random.default_rng(5)
+    c = rng.normal(0.0, 1.0, 5000) + 1j * rng.normal(0.0, 1.0, 5000)
+    c *= 0.2 / np.sum(np.abs(c) * np.arange(1, 5001))  # eps sup|u'| < 1
+    u = FourierSeries(np.concatenate(([0.01], c)))
+    assert len(u._modes[1]) == 5000
+    fam = TunedFamily(u, 0.5, 0.3819660112501051)
+    assert_orbit_is_iterated_eval(fam, 0.37, 20)
 
 
 def test_deep_attractor_repeller_visits_its_one_mode():
     # u holds q + 1 = 832,041 coefficients of which one is nonzero; eval
-    # and the float closure visit that mode alone, with eval's bits
+    # and the generated step visit that mode alone, with eval's bits
     m = AttractorRepeller(28, continued_fraction(GOLDEN_MEAN, 30), 1.0)
     assert m.q == 832_040 and [n for n, _ in m.u._modes[1]] == [m.q]
-    x, want = 0.37, []
-    for _ in range(300):
-        x = m.eval(x)
-        want.append(x)
-    assert np.array_equal(m.orbit(0.37, 300), want)
+    assert_orbit_is_iterated_eval(m, 0.37, 300)
 
 
 def u_with_zeroed_halves(seed):
@@ -405,14 +432,10 @@ def u_with_zeroed_halves(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_tuned_orbit_with_zeroed_halves_is_iterated_eval(seed):
-    # the closure skips the products whose coefficient is exactly 0,
-    # which eval takes; the points must not move by a bit
+    # the generated step leaves out the products whose coefficient is
+    # exactly 0, which eval takes; the points must not move by a bit
     fam = TunedFamily(u_with_zeroed_halves(seed), 0.1, 0.3819660112501051)
-    x, want = 0.37, []
-    for _ in range(300):
-        x = fam.eval(x)
-        want.append(x)
-    assert np.array_equal(bits(fam.orbit(0.37, 300)), bits(want))
+    assert_orbit_is_iterated_eval(fam, 0.37, 300)
 
 
 # ------------------------------------------------------- conjugacy diffeo
@@ -449,12 +472,7 @@ def test_diffeo_inverse_accuracy():
 def test_conjugated_rotation_orbit_matches_stepping():
     m = ConjugatedRotation(GOLDEN_MEAN, H)
     fast = m.orbit(0.2, 50)
-    step = m.scalar_step()
-    x = 0.2
-    slow = []
-    for _ in range(50):
-        x = step(x)
-        slow.append(x)
+    slow = m.scalar_steps()(0.2, 50)
     assert np.allclose(fast, slow, atol=1e-11)
 
 
