@@ -409,12 +409,13 @@ def holder_fit(records, bootstrap: int = 1000,
 def run_dk_suite(cases: int = 1000, seed: int = 0,
                  alpha: Union[str, float] = "golden"):
     """Randomized Denjoy-Koksma check on orbits of 10..1e5 points;
-    returns (violations, checked).  Each case is dk_check on frac(x0 +
-    i*alpha), i = 1..N, bit for bit; an orbit is sorted only where it
-    cannot be read in order off one circular order of the i*alpha, an
-    indicator's mean is counted off that order, and a case with V = 0
-    takes no discrepancy (see _dk_cases).  ValueError if i*alpha
-    overflows for some i <= 1e5."""
+    returns (violations, checked).  Each case's verdict is dk_check's on
+    frac(x0 + i*alpha), i = 1..N, bit for bit.  A case whose mean is
+    within V/N of the integral is decided at the discrepancy floor 1/N
+    and takes no discrepancy; the others are read sorted off one
+    circular order of the i*alpha where they can be, and an indicator's
+    mean is counted off that order (see _dk_cases).  ValueError if
+    i*alpha overflows for some i <= 1e5."""
     _check_count("cases", cases, 1)
     a, _ = resolve_alpha(alpha)
     return sum(not c.ok for c in _dk_cases(cases, seed, a)), cases
@@ -423,20 +424,31 @@ def run_dk_suite(cases: int = 1000, seed: int = 0,
 def _dk_cases(cases: int, seed: int, a: float):
     """The suite's checks, one per case, in the order the seed draws.
 
-    frac(x0 + i*a), i <= N, is the set {i*a} turned by x0.  So the table
-    i*a is ordered once by frac, and the cases run in decreasing N, each
-    dropping i > N from the last order by one compress.  An orbit read
-    in that order that ascends after one turn goes to the star pass
-    with its turn; any other is sorted, so the bits never rest on gaps.
+    Each case takes its mean first: in orbit order, as dk_check sums,
+    or for an indicator by counting the points on its arc off the
+    ascending read below (_arc_mean), which is np.mean of its 0/1
+    values exactly, and that read holds the orbit's values, on which
+    frac is the identity.  An indicator evaluates nothing.
 
-    Two kinds of case skip passes and keep their bits:
-    - an indicator reads no orbit in orbit order and evaluates nothing.
-      Its mean is the count of points on its arc off the ascending read
-      (_arc_mean), which is np.mean of its 0/1 values exactly, and that
-      read holds the orbit's values, on which frac is the identity;
-    - a case with V = 0 (the constant) keeps its orbit-order mean but
-      reads no circle and takes no discrepancy: its bound V * D is the
-      same zero for every D.
+    A case with V = 0 or |mean - int f| <= V/N is decided at the
+    discrepancy floor: its check is _dk_verdict with d None, bound
+    V * (1/N), ok True, and it takes no discrepancy.  The verdict is
+    dk_check's.  For V = 0 the bound V * D is 0.0 at every D.  Else any
+    N points have D >= 1/N, and the float D falls short of 1/N only by
+    the rounding of terms of size at most 1, a few units of 2^-53;
+    times V (at most 4 in the library) that is far inside the 1e-12
+    slack of lhs <= V * D + 1e-12, so dk_check says ok too.  A case
+    that would violate has lhs > V * D + 1e-12 > V/N and is never
+    decided early.  Only its bound differs from dk_check's: V * (1/N)
+    in place of V * D.
+
+    Every other case reads its orbit off the circle: frac(x0 + i*a),
+    i <= N, is the set {i*a} turned by x0.  So the table i*a is ordered
+    once by frac, and the cases run in decreasing N; a case that reads
+    drops i > N from the last order cut (any superset gives the same
+    cut) by one compress.  An orbit read in that order that ascends
+    after one turn goes to the star pass with its turn; any other is
+    sorted, so the bits never rest on gaps.
     """
     if not math.isfinite(a * 10 ** 5):
         raise ValueError(f"alpha {a!r} overflows the orbit table i*alpha")
@@ -447,15 +459,10 @@ def _dk_cases(cases: int, seed: int, a: float):
     ia = np.arange(1, 10 ** 5 + 1) * a
     circ = ia[np.argsort(frac(ia))]  # the i*a in circular order
     shifted, orbit = np.empty_like(ia), np.empty_like(ia)
-    checks = [None] * cases
-    for c in sorted(range(cases), key=lambda c: -draws[c][1]):
-        x0, N, f = draws[c]
-        if f._arc is None:  # orbit order, as dk_check sums
-            orb = _frac_into(np.add(x0, ia[:N], out=shifted[:N]), orbit[:N])
-            mean = float(np.mean(f.eval(orb)))
-        if f.variation == 0.0:
-            checks[c] = _dk_verdict(f, mean, None)
-            continue
+
+    def read(x0, N):
+        """(s, w): the orbit, whose sorted order is s[w:] then s[:w]."""
+        nonlocal circ
         if len(circ) > N:  # drop i > N: i*a moves away from 0 as i grows
             lim = ia[N - 1]  # (a = 0: every i*a ties, and any N will do)
             circ = circ[circ <= lim] if a > 0 else circ[circ >= lim][:N]
@@ -464,9 +471,23 @@ def _dk_cases(cases: int, seed: int, a: float):
         if w is None:
             s.sort()
             w = 0
-        if f._arc is not None:
+        return s, w
+
+    checks = [None] * cases
+    for c in sorted(range(cases), key=lambda c: -draws[c][1]):
+        x0, N, f = draws[c]
+        if f._arc is None:  # orbit order, as dk_check sums
+            orb = _frac_into(np.add(x0, ia[:N], out=shifted[:N]), orbit[:N])
+            mean = float(np.mean(f.eval(orb)))
+        else:
+            s, w = read(x0, N)
             mean = _arc_mean(f._arc, s, w)
-        checks[c] = _dk_verdict(f, mean, _discrepancy_sorted(s, w=w))
+        check = _dk_verdict(f, mean, None, N)
+        if f.variation != 0.0 and check.lhs > check.bound:
+            if f._arc is None:
+                s, w = read(x0, N)
+            check = _dk_verdict(f, mean, _discrepancy_sorted(s, w=w), N)
+        checks[c] = check
     return checks
 
 

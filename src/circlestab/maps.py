@@ -177,6 +177,7 @@ class TunedFamily(CircleMap):
         self.epsilon = float(epsilon)
         self.c = float(c)
         self.conjugacy = conjugacy
+        self._stepper = None  # ((u, epsilon, c), the steps built for them)
         if not (math.isfinite(self.epsilon) and math.isfinite(self.c)):
             raise ValueError("epsilon and c must be finite")
 
@@ -190,8 +191,16 @@ class TunedFamily(CircleMap):
 
     def scalar_steps(self):
         """f iterated on Python floats by one straight-line function
-        generated for this map.  Per nonzero mode of u, in eval's order:
-        ph = twopi * ((n_i * x) % 1.0), s += cr_i * cos(ph) and
+        generated for this map, built once per (u, epsilon, c): a map
+        whose attributes are reassigned gets a function of its own."""
+        key = (self.u, self.epsilon, self.c)
+        if self._stepper is None or self._stepper[0] != key:
+            self._stepper = key, self._generate_steps()
+        return self._stepper[1]
+
+    def _generate_steps(self):
+        """The function scalar_steps returns.  Per nonzero mode of u, in
+        eval's order: ph = twopi * ((n_i * x) % 1.0), s += cr_i * cos(ph) and
         s -= ci_i * sin(ph); then x = (x + c + eps * s) % 1.0, with a
         result of 1.0 folded to 0.0 as frac does.  These are eval's
         operations in eval's order (numpy scalars would double the cost

@@ -730,7 +730,8 @@ def dk_check(f: BVObservable, points) -> DKCheck:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if len(pts) == 0:
         raise ValueError("empty point set")
-    return _dk_verdict(f, float(np.mean(f.eval(pts))), discrepancy(pts))
+    return _dk_verdict(f, float(np.mean(f.eval(pts))), discrepancy(pts),
+                       len(pts))
 
 
 def _arc_mean(arc, x, w: int = 0) -> float:
@@ -756,13 +757,13 @@ def _arc_mean(arc, x, w: int = 0) -> float:
     return inside / n
 
 
-def _dk_verdict(f, mean: float,
-                d: Optional[DiscrepancyResult]) -> DKCheck:
-    """The check from the point mean of f and the points' discrepancy.
+def _dk_verdict(f, mean: float, d: Optional[DiscrepancyResult],
+                n: int) -> DKCheck:
+    """The check from the mean of f over n points and their discrepancy.
 
-    d may be None if V(f) = 0: the bound V * D is then the same zero for
-    every D in [1/N, 1], so it is taken at D = 1.
+    d None takes D at its floor 1/n (any n points have D >= 1/n), so the
+    bound is V * (1/n); for V = 0 that is the same 0.0 as at any D.
     """
     lhs = abs(mean - f.integral)
-    bound = f.variation * (1.0 if d is None else d.value)
+    bound = f.variation * (1.0 / n if d is None else d.value)
     return DKCheck(lhs=lhs, bound=bound, ok=bool(lhs <= bound + 1e-12))

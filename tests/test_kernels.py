@@ -4,9 +4,10 @@ integers, W to Lebesgue with one `mass(t)` call per breakpoint on those
 exact levels, the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for
 `frac` and `frac` for `_frac_into`, the three-color walk of the
 functional graph, `dk_check` on a fresh orbit per case for the
-Denjoy-Koksma suite, the Newton inverse of a `ConjugacyDiffeo` that
-evaluated its modes twice per step (from the same table start, and
-within the residual tolerance from the old start z = y) and iterated
+Denjoy-Koksma suite (whose bound differs where it decides a case at
+the discrepancy floor 1/N), the Newton inverse of a `ConjugacyDiffeo`
+that evaluated its modes twice per step (from the same table start,
+and within the residual tolerance from the old start z = y) and iterated
 `eval`, point by point with no repeat check, for `CircleMap.orbit`.
 Equality is bit for bit, except for the least-squares fits: the
 closed-form slopes of the Holder fit agree with the per-resample
@@ -284,20 +285,57 @@ def test_frac_nonfinite_gives_nan(x):
 # ------------------------------------------------------------ DK suite
 
 ascending_turn = experiments._ascending_turn
-discrepancy_sorted = experiments._discrepancy_sorted
 
 
-def dk_suite_loop(cases, seed, a):
+def dk_suite_loop(cases, seed, a, library=bv_library):
     """The suite's cases as dk_check on a fresh orbit each, with the
     index of the observable drawn and the orbit length."""
     rng = np.random.default_rng(seed)
-    lib = bv_library()
+    lib = library()
     for _ in range(cases):
         x0 = rng.uniform()
         N = int(rng.integers(10, 10 ** 5 + 1))
         k = int(rng.integers(0, len(lib)))
         orb = frac(x0 + np.arange(1, N + 1) * a)
         yield k, N, dk_check(lib[k], orb)
+
+
+def at_floor(f, N, want):
+    """Whether the suite decides a case at the discrepancy floor 1/N,
+    read off the oracle: V = 0, or lhs <= V * (1/N)."""
+    return f.variation == 0.0 or want.lhs <= f.variation * (1.0 / N)
+
+
+def assert_suite_matches_oracle(got, want, lib):
+    """lhs and ok bit for bit on every case; the bound bit for bit on
+    every case that took a discrepancy, and V * (1/N), at most the
+    oracle's, on every case decided at the floor, which the oracle
+    passes with lhs <= V/N."""
+    assert len(got) == len(want)
+    for (k, N, w), g in zip(want, got):
+        f = lib[k]
+        assert (bits([g.lhs]).tobytes(), g.ok) == (bits([w.lhs]).tobytes(),
+                                                   w.ok)
+        if at_floor(f, N, w):
+            assert w.ok and w.lhs <= f.variation * (1.0 / N)
+            assert g.bound == f.variation * (1.0 / N) <= w.bound
+        else:
+            assert bits([g.bound]).tobytes() == bits([w.bound]).tobytes()
+
+
+def counted(monkeypatch, name):
+    """Wrap experiments.<name> to record the length of its first
+    argument and its result on every call."""
+    calls = []
+    inner = getattr(experiments, name)
+
+    def wrapped(s, *args, **kwargs):
+        out = inner(s, *args, **kwargs)
+        calls.append((len(s), out))
+        return out
+
+    monkeypatch.setattr(experiments, name, wrapped)
+    return calls
 
 
 # orbits the suite reads sorted off the circular order of {i*alpha} on
@@ -312,26 +350,23 @@ ALWAYS_SORTED = {0.25, 0.5}
 def test_dk_suite_equals_per_case_dk_check(alpha, monkeypatch):
     a, _ = resolve_alpha(alpha)
     cases, seed = 240, 74845286
-    sorts = []
-
-    def counted_turn(s):
-        w = ascending_turn(s)
-        sorts.append(w is None)
-        return w
-
-    monkeypatch.setattr(experiments, "_ascending_turn", counted_turn)
+    turns = counted(monkeypatch, "_ascending_turn")
+    discs = counted(monkeypatch, "_discrepancy_sorted")
     want = list(dk_suite_loop(cases, seed, a))
     got = list(_dk_cases(cases, seed, a))
-    assert len(got) == cases
-    for (_, _, w), g in zip(want, got):
-        assert (bits([g.lhs, g.bound]).tobytes(), g.ok) == (
-            bits([w.lhs, w.bound]).tobytes(), w.ok)
+    lib = bv_library()
+    assert_suite_matches_oracle(got, want, lib)
     # both discrepancy branches and every library observable were checked
     assert {N <= 10 ** 4 for _, N, _ in want} == {True, False}
     assert {k for k, _, _ in want} == set(range(len(bv_library())))
-    # a case with V = 0 (the constant) reads no circle
-    assert len(sorts) == sum(bv_library()[k].variation != 0.0
-                             for k, _, _ in want)
+    # a discrepancy on exactly the cases above the floor, and a circle
+    # read on those and on the indicators, whose means are counted
+    above = [N for k, N, w in want if not at_floor(lib[k], N, w)]
+    assert sorted(n for n, _ in discs) == sorted(above)
+    assert sorted(n for n, _ in turns) == sorted(
+        above + [N for k, N, w in want
+                 if lib[k]._arc is not None and at_floor(lib[k], N, w)])
+    sorts = [w is None for _, w in turns]
     if alpha in NEVER_SORTED:
         assert not any(sorts)
     if alpha in ALWAYS_SORTED:
@@ -353,24 +388,39 @@ def test_dk_suite_counts_indicators_and_takes_no_discrepancy_at_v0(
                 f._eval = boom
         return lib
 
-    seen = []
-
-    def counted_discrepancy(s, *args, **kwargs):
-        seen.append(len(s))
-        return discrepancy_sorted(s, *args, **kwargs)
-
     monkeypatch.setattr(experiments, "bv_library", library)
-    monkeypatch.setattr(experiments, "_discrepancy_sorted",
-                        counted_discrepancy)
+    discs = counted(monkeypatch, "_discrepancy_sorted")
     got = list(_dk_cases(cases, seed, GOLDEN_MEAN))
-    for (_, _, w), g in zip(want, got):
-        assert (bits([g.lhs, g.bound]).tobytes(), g.ok) == (
-            bits([w.lhs, w.bound]).tobytes(), w.ok)
     lib = bv_library()
+    assert_suite_matches_oracle(got, want, lib)
     assert {lib[k].label for k, _, _ in want} >= {
         f.label for f in lib if f._arc is not None or f.variation == 0.0}
-    assert sorted(seen) == sorted(N for k, N, _ in want
-                                  if lib[k].variation != 0.0)
+    assert sorted(n for n, _ in discs) == sorted(
+        N for k, N, w in want if not at_floor(lib[k], N, w))
+
+
+def test_dk_suite_equals_dk_check_where_cases_fall_through_and_violate(
+        monkeypatch):
+    # V cut 1000-fold: most cases lie above the floor V/N and take a
+    # discrepancy, and some violate
+    def cut_library():
+        lib = bv_library()
+        for f in lib:
+            f.variation /= 1000
+        return lib
+
+    cases, seed = 240, 74845286
+    monkeypatch.setattr(experiments, "bv_library", cut_library)
+    discs = counted(monkeypatch, "_discrepancy_sorted")
+    want = list(dk_suite_loop(cases, seed, GOLDEN_MEAN, cut_library))
+    got = list(_dk_cases(cases, seed, GOLDEN_MEAN))
+    lib = cut_library()
+    assert_suite_matches_oracle(got, want, lib)
+    above = [w for k, N, w in want if not at_floor(lib[k], N, w)]
+    assert 2 * len(above) > cases
+    # both branches: exact up to N = 1e4, the enclosure beyond
+    assert {d.exact is None for _, d in discs} == {True, False}
+    assert any(not w.ok for w in above)
 
 
 @pytest.mark.parametrize("s, w", [

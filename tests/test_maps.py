@@ -407,7 +407,21 @@ def test_tuned_orbit_of_a_large_spectrum_is_iterated_eval():
     u = FourierSeries(np.concatenate(([0.01], c)))
     assert len(u._modes[1]) == 5000
     fam = TunedFamily(u, 0.5, 0.3819660112501051)
+    builds = []
+    generate = fam._generate_steps
+    fam._generate_steps = lambda: builds.append(1) or generate()
     assert_orbit_is_iterated_eval(fam, 0.37, 20)
+    fam.orbit(0.5, 20)  # reuses the function, which takes 0.3 s to build
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("attr, value", [
+    ("c", 0.41), ("epsilon", 0.05), ("u", FourierSeries({2: 0.1j}))])
+def test_tuned_orbit_steps_a_reassigned_map(attr, value):
+    fam = TunedFamily(FourierSeries({1: 0.15 - 0.1j}), 0.1, 0.4)
+    fam.orbit(0.37, 50)
+    setattr(fam, attr, value)
+    assert_orbit_is_iterated_eval(fam, 0.37, 50)
 
 
 def test_deep_attractor_repeller_visits_its_one_mode():

@@ -129,6 +129,36 @@ def test_discrepancy_of_grid_is_one_over_n(n):
     assert abs(discrepancy(np.arange(n) / n).value - 1.0 / n) <= 1e-15
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def floor_point_sets(draw):
+    """1..2000 finite points: drawn, a few drawn points repeated, or the
+    grids {i/N}, {(i + 1/2)/N} and {x0 + i/N}, whose D is 1/N."""
+    kind = draw(st.sampled_from(["drawn", "repeated", "grid", "mid-grid",
+                                 "turned grid"]))
+    if kind == "drawn":
+        return np.array(draw(st.lists(finite, min_size=1, max_size=2000)))
+    n = draw(st.integers(1, 2000))
+    if kind == "repeated":
+        return np.resize(draw(st.lists(finite, min_size=1, max_size=4)), n)
+    i = np.arange(n, dtype=float)
+    if kind == "grid":
+        return i / n
+    if kind == "mid-grid":
+        return (i + 0.5) / n
+    return draw(unit) + i / n
+
+
+@LAWS
+@given(floor_point_sets(), st.sampled_from(["exact", "enclosure"]))
+def test_discrepancy_is_at_least_one_over_n(pts, mode):
+    # the floor D >= 1/N on which the DK suite decides most cases
+    n = len(pts)
+    assert discrepancy(pts, mode).value >= (1.0 / n) * (1.0 - 2.0 ** -50)
+
+
 # BV observables with known variation: indicator arcs (a > b wraps),
 # harmonics of frequency 1..8 and tents of either sign
 bv_observables = st.one_of(
