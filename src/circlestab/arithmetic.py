@@ -118,10 +118,10 @@ def canonicalize(x: float) -> CirclePoint:
 
 
 def _reduced_half_phase_sin_cos(alpha: float, n: int) -> Tuple[float, float]:
-    """(sin, cos) of pi*r where r = n*alpha reduced to [-1/2, 1/2] exactly."""
-    r = Fraction(alpha) * n
-    r -= math.floor(r)
-    rf = float(r)
+    """(sin, cos) of pi*r where r = n*alpha reduced to [-1/2, 1/2] exactly:
+    n*alpha mod 1 in integers, then one correctly rounded division."""
+    num, den = alpha.as_integer_ratio()
+    rf = (num * n) % den / den
     if rf > 0.5:
         rf -= 1.0
     return math.sin(math.pi * rf), math.cos(math.pi * rf)

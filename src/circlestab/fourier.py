@@ -39,9 +39,15 @@ def _trig_sums(modes, x):
     """[c_0 + sum_n (2 Re c_n cos(2 pi n x) - 2 Im c_n sin(2 pi n x))
     for each half-spectrum c of modes = _nonzero_modes(spectra)], at x.
 
-    Each listed mode costs one frac, one sin and one cos, shared by all
-    spectra, and each sum accumulates in place: out += (2 Re c_n) cos,
-    then out -= (2 Im c_n) sin.  A 0-d x gives 0-d arrays.
+    Each listed mode costs one frac, shared by all spectra, plus one cos
+    if some spectrum has 2 Re c_n != 0 and one sin if some has
+    2 Im c_n != 0.  Each sum accumulates in place: out += (2 Re c_n) cos,
+    then out -= (2 Im c_n) sin, leaving out a product whose coefficient
+    is 0.  Adding it would change no bit but the sign of a zero sum that
+    starts from a -0.0 mean (one that starts at +0.0 never reaches
+    -0.0), or, at a NaN x, make NaN a spectrum that is 0 in that mode.
+    So several spectra give what each gives alone, bit for bit.  A 0-d
+    x gives 0-d arrays.
     """
     means, terms = modes
     x = np.asarray(x, dtype=float)
@@ -53,11 +59,15 @@ def _trig_sums(modes, x):
     for n, coeffs in terms:
         ph = np.asarray(frac(np.multiply(x, n, out=t)))
         ph *= 2.0 * math.pi
-        np.cos(ph, out=cos)
-        np.sin(ph, out=ph)
+        if any(cr for cr, _ in coeffs):
+            np.cos(ph, out=cos)
+        if any(ci for _, ci in coeffs):
+            np.sin(ph, out=ph)
         for out, (cr, ci) in zip(outs, coeffs):
-            out += np.multiply(cr, cos, out=t)
-            out -= np.multiply(ci, ph, out=t)
+            if cr:
+                out += np.multiply(cr, cos, out=t)
+            if ci:
+                out -= np.multiply(ci, ph, out=t)
         del ph  # free before the next mode's frac allocates its own
     return outs
 

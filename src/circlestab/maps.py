@@ -12,7 +12,9 @@ elementwise in blocks of _BLOCK points.  Everything else is stepped
 a TunedFamily: there it is one straight-line function of Python
 floats, generated from u's nonzero modes, for the long orbits of tuned
 families and of the attractor-repeller (the tuner's direct check,
-Birkhoff orbits).
+Birkhoff orbits).  It is bit-identical to eval but leaves out what
+cannot change a bit: the % 1.0 of mode 1's phase, the identity on the
+[0, 1) points it steps, and the products with a zero coefficient.
 A stepped orbit stops at the first exact repeat within a 4096-point
 window and tiles the cycle, bit-identical to stepping every point.  A
 TunedFamily made by the tuner carries the conjugacy h it solved, so
@@ -192,42 +194,61 @@ class TunedFamily(CircleMap):
     def scalar_steps(self):
         """f iterated on Python floats by one straight-line function
         generated for this map, built once per (u, epsilon, c): a map
-        whose attributes are reassigned gets a function of its own."""
+        whose attributes are reassigned gets a function of its own.  It
+        steps from canonicalize(x), as orbit does."""
         key = (self.u, self.epsilon, self.c)
         if self._stepper is None or self._stepper[0] != key:
             self._stepper = key, self._generate_steps()
         return self._stepper[1]
 
     def _generate_steps(self):
-        """The function scalar_steps returns.  Per nonzero mode of u, in
-        eval's order: ph = twopi * ((n_i * x) % 1.0), s += cr_i * cos(ph) and
-        s -= ci_i * sin(ph); then x = (x + c + eps * s) % 1.0, with a
-        result of 1.0 folded to 0.0 as frac does.  These are eval's
-        operations in eval's order (numpy scalars would double the cost
-        of a step).  The source names its values by index only; the
-        numbers go in through the namespace.  A product with a zero
-        coefficient is left out: it adds +-0.0, so it can change only
-        the sign of a zero s, and so of a zero x + c + eps*s, which
-        % 1.0 folds to 0.0.  One statement per product: one expression
-        of thousands of terms exceeds the compiler's recursion limit."""
+        """The function scalar_steps returns.  It canonicalizes x once;
+        then each step sums s = u(x), one statement per product in eval's
+        order: a_i cos(ph_i) or b_i sin(ph_i), with ph_i = twopi *
+        ((n_i * x) % 1.0) and b_i the negated sine coefficient, so that
+        s += b_i sin is eval's s -= ... bit for bit.  Then
+        x = (x + c + eps * s) % 1.0, a result of 1.0 folded to 0.0 as
+        frac does.  The points are eval's bit for bit, at the least cost
+        per step (numpy scalars would double it):
+        - mode 1's phase is twopi * x: x is in [0, 1), so (1 * x) % 1.0
+          is x;
+        - n_i is a float, which costs less than an int and gives the
+          same product;
+        - a mode with one nonzero coefficient inlines its phase;
+        - zero products and a zero mean are left out (s starts at the
+          first product).  Each would add +-0.0, which can change only
+          the sign of a zero s, and so of a zero x + c + eps*s, which
+          % 1.0 folds to 0.0.
+        Values are named by index in the source and go in through the
+        namespace.  One statement per product: one expression of
+        thousands of terms exceeds the compiler's recursion limit."""
         env = {"mean": self.u.mean, "c": self.c, "eps": self.epsilon,
-               "cos": math.cos, "sin": math.sin, "twopi": 2.0 * math.pi}
+               "cos": math.cos, "sin": math.sin, "twopi": 2.0 * math.pi,
+               "canonicalize": canonicalize}
+        body = ["s = mean"] if self.u.mean else []
+        op = "+=" if body else "="  # of the next product
+        for i, (n, ((cr, ci),)) in enumerate(self.u._modes[1]):
+            env[f"n{i}"], env[f"a{i}"], env[f"b{i}"] = float(n), cr, -ci
+            ph = "twopi * x" if n == 1 else f"twopi * ((n{i} * x) % 1.0)"
+            if cr and ci:
+                body.append(f"ph = {ph}")
+                ph = "ph"
+            for coeff, term in ((cr, f"a{i} * cos"), (ci, f"b{i} * sin")):
+                if coeff:
+                    body.append(f"s {op} {term}({ph})")
+                    op = "+="
+        if op == "=":  # u = 0: s is the mean, +-0.0
+            body.append("s = mean")
         lines = ["def steps(x, k):",
+                 "    x = canonicalize(x)",
                  "    out = []",
                  "    for _ in range(k):",
-                 "        s = mean"]
-        for i, (n, ((cr, ci),)) in enumerate(self.u._modes[1]):
-            env[f"n{i}"], env[f"cr{i}"], env[f"ci{i}"] = n, cr, ci
-            lines.append(f"        ph = twopi * ((n{i} * x) % 1.0)")
-            if cr:
-                lines.append(f"        s += cr{i} * cos(ph)")
-            if ci:
-                lines.append(f"        s -= ci{i} * sin(ph)")
-        lines += ["        x = (x + c + eps * s) % 1.0",
-                  "        if x == 1.0:",
-                  "            x = 0.0",
-                  "        out.append(x)",
-                  "    return out"]
+                 *("        " + line for line in body),
+                 "        x = (x + c + eps * s) % 1.0",
+                 "        if x == 1.0:",
+                 "            x = 0.0",
+                 "        out.append(x)",
+                 "    return out"]
         exec("\n".join(lines), env)
         return env["steps"]
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .arithmetic import _check_count, _pointwise, canonicalize, frac
 from .errors import ResourceLimitError
+from .fourier import _trig_sums
 from .maps import _BLOCK, CircleMap, ConjugacyDiffeo
 
 __all__ = [
@@ -324,27 +325,30 @@ def _w_lebesgue_charted(h: ConjugacyDiffeo) -> float:
 
     def pieces(c):
         """The roots r of eta - c, ascending, the widths r_{i+1} - r_i of
-        the pieces between them, eta - c at the roots, and whether
-        eta > c on the piece after each."""
+        the pieces between them, eta - c and h' at the roots, and
+        whether eta > c on the piece after each.  Each point set takes
+        eta and h' from one _trig_sums pass, with the bits of two."""
         k, sgn, start = _crossings(t, eta - c)
-        r = _guarded_newton(
-            lambda x: (sgn * (h.displacement_fn(x) - c),
-                       sgn * (1.0 - h.deriv(x))),
-            start, t[k], t[k + 1])
+
+        def root(x):
+            e, dh = _trig_sums(h._eta_dh, x)
+            return sgn * (e - c), sgn * (1.0 - dh)
+
+        r = _guarded_newton(root, start, t[k], t[k + 1])
         dr = np.append(r[1:], r[0] + 1.0) - r
-        return r, dr, h.displacement_fn(r) - c, sgn < 0.0
+        e, dh = _trig_sums(h._eta_dh, r)
+        return r, dr, e - c, dh, sgn < 0.0
 
     def excess(c):  # the x-mass of {eta > c} less 1/2, and its -slope
-        r, dr, e, up = pieces(c)
+        r, dr, e, dh, up = pieces(c)
         # h(r_{i+1}) - h(r_i) as small terms
         dx = dr + (np.roll(e, -1) - e)
-        dh = h.deriv(r)
         with np.errstate(divide="ignore"):  # inf at a root where eta' = 0
             slope = float(np.sum(dh / np.abs(dh - 1.0)))
         return float(np.sum(dx[up])) - 0.5, slope
 
     c = float(_guarded_newton(excess, 0.0, np.min(eta), np.max(eta)))
-    r, dr, e, up = pieces(c)
+    r, dr, e, _, up = pieces(c)
     piece = (h.displacement_integral(r, dr) - c * dr
              + 0.5 * (np.roll(e, -1) ** 2 - e ** 2))
     return float(np.sum(np.where(up, piece, -piece)))

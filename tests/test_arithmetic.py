@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlestab.arithmetic import (
     GOLDEN_MEAN,
+    _reduced_half_phase_sin_cos,
     SQRT2_MINUS_ONE,
     TruncationError,
     canonicalize,
@@ -21,6 +23,31 @@ RNG = np.random.default_rng(20260815)
 
 
 # ---------------------------------------------------------------- points
+
+def half_phase_by_fraction(alpha, n):
+    """The Fraction reduction the integer one replaced."""
+    r = Fraction(alpha) * n
+    r -= math.floor(r)
+    rf = float(r)
+    if rf > 0.5:
+        rf -= 1.0
+    return math.sin(math.pi * rf), math.cos(math.pi * rf)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(alpha=st.one_of(
+    st.sampled_from([GOLDEN_MEAN, SQRT2_MINUS_ONE, 1.0 / math.pi, 1e-9,
+                     0.25, 1e6 + GOLDEN_MEAN, -GOLDEN_MEAN, 123456.789]),
+    st.floats(-1e9, 1e9, allow_subnormal=True)),
+    n=st.one_of(st.integers(1, 3000), st.integers(1, 10 ** 12)))
+def test_half_phase_in_integers_is_the_fraction_reduction(alpha, n):
+    # n*alpha mod 1 as (num*n mod den) / den is exact up to one correctly
+    # rounded division, as float(Fraction) is: every bit agrees
+    got = _reduced_half_phase_sin_cos(alpha, n)
+    want = half_phase_by_fraction(alpha, n)
+    assert np.array_equal(np.array(got).view(np.int64),
+                          np.array(want).view(np.int64))
+
 
 def test_canonicalize_examples():
     assert canonicalize(1.25) == 0.25

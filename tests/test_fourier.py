@@ -206,6 +206,58 @@ def test_sparse_spectra_up_to_mode_1e6_equal_the_dense_loop():
                           bits(trig_sums_dense([spectra[0]], x)[0]))
 
 
+def one_sided_spectra(rng, mean):
+    """Cos-only, sin-only and mixed half-spectra, each with a mode that
+    is zero in it alone and one that is zero in all three."""
+    re, im = rng.normal(size=(2, 6)) / 4
+    spectra = [re + 0j, 1j * im, re + 1j * im]
+    for c in spectra:
+        c[0] = mean
+        c[4] = 0.0
+    spectra[2][2] = 0.0
+    return spectra
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.7, -1.0])
+def test_trig_sums_takes_only_the_trig_functions_a_mode_uses(
+        mean, monkeypatch):
+    # the oracle takes cos and sin of every mode and adds every product;
+    # the bits are the same, jointly and one spectrum at a time
+    rng = np.random.default_rng(16)
+    spectra = one_sided_spectra(rng, mean)
+    x = np.concatenate([rng.uniform(-1.0, 2.0, 5000),
+                        [0.0, -0.0, 0.25, 0.5, 1.0]])
+    calls = {"cos": 0, "sin": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(np, name), **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    got = [_trig_sums(_nonzero_modes([c]), x)[0] for c in spectra]
+    joint = _trig_sums(_nonzero_modes(spectra), x)
+    monkeypatch.undo()
+    # modes 1, 2, 3 and 5 (mode 2 not in the mixed spectrum): cos only,
+    # sin only, both; then jointly both
+    assert calls == {"cos": 4 + 0 + 3 + 4, "sin": 0 + 4 + 3 + 4}
+    want = trig_sums_dense(spectra, x)
+    for g, j, w in zip(got, joint, want):
+        assert np.array_equal(bits(g), bits(w))
+        assert np.array_equal(bits(j), bits(w))
+
+
+def test_trig_sums_keeps_a_minus_zero_mean_where_the_oracle_adds_zero():
+    # the one case a skipped zero product shows: from a -0.0 mean, the
+    # oracle's -0.0 + 0 cos(0) is +0.0, while _trig_sums keeps -0.0;
+    # 1.0 * sin(0) = +0.0 then leaves either sign as it is
+    c = [-0.0, 0.5j]  # 2 Im c_1 = 1: u = -sin(2 pi x), mean -0.0
+    x = np.array([0.0, 0.5, 0.3])
+    got = _trig_sums(_nonzero_modes([c]), x)[0]
+    want = trig_sums_dense([c], x)[0]
+    assert bits(got[0]) == bits(-0.0) and bits(want[0]) == bits(0.0)
+    assert np.array_equal(got[1:], want[1:])
+    assert np.array_equal(bits(got[1:]), bits(want[1:]))
+
+
 def test_trig_sums_zero_dimensional_point():
     rng = np.random.default_rng(12)
     spectra = [random_spectrum(rng, 4, 0.0), random_spectrum(rng, 4, 1.0)]

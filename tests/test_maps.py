@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlestab.arithmetic import GOLDEN_MEAN, canonicalize, continued_fraction
 from circlestab.errors import ConvergenceError, ResourceLimitError
@@ -450,6 +451,63 @@ def test_tuned_orbit_with_zeroed_halves_is_iterated_eval(seed):
     # exactly 0, which eval takes; the points must not move by a bit
     fam = TunedFamily(u_with_zeroed_halves(seed), 0.1, 0.3819660112501051)
     assert_orbit_is_iterated_eval(fam, 0.37, 300)
+
+
+STEP_MODES = (1, 2, 3, 7, 987)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+@st.composite
+def tuned_steps_case(draw):
+    """(family, start): 1-4 modes from STEP_MODES, each cos-only,
+    sin-only or mixed; a zero or nonzero mean; and a start that is 0.0
+    with c = 0 (x + c is exactly 0.0), just below 1.0, -0.0, outside
+    [0, 1) or anywhere in [0, 1)."""
+    coeff = st.floats(-0.2, 0.2).filter(bool)
+    modes = {}
+    for n in draw(st.lists(st.sampled_from(STEP_MODES), min_size=1,
+                           max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["cos", "sin", "mixed"]))
+        re = draw(coeff) if kind != "sin" else 0.0
+        im = draw(coeff) if kind != "cos" else 0.0
+        modes[n] = complex(re, im)
+    modes[0] = draw(st.sampled_from([0.0, -0.0, 0.013, -0.4]))
+    start = draw(st.sampled_from(
+        ["zero", BELOW_ONE, -0.0, -0.3, 1.7, -2.0 ** -60, "any"]))
+    c = 0.0 if start == "zero" else draw(st.floats(-1.5, 1.5))
+    x0 = {"zero": 0.0, "any": draw(st.floats(0.0, BELOW_ONE))}.get(
+        start, start)
+    eps = draw(st.floats(-0.5, 0.5))
+    return TunedFamily(FourierSeries(modes), eps, c), x0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=tuned_steps_case())
+def test_generated_steps_are_iterated_eval_property(case):
+    # the generated step takes mode 1's phase without % 1.0, n as a
+    # float, an inlined phase and no zero product or zero mean; none may
+    # move a bit.  It steps from canonicalize(x0), as orbit does.
+    fam, x0 = case
+    x, want = canonicalize(x0), []
+    for _ in range(40):
+        x = fam.eval(x)
+        want.append(x)
+    assert np.array_equal(bits(fam.scalar_steps()(x0, 40)), bits(want))
+    assert np.array_equal(bits(fam.orbit(x0, 40)), bits(want))
+
+
+def test_mode_one_phase_has_no_modulo(monkeypatch):
+    # x stays in [0, 1), so the phase of mode 1 is twopi * x; the one %
+    # left in the step of u = cos is the final one.  A % in the phase
+    # would cost a quarter of the step again.
+    sources = []
+    monkeypatch.setattr(maps, "exec", lambda src, env: (
+        sources.append(src), exec(src, env)), raising=False)
+    TunedFamily(FourierSeries.cosine(1), 0.01, 0.38).scalar_steps()
+    (src,) = sources
+    assert "cos(twopi * x)" in src
+    assert [line.strip() for line in src.splitlines() if "%" in line] == [
+        "x = (x + c + eps * s) % 1.0"]
 
 
 # ------------------------------------------------------- conjugacy diffeo
