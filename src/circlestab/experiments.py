@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .arithmetic import (
     _frac_into,
     _ols,
     continued_fraction,
-    frac,
 )
 from .errors import CircleStabError, InsufficientDataError
 from .invariant import (
@@ -45,9 +44,9 @@ from .measures import (
     AtomicMeasure,
     LebesgueMeasure,
     _arc_mean,
-    _discrepancy_sorted,
     _dk_verdict,
     bv_library,
+    discrepancy,
     pushforward,
     wasserstein,
 )
@@ -412,23 +411,21 @@ def run_dk_suite(cases: int = 1000, seed: int = 0,
     returns (violations, checked).  Each case's verdict is dk_check's on
     frac(x0 + i*alpha), i = 1..N, bit for bit.  A case whose mean is
     within V/N of the integral is decided at the discrepancy floor 1/N
-    and takes no discrepancy; the others are read sorted off one
-    circular order of the i*alpha where they can be, and an indicator's
-    mean is counted off that order (see _dk_cases).  ValueError if
-    i*alpha overflows for some i <= 1e5."""
+    and takes no discrepancy, and an indicator's mean is a count of the
+    orbit's points on its arc (see _dk_cases).  ValueError if i*alpha
+    overflows for some i <= 1e5."""
     _check_count("cases", cases, 1)
     a, _ = resolve_alpha(alpha)
     return sum(not c.ok for c in _dk_cases(cases, seed, a)), cases
 
 
 def _dk_cases(cases: int, seed: int, a: float):
-    """The suite's checks, one per case, in the order the seed draws.
+    """The suite's checks, one per case, yielded in the order drawn.
 
-    Each case takes its mean first: in orbit order, as dk_check sums,
-    or for an indicator by counting the points on its arc off the
-    ascending read below (_arc_mean), which is np.mean of its 0/1
-    values exactly, and that read holds the orbit's values, on which
-    frac is the identity.  An indicator evaluates nothing.
+    Each case forms its orbit frac(x0 + i*a), i <= N, from one table of
+    the i*a, and takes its mean in orbit order, as dk_check sums; an
+    indicator counts the points on its arc instead (_arc_mean), which
+    is np.mean of its 0/1 values exactly, and evaluates nothing.
 
     A case with V = 0 or |mean - int f| <= V/N is decided at the
     discrepancy floor: its check is _dk_verdict with d None, bound
@@ -440,63 +437,24 @@ def _dk_cases(cases: int, seed: int, a: float):
     slack of lhs <= V * D + 1e-12, so dk_check says ok too.  A case
     that would violate has lhs > V * D + 1e-12 > V/N and is never
     decided early.  Only its bound differs from dk_check's: V * (1/N)
-    in place of V * D.
-
-    Every other case reads its orbit off the circle: frac(x0 + i*a),
-    i <= N, is the set {i*a} turned by x0.  So the table i*a is ordered
-    once by frac, and the cases run in decreasing N; a case that reads
-    drops i > N from the last order cut (any superset gives the same
-    cut) by one compress.  An orbit read in that order that ascends
-    after one turn goes to the star pass with its turn; any other is
-    sorted, so the bits never rest on gaps.
+    in place of V * D.  Every other case takes discrepancy(orbit), as
+    dk_check does.
     """
     if not math.isfinite(a * 10 ** 5):
         raise ValueError(f"alpha {a!r} overflows the orbit table i*alpha")
     rng = np.random.default_rng(seed)
     lib = bv_library()
-    draws = [(rng.uniform(), int(rng.integers(10, 10 ** 5 + 1)),
-              lib[int(rng.integers(0, len(lib)))]) for _ in range(cases)]
     ia = np.arange(1, 10 ** 5 + 1) * a
-    circ = ia[np.argsort(frac(ia))]  # the i*a in circular order
     shifted, orbit = np.empty_like(ia), np.empty_like(ia)
-
-    def read(x0, N):
-        """(s, w): the orbit, whose sorted order is s[w:] then s[:w]."""
-        nonlocal circ
-        if len(circ) > N:  # drop i > N: i*a moves away from 0 as i grows
-            lim = ia[N - 1]  # (a = 0: every i*a ties, and any N will do)
-            circ = circ[circ <= lim] if a > 0 else circ[circ >= lim][:N]
-        s = _frac_into(np.add(x0, circ, out=shifted[:N]), orbit[:N])
-        w = _ascending_turn(s)
-        if w is None:
-            s.sort()
-            w = 0
-        return s, w
-
-    checks = [None] * cases
-    for c in sorted(range(cases), key=lambda c: -draws[c][1]):
-        x0, N, f = draws[c]
-        if f._arc is None:  # orbit order, as dk_check sums
-            orb = _frac_into(np.add(x0, ia[:N], out=shifted[:N]), orbit[:N])
+    for _ in range(cases):
+        x0, N = rng.uniform(), int(rng.integers(10, 10 ** 5 + 1))
+        f = lib[int(rng.integers(0, len(lib)))]
+        orb = _frac_into(np.add(x0, ia[:N], out=shifted[:N]), orbit[:N])
+        if f._arc is None:
             mean = float(np.mean(f.eval(orb)))
         else:
-            s, w = read(x0, N)
-            mean = _arc_mean(f._arc, s, w)
+            mean = _arc_mean(f._arc, orb)
         check = _dk_verdict(f, mean, None, N)
         if f.variation != 0.0 and check.lhs > check.bound:
-            if f._arc is None:
-                s, w = read(x0, N)
-            check = _dk_verdict(f, mean, _discrepancy_sorted(s, w=w), N)
-        checks[c] = check
-    return checks
-
-
-def _ascending_turn(s) -> Optional[int]:
-    """w such that s[w:] then s[:w] ascends, read off s's one descent;
-    None if s has more than one, or if its last point passes its first."""
-    down = np.flatnonzero(s[1:] < s[:-1])
-    if len(down) == 0:
-        return 0
-    if len(down) == 1 and s[-1] < s[0]:
-        return int(down[0]) + 1
-    return None
+            check = _dk_verdict(f, mean, discrepancy(orb), N)
+        yield check

@@ -448,21 +448,20 @@ class DiscrepancyResult:
         return self.value
 
 
-def _star_discrepancy(x: np.ndarray, w: int = 0) -> float:
-    """Star discrepancy of points in [0, 1) whose sorted order is x[w:]
-    then x[:w]: x[j] has rank k = (j - w) mod n + 1."""
-    # max of k/n - x[j] and x[j] - (k-1)/n, by blocks: max is exact
+def _star_discrepancy(x: np.ndarray) -> float:
+    """Star discrepancy of sorted points in [0, 1)."""
+    # max of k/n - x[j] and x[j] - (k-1)/n, rank k = j + 1, by blocks:
+    # max is exact
     n = len(x)
     worst = -np.inf
-    for start, stop, k0 in ((w, n, -w), (0, w, n - w)):  # k - 1 = j + k0
-        for lo in range(start, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            xb = x[lo:hi]
-            q = np.arange(lo + k0, hi + k0 + 1, dtype=float)
-            q /= n  # (k-1)/n and k/n share q
-            d = q[1:] - xb
-            worst = max(worst, np.max(d),
-                        np.max(np.subtract(xb, q[:-1], out=d)))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        xb = x[lo:hi]
+        q = np.arange(lo, hi + 1, dtype=float)
+        q /= n  # (k-1)/n and k/n share q
+        d = q[1:] - xb
+        worst = max(worst, np.max(d),
+                    np.max(np.subtract(xb, q[:-1], out=d)))
     return float(worst)
 
 
@@ -487,7 +486,7 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
     mode: 'auto' (exact up to N = 1e4, enclosure beyond), 'exact', or
     'enclosure'.  The enclosure is [D*, 2 D*] from the exact star
     discrepancy.  The value lies in [1/N, 1].  The points are checked,
-    and a sorted copy reduced mod 1 goes to _discrepancy_sorted.
+    and reduced mod 1 into a fresh array that is sorted in place.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if len(pts) == 0:
@@ -498,19 +497,10 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
         raise ValueError(f"unknown mode {mode!r}")
     x = frac(pts)  # a fresh array, so sorting it leaves points alone
     x.sort()
-    return _discrepancy_sorted(x, mode)
-
-
-def _discrepancy_sorted(x, mode: str = "auto",
-                        w: int = 0) -> DiscrepancyResult:
-    """discrepancy of points already finite and in [0, 1) whose sorted
-    order is x[w:] then x[:w]."""
     n = len(x)
-    star = _star_discrepancy(x, w)
-    want_exact = mode == "exact" or (mode == "auto"
-                                     and n <= EXACT_DISCREPANCY_CAP)
-    if want_exact:
-        d = _extreme_discrepancy_exact(np.roll(x, -w) if w else x, star)
+    star = _star_discrepancy(x)
+    if mode == "exact" or (mode == "auto" and n <= EXACT_DISCREPANCY_CAP):
+        d = _extreme_discrepancy_exact(x, star)
         return DiscrepancyResult(n=n, star=star, lower=d, upper=d, exact=d)
     return DiscrepancyResult(n=n, star=star, lower=star, upper=2.0 * star,
                              exact=None)
@@ -551,18 +541,18 @@ class BVObservable:
     def indicator(cls, a: float, b: float) -> "BVObservable":
         """1_{[a,b]} on the circle (a <= b as canonical reps, else wraps).
 
-        It keeps the canonical (a, b) as _arc, so a mean over points read
-        in ascending order can count them (_arc_mean) instead of
-        evaluating: the DK suite takes an indicator's mean that way.
+        It keeps the canonical (a, b) as _arc, so a mean over points can
+        count them (_arc_mean) instead of evaluating: the DK suite takes
+        an indicator's mean that way.
         """
         a, b = canonicalize(a), canonicalize(b)
 
         @_pointwise
         def ev(x):
+            # the 0/1 values, in place on frac's array
             xs = np.asarray(frac(x))
-            if a <= b:
-                return ((xs >= a) & (xs <= b)).astype(float)
-            return ((xs >= a) | (xs <= b)).astype(float)
+            np.copyto(xs, _on_arc((a, b), xs))
+            return xs
 
         length = (b - a) if a <= b else (1.0 - a + b)
         obs = cls(ev, 2.0, length, f"1_[{a:g},{b:g}]")
@@ -738,27 +728,23 @@ def dk_check(f: BVObservable, points) -> DKCheck:
                        len(pts))
 
 
-def _arc_mean(arc, x, w: int = 0) -> float:
-    """Mean over x of the indicator of the closed arc (a, b) (wrapping if
-    a > b), for points in [0, 1) whose sorted order is x[w:] then x[:w].
-
-    It counts each ascending piece by bisection.  That is np.mean of the
-    indicator's 0/1 values bit for bit: their every partial sum is an
-    integer below 2^53, so the sum is the count, divided once by n.
-    """
+def _on_arc(arc, x) -> np.ndarray:
+    """Mask of the points of x in [0, 1) on the closed arc (a, b),
+    which wraps if a > b."""
     a, b = arc
-    n = len(x)
+    join = np.logical_and if a <= b else np.logical_or
+    return join(x >= a, x <= b)
 
-    def count(lo, lo_side, hi, hi_side):
-        return sum(int(np.searchsorted(p, hi, hi_side)
-                       - np.searchsorted(p, lo, lo_side))
-                   for p in (x[w:], x[:w]))
 
-    if a <= b:
-        inside = count(a, "left", b, "right")  # a <= x <= b
-    else:
-        inside = n - count(b, "right", a, "left")  # not b < x < a
-    return inside / n
+def _arc_mean(arc, x) -> float:
+    """Mean over x, points in [0, 1) in any order, of the indicator of
+    the closed arc (a, b).
+
+    It counts them.  That is np.mean of the indicator's 0/1 values bit
+    for bit: their every partial sum is an integer below 2^53, so the
+    sum is the count, divided once by n.
+    """
+    return np.count_nonzero(_on_arc(arc, x)) / len(x)
 
 
 def _dk_verdict(f, mean: float, d: Optional[DiscrepancyResult],

@@ -284,9 +284,6 @@ def test_frac_nonfinite_gives_nan(x):
 
 # ------------------------------------------------------------ DK suite
 
-ascending_turn = experiments._ascending_turn
-
-
 def dk_suite_loop(cases, seed, a, library=bv_library):
     """The suite's cases as dk_check on a fresh orbit each, with the
     index of the observable drawn and the orbit length."""
@@ -338,20 +335,13 @@ def counted(monkeypatch, name):
     return calls
 
 
-# orbits the suite reads sorted off the circular order of {i*alpha} on
-# every case, and orbits it sorts on every case (ties in that order)
-NEVER_SORTED = {"golden", "sqrt2"}
-ALWAYS_SORTED = {0.25, 0.5}
-
-
 @pytest.mark.parametrize("alpha", [
     "golden", "sqrt2", 0.3183098861837907, -GOLDEN_MEAN, 0.0, 0.25, 0.5,
     1e-9, 1e6 + GOLDEN_MEAN])
 def test_dk_suite_equals_per_case_dk_check(alpha, monkeypatch):
     a, _ = resolve_alpha(alpha)
     cases, seed = 240, 74845286
-    turns = counted(monkeypatch, "_ascending_turn")
-    discs = counted(monkeypatch, "_discrepancy_sorted")
+    discs = counted(monkeypatch, "discrepancy")
     want = list(dk_suite_loop(cases, seed, a))
     got = list(_dk_cases(cases, seed, a))
     lib = bv_library()
@@ -359,18 +349,9 @@ def test_dk_suite_equals_per_case_dk_check(alpha, monkeypatch):
     # both discrepancy branches and every library observable were checked
     assert {N <= 10 ** 4 for _, N, _ in want} == {True, False}
     assert {k for k, _, _ in want} == set(range(len(bv_library())))
-    # a discrepancy on exactly the cases above the floor, and a circle
-    # read on those and on the indicators, whose means are counted
+    # a discrepancy on exactly the cases above the floor, in draw order
     above = [N for k, N, w in want if not at_floor(lib[k], N, w)]
-    assert sorted(n for n, _ in discs) == sorted(above)
-    assert sorted(n for n, _ in turns) == sorted(
-        above + [N for k, N, w in want
-                 if lib[k]._arc is not None and at_floor(lib[k], N, w)])
-    sorts = [w is None for _, w in turns]
-    if alpha in NEVER_SORTED:
-        assert not any(sorts)
-    if alpha in ALWAYS_SORTED:
-        assert all(sorts)
+    assert [n for n, _ in discs] == above
 
 
 def test_dk_suite_counts_indicators_and_takes_no_discrepancy_at_v0(
@@ -389,14 +370,14 @@ def test_dk_suite_counts_indicators_and_takes_no_discrepancy_at_v0(
         return lib
 
     monkeypatch.setattr(experiments, "bv_library", library)
-    discs = counted(monkeypatch, "_discrepancy_sorted")
+    discs = counted(monkeypatch, "discrepancy")
     got = list(_dk_cases(cases, seed, GOLDEN_MEAN))
     lib = bv_library()
     assert_suite_matches_oracle(got, want, lib)
     assert {lib[k].label for k, _, _ in want} >= {
         f.label for f in lib if f._arc is not None or f.variation == 0.0}
-    assert sorted(n for n, _ in discs) == sorted(
-        N for k, N, w in want if not at_floor(lib[k], N, w))
+    assert [n for n, _ in discs] == [
+        N for k, N, w in want if not at_floor(lib[k], N, w)]
 
 
 def test_dk_suite_equals_dk_check_where_cases_fall_through_and_violate(
@@ -411,7 +392,7 @@ def test_dk_suite_equals_dk_check_where_cases_fall_through_and_violate(
 
     cases, seed = 240, 74845286
     monkeypatch.setattr(experiments, "bv_library", cut_library)
-    discs = counted(monkeypatch, "_discrepancy_sorted")
+    discs = counted(monkeypatch, "discrepancy")
     want = list(dk_suite_loop(cases, seed, GOLDEN_MEAN, cut_library))
     got = list(_dk_cases(cases, seed, GOLDEN_MEAN))
     lib = cut_library()
@@ -421,14 +402,6 @@ def test_dk_suite_equals_dk_check_where_cases_fall_through_and_violate(
     # both branches: exact up to N = 1e4, the enclosure beyond
     assert {d.exact is None for _, d in discs} == {True, False}
     assert any(not w.ok for w in above)
-
-
-@pytest.mark.parametrize("s, w", [
-    ([0.1, 0.2, 0.3], 0), ([0.5, 0.7, 0.1, 0.2], 2), ([0.9, 0.1], 1),
-    ([0.5, 0.7, 0.1, 0.6], None), ([0.3, 0.1, 0.2, 0.05], None),
-    ([0.2, 0.1, 0.2], None), ([0.4], 0)])
-def test_ascending_turn_reads_the_one_descent(s, w):
-    assert ascending_turn(np.array(s)) == w
 
 
 # ------------------------------------------------------------ functional graph
