@@ -39,6 +39,7 @@ from circlestab.fourier import FourierSeries
 from circlestab.experiments import _dk_cases, holder_fit, resolve_alpha
 from circlestab.invariant import analyze_functional_graph
 from circlestab.maps import (
+    _BLOCK,
     _CYCLE_BLOCK,
     _INVERSE_NODES,
     AttractorRepeller,
@@ -131,7 +132,9 @@ def bits(a):
 
 # ------------------------------------------------------------ CDF levels
 
-@pytest.mark.parametrize("n", [10_000, 100_000])
+# sizes at the block edges of _levels check the TwoSum carry between blocks
+@pytest.mark.parametrize("n", [10_000, 100_000, _BLOCK - 1, _BLOCK,
+                               _BLOCK + 1, 3 * _BLOCK + 7])
 def test_levels_equal_exact_prefix_sums(n):
     rng = np.random.default_rng(n)
     w = rng.dirichlet(np.ones(n))

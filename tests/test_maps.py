@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from circlestab.arithmetic import GOLDEN_MEAN, canonicalize, continued_fraction
 from circlestab.errors import ConvergenceError, ResourceLimitError
 from circlestab.fourier import FourierSeries
-from circlestab import maps
+from circlestab import maps, measures
 from circlestab.arithmetic import frac
 from circlestab.experiments import (
     ExperimentConfig,
@@ -28,6 +28,10 @@ from circlestab.maps import (
 )
 
 RNG = np.random.default_rng(11)
+# sizes at the block edges of the blocked array passes, for _BLOCK and
+# for 2^16
+BLOCK_EDGES = sorted({1} | {k for b in {_BLOCK, 1 << 16}
+                            for k in (b - 1, b, b + 1, 3 * b + 7)})
 PROF = continued_fraction(GOLDEN_MEAN, 20)
 H = ConjugacyDiffeo([0.2], [0.0])
 
@@ -114,8 +118,7 @@ GRID_INNER_MAPS = {
 }
 
 
-@pytest.mark.parametrize("N", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                               3 * _BLOCK + 7])
+@pytest.mark.parametrize("N", BLOCK_EDGES)
 @pytest.mark.parametrize("inner", list(GRID_INNER_MAPS))
 def test_blocked_grid_image_is_the_one_pass_image(N, inner):
     TN = Discretized(GRID_INNER_MAPS[inner], N)
@@ -123,6 +126,35 @@ def test_blocked_grid_image_is_the_one_pass_image(N, inner):
     img = TN.grid_image()
     assert img.dtype == np.int64
     assert np.array_equal(img, one_pass)
+
+
+def test_no_blocked_pass_depends_on_the_block_size(monkeypatch):
+    # measures binds the constant by value (from .maps import _BLOCK),
+    # so each size is set in both modules
+    assert measures._BLOCK == maps._BLOCK
+    n = 3 * (1 << 16) + 7
+    rng = np.random.default_rng(29)
+    jumps = rng.dirichlet(np.ones(n)) * rng.choice([-1.0, 1.0], n)
+    pts = rng.uniform(-2.0, 3.0, n)
+    conj = GRID_INNER_MAPS["conjugated"]
+    images = [Discretized(GRID_INNER_MAPS[inner], n)
+              for inner in ("rotation", "conjugated")]
+
+    def outputs():
+        d = measures.discrepancy(pts)
+        return ([TN.grid_image().tobytes() for TN in images]
+                + [conj.orbit(0.37, n, 1000).tobytes(),
+                   measures._levels(jumps).tobytes(),
+                   [None if v is None else float(v).hex()
+                    for v in (d.n, d.star, d.lower, d.upper, d.exact)]])
+
+    results = []
+    for size in (1 << 16, 1 << 14, 1000):
+        monkeypatch.setattr(maps, "_BLOCK", size)
+        monkeypatch.setattr(measures, "_BLOCK", size)
+        results.append(outputs())
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 def test_grid_image_newton_failure_in_a_block(monkeypatch):
@@ -548,8 +580,7 @@ def test_conjugated_rotation_orbit_matches_stepping():
     assert np.allclose(fast, slow, atol=1e-11)
 
 
-@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                               3 * _BLOCK + 7])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
 @pytest.mark.parametrize("burn_in", [0, 1000])
 def test_conjugated_rotation_blocked_orbit_is_the_full_array_formula(
         n, burn_in):

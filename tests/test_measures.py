@@ -37,6 +37,7 @@ from circlestab.measures import (
     pushforward,
     wasserstein,
 )
+from test_maps import BLOCK_EDGES
 
 RNG = np.random.default_rng(2024)
 M = LebesgueMeasure()
@@ -410,8 +411,7 @@ BLOCK_EDGE_POINTS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                               3 * _BLOCK + 7])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
 @pytest.mark.parametrize("points", list(BLOCK_EDGE_POINTS))
 @pytest.mark.parametrize("mode", ["exact", "enclosure"])
 def test_blocked_discrepancy_is_the_one_pass_discrepancy(n, points, mode):
@@ -424,7 +424,8 @@ def test_blocked_discrepancy_is_the_one_pass_discrepancy(n, points, mode):
     assert pts.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 10 ** 4, 10 ** 4 + 1, _BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2, 10 ** 4, 10 ** 4 + 1, _BLOCK + 1,
+                               (1 << 16) + 1])
 @pytest.mark.parametrize("mode", ["auto", "exact", "enclosure"])
 def test_sorted_entry_is_discrepancy_of_reduced_sorted_points(n, mode):
     pts = np.random.default_rng(n).uniform(-3, 3, n)
@@ -443,7 +444,8 @@ STAR_POINTS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, _BLOCK + 1, 10 ** 5])
+@pytest.mark.parametrize("n", [1, 2, 10, _BLOCK + 1, (1 << 16) + 1,
+                               10 ** 5])
 @pytest.mark.parametrize("points", list(STAR_POINTS))
 def test_turned_star_discrepancy_is_the_linear_one(n, points):
     x = STAR_POINTS[points](n)
