@@ -127,19 +127,18 @@ def _reduced_half_phase_sin_cos(alpha: float, n: int) -> Tuple[float, float]:
     return math.sin(math.pi * rf), math.cos(math.pi * rf)
 
 
-def _divisor(alpha: float, n: int) -> complex:
+def _checked_divisor(alpha: float, n: int) -> complex:
     """e^{2 pi i n alpha} - 1 in the cancellation-free half-angle form.
 
     The phase n*alpha is reduced exactly (a float alpha is a binary
     rational), so the magnitude 2|sin(pi n alpha)| is correct to machine
-    precision even when n*alpha is large.
+    precision even when n*alpha is large.  A non-finite alpha is a
+    ValueError, and a magnitude below DIVISOR_FLOOR a SmallDivisorError.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     s, c = _reduced_half_phase_sin_cos(alpha, n)
-    return complex(-2.0 * s * s, 2.0 * s * c)
-
-
-def _checked_divisor(alpha: float, n: int) -> complex:
-    d = _divisor(alpha, n)
+    d = complex(-2.0 * s * s, 2.0 * s * c)
     if abs(d) < DIVISOR_FLOOR:
         raise SmallDivisorError(
             f"|1 - e^(2 pi i n alpha)| = {abs(d):.3g} < {DIVISOR_FLOOR:g} "

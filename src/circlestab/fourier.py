@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .arithmetic import _pointwise, frac
+from .arithmetic import _check_count, _pointwise, frac
 
 __all__ = ["FourierSeries", "FourierDensity", "pairing"]
 
@@ -114,9 +114,10 @@ class FourierSeries:
         self._c = c
 
     @classmethod
-    def cosine(cls, k: int = 1, amplitude: float = 1.0, mean: float = 0.0):
-        """amplitude * cos(2 pi k x) + mean"""
-        return cls({0: mean, k: amplitude / 2.0})
+    def cosine(cls, k: int = 1):
+        """cos(2 pi k x), k >= 1"""
+        _check_count("k", k, 1)
+        return cls({k: 0.5})
 
     # -------------------------------------------------- accessors
 

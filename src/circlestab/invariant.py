@@ -43,10 +43,10 @@ __all__ = [
 ]
 
 # Memory cap for graph analysis.  At the cap the whole analysis, grid
-# image included, peaked at 970 MiB resident for the golden rotation
-# (one cycle of 1e7 nodes) and 343 MiB for a one-mode conjugated
+# image included, peaked at 814 MiB resident for the golden rotation
+# (one cycle of 1e7 nodes) and 263 MiB for a one-mode conjugated
 # rotation, whose grid image is built in blocks: ru_maxrss of a fresh
-# process that had only imported the package (34 MiB) before, Python
+# process that had only imported the package (31 MiB) before, Python
 # 3.11, numpy 2.4, x86-64 Linux.
 GRID_NODE_CAP = 10 ** 7
 

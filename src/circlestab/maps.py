@@ -548,6 +548,8 @@ _NEWTON_GRID_MAX = 1 << 13  # times 2^ceil(log2 u.n_max): h resolves u's modes
 _NEWTON_STEPS = 30          # Newton steps per grid
 _NEWTON_TOL = 1e-14         # grid residual, relative to 1 + |eps| sup|u|
 _CONTINUATION_HALVINGS = 8  # of the eps step, before giving up
+_TUNE_TOL = 1e-12           # |rot - target| + error_bound a tuned c must meet
+_TUNE_ITERS = 1 << 16       # steps of the direct-iteration check
 
 
 def _newton_tol(u, eps) -> float:
@@ -690,20 +692,20 @@ def _conjugacy_diffeo(sol: _Conjugacy,
         return None
 
 
-def tune_rotation_number(u: FourierSeries, epsilon: float, target_alpha: float,
-                         tol: float = 1e-12, iters: int = 1 << 16):
-    """Offset c with rot(x + c + eps*u(x)) = target_alpha within tol.
+def tune_rotation_number(u: FourierSeries, epsilon: float,
+                         target_alpha: float):
+    """Offset c with rot(x + c + eps*u(x)) = target_alpha within 1e-12.
 
     c comes from a Fourier-Newton solve of the conjugacy equation
     f o h = h o R_alpha for (c, h) (see _solve_conjugacy), so it is an
     estimate.  It is accepted only if direct iteration agrees: the
-    rotation number of the tuned map over `iters` steps must satisfy
-    |rot - target| + error_bound <= tol.  That error_bound is rigorous
-    only when it equals 1/iters, so for tol < 1/iters (the defaults:
-    1e-12 against 2^-16) an accepted c passed an estimated bound, and
-    the acceptance is an estimate too.  Raises TuningError, carrying
-    the best c and its grid residual or its direct-iteration miss, if
-    the solve does not converge or the check fails; this happens close
+    rotation number of the tuned map over 2^16 steps must satisfy
+    |rot - target| + error_bound <= 1e-12.  That error_bound is rigorous
+    only when it equals 2^-16, so an accepted c passed an estimated
+    bound, and the acceptance is an estimate too.  A non-finite target
+    is a ValueError.  Raises TuningError, carrying the best c and its
+    grid residual or its direct-iteration miss, if the solve does not
+    converge or the check fails; this happens close
     to the critical family, e.g. u = cos at eps = 0.159 (eps sup|u'| =
     0.999) for the golden mean.  A target within DIVISOR_FLOOR of a
     rational p/q raises SmallDivisorError once a Newton grid of M points
@@ -725,10 +727,10 @@ def tune_rotation_number(u: FourierSeries, epsilon: float, target_alpha: float,
     c = sol.c
     h = _conjugacy_diffeo(sol, _newton_tol(u, eps))
     fam = TunedFamily(u, epsilon, c, conjugacy=h)
-    r = rotation_number(fam, iters=iters, tol=None)
+    r = rotation_number(fam, iters=_TUNE_ITERS, tol=None)
     miss = abs(float(r) - target) + r.error_bound
-    if not miss <= tol:
+    if not miss <= _TUNE_TOL:
         raise TuningError(
-            f"direct iteration misses the target by {miss:.3g} > {tol:g} "
-            f"at c = {c!r}", estimate=c, error_bound=miss)
+            f"direct iteration misses the target by {miss:.3g} > "
+            f"{_TUNE_TOL:g} at c = {c!r}", estimate=c, error_bound=miss)
     return fam, c

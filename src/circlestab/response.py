@@ -2,18 +2,18 @@
 
 The homological equation v(x+alpha) - v(x) = u(x) - <u> is solved
 coefficientwise: v_hat(n) = u_hat(n) / (e^{2 pi i n alpha} - 1).  The
-response density is d_hat(n) = 2 pi i n u_hat(n) / (1 - e^{2 pi i n
-alpha}), i.e. -d/dx of the solution, and observable responses are
-finite Fourier pairings against it.  The finite-difference validator
-tunes a family to constant rotation number and compares invariant means
-of an observable against the formula.  Where the tuner solved the
+response density is d = -v', d_hat(n) = 2 pi i n u_hat(n) / (1 -
+e^{2 pi i n alpha}), and observable responses are finite Fourier
+pairings against it.  The finite-difference validator tunes a family
+to constant rotation number and compares invariant means of an
+observable against the formula.  Where the tuner solved the
 conjugacy h, the mean is the trapezoid rule for the integral of
 psi(h(theta)) over theta; otherwise it is a Birkhoff average along the
 orbit of the tuned map.
 
-Divisors come from arithmetic._divisor, which reduces the phase n*alpha
-exactly, so their magnitudes are correct to machine precision even when
-n*alpha is large.
+Divisors come from arithmetic._checked_divisor, which reduces the phase
+n*alpha exactly, so their magnitudes are correct to machine precision
+even when n*alpha is large.
 """
 
 import json
@@ -25,7 +25,6 @@ import numpy as np
 
 from .arithmetic import (
     DIVISOR_FLOOR,
-    DiophantineProfile,
     _check_count,
     _checked_divisor,
     frac,
@@ -50,15 +49,11 @@ _SPECTRAL_GRID_CAP = 1 << 20    # largest grid before ConvergenceError
 _SPECTRAL_TOL = 1e-15           # two grids agree: |gap| <= this (1 + |mean|)
 
 
-def solve_homological(u: FourierSeries, alpha: float,
-                      n_max: int) -> FourierSeries:
+def solve_homological(u: FourierSeries, alpha: float) -> FourierSeries:
     """v with v(x+alpha) - v(x) = u(x) - <u>; v_hat(0) = 0.
 
     Divisors are checked only at frequencies u actually carries.
     """
-    if n_max < u.n_max:
-        raise ValueError(
-            f"n_max = {n_max} below the maximal frequency {u.n_max} of u")
     coeffs = {0: 0.0}
     for n, _ in u._modes[1]:
         coeffs[n] = u.coeff(n) / _checked_divisor(alpha, n)
@@ -66,12 +61,8 @@ def solve_homological(u: FourierSeries, alpha: float,
 
 
 def linear_response_density(u: FourierSeries, alpha: float) -> FourierDensity:
-    """Signed density d with d_hat(n) = 2 pi i n u_hat(n)/(1 - e^{2 pi i n a})."""
-    coeffs = {0: 0.0}
-    for n, _ in u._modes[1]:
-        coeffs[n] = (2.0j * math.pi * n * u.coeff(n)
-                     / (-_checked_divisor(alpha, n)))
-    return FourierDensity(coeffs)
+    """Signed density d = -v' of the homological solution v of u."""
+    return FourierDensity(-solve_homological(u, alpha).derivative()._c)
 
 
 def response_pairing(u: FourierSeries, alpha: float,
@@ -126,10 +117,9 @@ def _spectral_mean(h: ConjugacyDiffeo,
         error_bound=gap)
 
 
-def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
+def fd_response(u: FourierSeries, alpha: float, psi: FourierSeries,
                 eps_ladder: Sequence[float], orbit_len: int = 10 ** 7,
-                burn_in: int = 10 ** 3,
-                x0: float = 0.0) -> Tuple[float, List[EpsRecord]]:
+                burn_in: int = 10 ** 3) -> Tuple[float, List[EpsRecord]]:
     """Finite-difference response along a tuned family.
 
     Each ladder point is tuned to rotation number alpha, and <psi> is
@@ -137,14 +127,14 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
     carries its solved conjugacy h, that measure is h_* m and <psi> is
     the spectral mean of psi o h on a theta grid (see _spectral_mean),
     an estimate since h is solved numerically.  Otherwise f is iterated
-    from x0 and psi is averaged over a weighted-Birkhoff orbit of
-    orbit_len points after burn_in steps; orbit_len, burn_in and x0 act
-    only on this direct path.  The two smallest eps are
+    from 0 and psi is averaged over a weighted-Birkhoff orbit of
+    orbit_len points after burn_in steps; orbit_len and burn_in act only
+    on this direct path.  The two smallest eps are
     Richardson-extrapolated under the first-order error model.
     """
-    alpha = (alpha_profile.alpha
-             if isinstance(alpha_profile, DiophantineProfile)
-             else float(alpha_profile))
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     ladder = sorted({float(e) for e in eps_ladder}, reverse=True)
     if not ladder:
         raise ValueError("eps ladder is empty")
@@ -165,8 +155,7 @@ def fd_response(u: FourierSeries, alpha_profile, psi: FourierSeries,
                 f"rotation-number tuning failed at eps = {eps:g}: {exc}",
                 estimate=exc.estimate, error_bound=exc.error_bound) from exc
         if fam.conjugacy is None:
-            avg = birkhoff_average(fam, psi.eval, orbit_len,
-                                   burn_in=burn_in, x0=x0)
+            avg = birkhoff_average(fam, psi.eval, orbit_len, burn_in=burn_in)
             path, points = "direct", orbit_len
         else:
             avg, points = _spectral_mean(fam.conjugacy, psi)

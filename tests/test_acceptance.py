@@ -133,7 +133,7 @@ def test_criterion_07_homological_residual():
                         for n in range(1, n_max + 1)}}
         scale = 1.0 / FourierSeries(c).sup_norm_bound()
         u = FourierSeries({n: v * scale for n, v in c.items()})  # sup <= 1
-        v = solve_homological(u, G, 32)
+        v = solve_homological(u, G)
         res = np.max(np.abs(v.eval((grid + G) % 1.0) - v.eval(grid)
                             - (u.eval(grid) - u.mean)))
         worst = max(worst, res)

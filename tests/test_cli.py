@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -40,6 +41,7 @@ from circlestab.maps import (
     Rotation,
     TunedFamily,
     rotation_number,
+    tune_rotation_number,
 )
 from circlestab.measures import (
     AtomicMeasure,
@@ -49,7 +51,12 @@ from circlestab.measures import (
     dk_check,
     prop30_observable,
 )
-from circlestab.response import fd_response
+from circlestab.response import (
+    fd_response,
+    linear_response_density,
+    response_pairing,
+    solve_homological,
+)
 
 
 def cli(argv):
@@ -188,6 +195,19 @@ OUT_OF_DOMAIN_SAMPLES = {
     "cesaro alpha -inf": lambda: cesaro_average(DIRAC, -math.inf, 3),
     "uniform empty": lambda: AtomicMeasure.uniform([]),
 }
+COS = FourierSeries.cosine()
+# every entry point a non-finite alpha reaches a homological divisor by
+NONFINITE_ALPHA_ENTRY_POINTS = {
+    "tune_rotation_number": lambda a: tune_rotation_number(COS, 1e-2, a),
+    "fd_response": lambda a: fd_response(COS, a, COS, [1e-2]),
+    "solve_homological": lambda a: solve_homological(COS, a),
+    "linear_response_density": lambda a: linear_response_density(COS, a),
+    "response_pairing": lambda a: response_pairing(COS, a, COS),
+}
+OUT_OF_DOMAIN_SAMPLES.update({
+    f"{name} alpha {a}": functools.partial(run, a)
+    for name, run in NONFINITE_ALPHA_ENTRY_POINTS.items()
+    for a in (math.nan, math.inf, -math.inf)})
 
 
 @pytest.mark.parametrize("run", OUT_OF_DOMAIN_SAMPLES.values(),
@@ -195,6 +215,14 @@ OUT_OF_DOMAIN_SAMPLES = {
 def test_samples_reject_nonfinite(run):
     with pytest.raises(ValueError):
         run()
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("run", NONFINITE_ALPHA_ENTRY_POINTS.values(),
+                         ids=NONFINITE_ALPHA_ENTRY_POINTS.keys())
+def test_nonfinite_alpha_is_named(run, alpha):
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        run(alpha)
 
 
 TUNED = TunedFamily(FourierSeries.cosine(), 0.1, 0.3)
@@ -242,6 +270,10 @@ COUNT_ARGUMENTS = {
                                      lambda: prop30_observable(True)),
     "lacunary_alpha terms 2.5": ("terms", lambda: lacunary_alpha(2.5)),
     "lacunary_alpha terms True": ("terms", lambda: lacunary_alpha(True)),
+    "cosine k 0": ("k", lambda: FourierSeries.cosine(0)),
+    "cosine k -1": ("k", lambda: FourierSeries.cosine(-1)),
+    "cosine k True": ("k", lambda: FourierSeries.cosine(True)),
+    "cosine k 1.5": ("k", lambda: FourierSeries.cosine(1.5)),
 }
 
 

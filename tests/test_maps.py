@@ -355,8 +355,7 @@ def test_tune_eps_zero_exact():
 
 
 def test_tune_golden_within_tolerance():
-    fam, c = tune_rotation_number(FourierSeries.cosine(), 1e-2, GOLDEN_MEAN,
-                                  tol=1e-12)
+    fam, c = tune_rotation_number(FourierSeries.cosine(), 1e-2, GOLDEN_MEAN)
     r = rotation_number(fam, iters=1 << 17, tol=None)
     assert abs(float(r) - GOLDEN_MEAN) <= 1e-11
 

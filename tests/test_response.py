@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from circlestab.arithmetic import GOLDEN_MEAN, continued_fraction, frac
+from circlestab.arithmetic import GOLDEN_MEAN, frac
 from circlestab.errors import (
     ConvergenceError,
     ResourceLimitError,
@@ -46,7 +46,7 @@ def residual(u, v, alpha):
 # ------------------------------------------------- homological equation
 
 def test_vhat1_formula():
-    v = solve_homological(FourierSeries.cosine(1), G, 8)
+    v = solve_homological(FourierSeries.cosine(1), G)
     want = 0.5 / (cmath.exp(2j * math.pi * G) - 1)
     assert abs(v.coeff(1) - want) <= 1e-15
     assert v.mean == 0.0
@@ -54,7 +54,7 @@ def test_vhat1_formula():
 
 def test_residual_two_term_example():
     u = FourierSeries({0: 0.0, 1: 0.5, 2: 0.3 / 2j})  # cos 2pix + 0.3 sin 4pix
-    v = solve_homological(u, G, 8)
+    v = solve_homological(u, G)
     assert residual(u, v, G) <= 1e-12
 
 
@@ -62,27 +62,22 @@ def test_residual_random_polynomials():
     rng = np.random.default_rng(11)
     for _ in range(20):
         u = random_series(rng, int(rng.integers(1, 33)))
-        v = solve_homological(u, G, 32)
+        v = solve_homological(u, G)
         assert residual(u, v, G) <= 1e-12
 
 
 def test_zero_input_zero_output():
-    v = solve_homological(FourierSeries([0.0]), G, 4)
+    v = solve_homological(FourierSeries([0.0]), G)
     assert v.is_zero()
-
-
-def test_nmax_validation():
-    with pytest.raises(ValueError):
-        solve_homological(FourierSeries.cosine(5), G, 4)
 
 
 def test_small_divisor_error_names_frequency():
     with pytest.raises(SmallDivisorError) as exc:
-        solve_homological(FourierSeries.cosine(2), 0.5, 4)
+        solve_homological(FourierSeries.cosine(2), 0.5)
     assert exc.value.frequency == 2
     assert exc.value.magnitude == 0.0
     # frequency 1 at alpha = 1/2 is fine: divisor magnitude 2
-    v = solve_homological(FourierSeries.cosine(1), 0.5, 4)
+    v = solve_homological(FourierSeries.cosine(1), 0.5)
     assert abs(v.coeff(1) - 0.5 / (-2.0)) <= 1e-15
 
 
@@ -112,7 +107,7 @@ def test_density_is_minus_derivative_of_v():
     rng = np.random.default_rng(12)
     u = random_series(rng, 8)
     d = linear_response_density(u, G)
-    dv = solve_homological(u, G, 8).derivative()
+    dv = solve_homological(u, G).derivative()
     for n in range(0, 9):
         assert abs(d.coeff(n) + dv.coeff(n)) <= 1e-13 * max(1, abs(dv.coeff(n)))
 
@@ -149,8 +144,7 @@ def test_pairing_bilinear():
 
 def test_fd_response_matches_formula():
     u = FourierSeries.cosine(1)
-    prof = continued_fraction(G, 20)
-    est, recs = fd_response(u, prof, u, [1e-2, 1e-3], orbit_len=10 ** 6)
+    est, recs = fd_response(u, G, u, [1e-2, 1e-3], orbit_len=10 ** 6)
     formula = response_pairing(u, G, u)
     assert abs(est - formula) / abs(formula) <= 0.01
     # quotients approach the formula monotonically along the ladder
@@ -165,22 +159,12 @@ def test_fd_response_zero_u():
     assert all(r.c == G for r in recs)
 
 
-def test_fd_response_initial_point_independence():
-    # the spectral mean integrates over theta and never reads x0
-    u = FourierSeries.cosine(1)
-    est_a, rec_a = fd_response(u, G, u, [1e-2], orbit_len=10 ** 6, x0=0.0)
-    est_b, rec_b = fd_response(u, G, u, [1e-2], orbit_len=10 ** 6, x0=0.37)
-    assert rec_a[0].orbit == "spectral"
-    assert rec_a[0].mean_psi == rec_b[0].mean_psi
-    assert est_a == est_b
-
-
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
 @pytest.mark.parametrize("x0", [0.0, 0.37])
 def test_fd_response_conjugacy_orbit_matches_direct_iteration(eps, x0):
-    # oracle: the scalar loop of f itself over the same orbit window
+    # oracle: the scalar loop of f itself, from two initial points
     u = FourierSeries.cosine(1)
-    _, (rec,) = fd_response(u, G, u, [eps], orbit_len=10 ** 6, x0=x0)
+    _, (rec,) = fd_response(u, G, u, [eps], orbit_len=10 ** 6)
     assert rec.orbit == "spectral"
     direct = birkhoff_average(TunedFamily(u, eps, rec.c), u.eval, 10 ** 6,
                               burn_in=10 ** 3, x0=x0)
@@ -220,6 +204,9 @@ def test_fd_response_validation(monkeypatch):
                    [math.inf, 1e-3]):
         with pytest.raises(ValueError, match="finite"):
             fd_response(u, G, u, ladder, orbit_len=10 ** 15)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            fd_response(u, alpha, u, [1e-2])
 
 
 def test_fd_response_caps_the_orbit_before_tuning(monkeypatch):
