@@ -447,6 +447,8 @@ class Discretized(CircleMap):
     """
 
     def __init__(self, inner: CircleMap, N: int):
+        if not isinstance(inner, CircleMap):
+            raise TypeError(f"Discretized needs a CircleMap, not {inner!r}")
         _check_count("N", N, 1)
         self.inner = inner
         self.N = int(N)
@@ -483,6 +485,7 @@ class Discretized(CircleMap):
 
 def weighted_birkhoff_weights(n: int) -> np.ndarray:
     """Superconvergence weights w(i/(n+1)) with w(t) = exp(-1/(t(1-t)))."""
+    _check_count("n", n, 1)
     t = np.arange(1, n + 1) / (n + 1.0)
     return np.exp(-1.0 / (t * (1.0 - t)))
 
@@ -518,9 +521,12 @@ def rotation_number(m: CircleMap, iters: int = 1 << 15,
     estimate.
 
     Raises ConvergenceError carrying the best estimate if the bound
-    exceeds tol; pass tol=None to always get the estimate.
+    exceeds tol, a finite tol >= 0; pass tol=None to always get the
+    estimate.
     """
     _check_count("iters", iters, 4)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, or None; got {tol!r}")
     if isinstance(m, Discretized):
         raise ValueError("rotation number undefined for discretized maps")
     if isinstance(m, Rotation):

@@ -234,6 +234,45 @@ def _guarded_newton(f, x, lo, hi):
     return x
 
 
+_MEDIAN_SAMPLES = 512  # ends sampled from each of sorted lo and hi
+
+
+def _mixture_median(lo: np.ndarray, hi: np.ndarray) -> float:
+    """The median of the mixture of uniforms on [lo_k, hi_k], each of
+    mass hi_k - lo_k, the masses summing to 1.
+
+    mass(t) = sum clip(t - lo, 0, hi - lo) is linear between interval
+    ends, so the median lies on the segment after the last end of mass
+    below 1/2.  A first pass takes the mass at every
+    (n // _MEDIAN_SAMPLES)-th end of sorted lo and of sorted hi, and at
+    the last of each, and keeps the two samples either side of 1/2; a
+    second takes it at every end between them.  The mass at an end has
+    the same bits however many ends are taken, so where the float
+    masses increase this finds the end that a search of all 2n finds.
+    """
+    lo_s, hi_s = np.sort(lo), np.sort(hi)
+    clo, chi = (np.cumsum(np.append(0.0, s)) for s in (lo_s, hi_s))
+
+    def masses(t):  # at ascending ends t, and the intervals open after t
+        i = np.searchsorted(lo_s, t, side="right")
+        j = np.searchsorted(hi_s, t, side="right")
+        return (t * i - clo[i]) - (t * j - chi[j]), i - j
+
+    step = max(1, len(lo) // _MEDIAN_SAMPLES)
+    t = np.unique(np.concatenate([lo_s[::step], lo_s[-1:],
+                                  hi_s[::step], hi_s[-1:]]))
+    mass, dens = masses(t)
+    k = int(np.searchsorted(mass, 0.5))  # >= 1: no mass below min(lo)
+    if step > 1:  # below 2 * _MEDIAN_SAMPLES intervals t holds every end
+        a, b = t[k - 1], t[k]
+        t = np.unique(np.concatenate(
+            [s[np.searchsorted(s, a):np.searchsorted(s, b, side="right")]
+             for s in (lo_s, hi_s)]))
+        mass, dens = masses(t)
+        k = int(np.searchsorted(mass, 0.5))  # >= 1: mass(a) < 1/2
+    return float(t[k - 1]) + (0.5 - mass[k - 1]) / max(dens[k - 1], 1)
+
+
 def _w_atomic_charted(mu: AtomicMeasure,
                       h: Optional[ConjugacyDiffeo]) -> float:
     """W(mu, h_* m) for atomic mu, closed form; h = None stands for m.
@@ -241,8 +280,8 @@ def _w_atomic_charted(mu: AtomicMeasure,
     In the chart z = h^{-1}(x) the CDF gap is G = L_k - z, up to a
     constant, on the piece [z_k, z_{k+1}] after atom k of level L_k.  G
     sweeps [L_k - z_{k+1}, L_k - z_k] with |G'| = 1, so it pushes dz to
-    a mixture of uniforms, whose median, taken at all interval ends at
-    once, is c for m.  For h, _guarded_newton on the x-mass of {G > c},
+    a mixture of uniforms, whose median (_mixture_median) is c for m.
+    For h, _guarded_newton on the x-mass of {G > c},
     sum h(r_k) - h(z_k) = 1/2 with r_k = clip(L_k - c, z_k, z_{k+1}),
     finishes c.  With eta = h - id, each piece integrates by parts to
     integral |G - c| dz + [|G - c| eta] + integral sign(G - c) eta.
@@ -251,17 +290,7 @@ def _w_atomic_charted(mu: AtomicMeasure,
     L = _levels(mu.weights)
     z_next = np.append(z[1:], z[0] + 1.0)
     hi, lo = L - z, L - z_next
-    lo_s, hi_s = np.sort(lo), np.sort(hi)
-    clo, chi = (np.cumsum(np.append(0.0, s)) for s in (lo_s, hi_s))
-
-    # mass(t) = sum clip(t - lo, 0, hi - lo) at every interval end t
-    ends = np.unique(np.concatenate([lo, hi]))
-    i = np.searchsorted(lo_s, ends, side="right")
-    j = np.searchsorted(hi_s, ends, side="right")
-    masses = (ends * i - clo[i]) - (ends * j - chi[j])  # increasing
-    k = int(np.searchsorted(masses, 0.5))  # >= 1: no mass below min(lo)
-    dens = i[k - 1] - j[k - 1]
-    c = float(ends[k - 1]) + (0.5 - masses[k - 1]) / max(dens, 1)
+    c = _mixture_median(lo, hi)
     if h is not None:
         eta = h.displacement_fn(z)
 
@@ -272,7 +301,7 @@ def _w_atomic_charted(mu: AtomicMeasure,
             inner = r[(r > z) & (r < z_next)]
             return mass - 0.5, float(np.sum(h.deriv(inner)))
 
-        c = float(_guarded_newton(excess, c, lo_s[0], hi_s[-1]))
+        c = float(_guarded_newton(excess, c, lo.min(), hi.max()))
     # integral of |g - c| over each uniform piece, F(t) = t|t|/2
     F = lambda t: 0.5 * t * np.abs(t)
     piece = F(hi - c) - F(lo - c)

@@ -42,6 +42,7 @@ from circlestab.maps import (
     TunedFamily,
     rotation_number,
     tune_rotation_number,
+    weighted_birkhoff_weights,
 )
 from circlestab.measures import (
     AtomicMeasure,
@@ -209,6 +210,16 @@ OUT_OF_DOMAIN_SAMPLES.update({
     for name, run in NONFINITE_ALPHA_ENTRY_POINTS.items()
     for a in (math.nan, math.inf, -math.inf)})
 
+# a tol that no error bound can exceed (nan) or always exceeds (negative)
+# is refused before the exact Rotation shortcut, too
+BAD_TOLS = (math.nan, math.inf, -math.inf, -1e-9)
+TOL_MAPS = {"Rotation": Rotation(GOLDEN_MEAN),
+            "TunedFamily": TunedFamily(COS, 0.1, 0.3)}
+OUT_OF_DOMAIN_SAMPLES.update({
+    f"rotation_number {name} tol {tol}": functools.partial(
+        rotation_number, m, tol=tol)
+    for name, m in TOL_MAPS.items() for tol in BAD_TOLS})
+
 
 @pytest.mark.parametrize("run", OUT_OF_DOMAIN_SAMPLES.values(),
                          ids=OUT_OF_DOMAIN_SAMPLES.keys())
@@ -223,6 +234,14 @@ def test_samples_reject_nonfinite(run):
 def test_nonfinite_alpha_is_named(run, alpha):
     with pytest.raises(ValueError, match="^alpha must be finite"):
         run(alpha)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("m", TOL_MAPS.values(), ids=TOL_MAPS.keys())
+def test_rotation_number_tol_is_named(m, tol):
+    with pytest.raises(ValueError, match="^tol must be finite"):
+        rotation_number(m, tol=tol)
+    assert rotation_number(m, tol=None) == rotation_number(m, tol=1.0)
 
 
 TUNED = TunedFamily(FourierSeries.cosine(), 0.1, 0.3)
@@ -274,6 +293,12 @@ COUNT_ARGUMENTS = {
     "cosine k -1": ("k", lambda: FourierSeries.cosine(-1)),
     "cosine k True": ("k", lambda: FourierSeries.cosine(True)),
     "cosine k 1.5": ("k", lambda: FourierSeries.cosine(1.5)),
+    "weighted_birkhoff_weights n 0": (
+        "n", lambda: weighted_birkhoff_weights(0)),
+    "weighted_birkhoff_weights n 2.5": (
+        "n", lambda: weighted_birkhoff_weights(2.5)),
+    "weighted_birkhoff_weights n True": (
+        "n", lambda: weighted_birkhoff_weights(True)),
 }
 
 

@@ -1,8 +1,10 @@
 """The array kernels against the per-element code they replaced, kept
 here as oracles: the CDF levels against prefix sums taken exactly in
 integers, W to Lebesgue with one `mass(t)` call per breakpoint on those
-exact levels, the atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for
-`frac` and `frac` for `_frac_into`, the three-color walk of the
+exact levels, the mass at every interval end for the bracketed
+`_mixture_median` (its property is in test_properties.py), the
+atom-by-atom merge of `AtomicMeasure`, `x % 1.0` for `frac` and `frac`
+for `_frac_into`, the three-color walk of the
 functional graph, `dk_check` on a fresh orbit per case for the
 Denjoy-Koksma suite (whose bound differs where it decides a case at
 the discrepancy floor 1/N), the Newton inverse of a `ConjugacyDiffeo`
@@ -55,6 +57,7 @@ from circlestab.measures import (
     AtomicMeasure,
     LebesgueMeasure,
     _levels,
+    _mixture_median,
     bv_library,
     cesaro_average,
     dk_check,
@@ -105,6 +108,21 @@ def w_lebesgue_loop(mu):
         c = t0 + (0.5 - masses[k - 1]) / max(dens, 1)
     F = lambda t: 0.5 * t * np.abs(t)
     return float(np.sum(F(hi - c) - F(lo - c)))
+
+
+def median_every_end(lo, hi):
+    """The median of the mixture of uniforms on [lo_k, hi_k] from the
+    mass at all 2n interval ends at once: one np.unique of the ends and
+    two searchsorted calls of 2n queries."""
+    lo_s, hi_s = np.sort(lo), np.sort(hi)
+    clo, chi = (np.cumsum(np.append(0.0, s)) for s in (lo_s, hi_s))
+    ends = np.unique(np.concatenate([lo, hi]))
+    i = np.searchsorted(lo_s, ends, side="right")
+    j = np.searchsorted(hi_s, ends, side="right")
+    masses = (ends * i - clo[i]) - (ends * j - chi[j])
+    k = int(np.searchsorted(masses, 0.5))
+    dens = i[k - 1] - j[k - 1]
+    return float(ends[k - 1]) + (0.5 - masses[k - 1]) / max(dens, 1)
 
 
 def merge_loop(positions, weights):
@@ -160,6 +178,19 @@ def test_w_lebesgue_equals_mass_loop_on_random_measures():
         k = int(rng.integers(1, 40))
         mu = AtomicMeasure(rng.uniform(0, 1, k), rng.dirichlet(np.ones(k)))
         assert wasserstein(mu, M) == w_lebesgue_loop(mu)
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+@pytest.mark.parametrize("digits", [None, 6])
+def test_median_equals_every_end_oracle_on_large_measures(n, digits):
+    # the first pass samples every n // _MEDIAN_SAMPLES-th end; positions
+    # rounded to 6 digits tie many ends
+    rng = np.random.default_rng(n)
+    p = rng.uniform(0, 1, n)
+    mu = AtomicMeasure.uniform(p if digits is None else np.round(p, digits))
+    z, L = mu.positions, _levels(mu.weights)
+    lo, hi = L - np.append(z[1:], z[0] + 1.0), L - z
+    assert bits(_mixture_median(lo, hi)) == bits(median_every_end(lo, hi))
 
 
 @pytest.mark.parametrize("n", [100, 1000, 10_000, 100_000])

@@ -84,6 +84,18 @@ def test_discretize_n1_constant_zero():
         assert T.eval(x) == 0.0
 
 
+@pytest.mark.parametrize("inner", [None, 0.3, np.cos, Rotation])
+def test_discretize_refuses_an_inner_that_is_not_a_map(inner):
+    with pytest.raises(TypeError, match="needs a CircleMap"):
+        Discretized(inner, 10)
+
+
+def test_discretize_of_discretized_is_a_map():
+    TN = Discretized(Discretized(Rotation(0.3), 7), 10)
+    # node i/10 -> floor(7 frac(i/10 + 0.3))/7 -> floor(10 * that)
+    assert TN.grid_image().tolist() == [2, 2, 4, 5, 5, 7, 8, 0, 0, 1]
+
+
 def test_discretize_sup_distance():
     T = Rotation(GOLDEN_MEAN)
     TN = Discretized(T, 10)

@@ -4,8 +4,10 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlestab import measures
 from circlestab.arithmetic import frac
 from circlestab.experiments import holder_fit
 from circlestab.maps import ConjugacyDiffeo
@@ -19,7 +21,7 @@ from circlestab.measures import (
     dk_check,
     wasserstein,
 )
-from test_kernels import w_lebesgue_loop
+from test_kernels import median_every_end, w_lebesgue_loop
 from test_w_continuous import conjugacies
 
 M = LebesgueMeasure()
@@ -92,6 +94,69 @@ def test_w_to_identity_chart_is_w_to_lebesgue(pw):
 def test_w_uniform_grid_to_lebesgue_is_quarter_spacing(n):
     mu = AtomicMeasure.uniform(np.arange(n) / n)
     assert math.isclose(wasserstein(mu, M), 1.0 / (4 * n), abs_tol=1e-14)
+
+
+S = measures._MEDIAN_SAMPLES  # the median's first pass takes every n//S-th end
+
+
+@st.composite
+def median_measures(draw):
+    """Atomic measures that stress the median's bracket: n near 1, 2 and
+    the sample strides; drawn, 3-digit-rounded (tied), merging (atoms a
+    few ulps apart within MERGE_TOL), grid or gapped positions (n - 1
+    atoms within 1e-3, one half a turn away); equal or random weights,
+    or two near 1/2 on the last two atoms.  Gapped positions with those
+    two weights can put the median on one of the two half-turn intervals
+    with the largest ends, above every sample but the last of hi."""
+    n = draw(st.one_of(st.sampled_from([1, 2, S - 1, S, S + 1, 2 * S - 1,
+                                        2 * S, 2 * S + 1, 3 * S + 1]),
+                       st.integers(1, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["drawn", "3-digit", "merging", "grid",
+                                 "gapped"]))
+    if kind == "drawn":
+        p = rng.uniform(0.0, 1.0, n)
+    elif kind == "3-digit":
+        p = np.round(rng.uniform(0.0, 1.0, n), 3)
+    elif kind == "merging":
+        centres = np.append(0.0, rng.uniform(0.0, 1.0, n // 8))
+        p = (centres[rng.integers(0, len(centres), n)]
+             + rng.integers(-4, 5, n) * (MERGE_TOL / 4))
+    elif kind == "grid":
+        p = draw(unit) + np.arange(n) / n
+    else:
+        x0 = draw(unit)
+        p = np.append(x0 + np.sort(rng.uniform(0.0, 1e-3, n - 1)), x0 + 0.5)
+    weighting = draw(st.sampled_from(["equal", "random", "two halves"]))
+    if weighting == "equal":
+        return AtomicMeasure.uniform(p)
+    if weighting == "random":
+        w = rng.uniform(1e-3, 1.0, n)
+    else:
+        w = np.full(n, 1e-6 / n)
+        w[-2:] = 0.5
+    return AtomicMeasure(p, w / np.sum(w))
+
+
+@LAWS
+@given(median_measures(), st.one_of(st.none(), conjugacies(max_modes=1)))
+def test_bracketed_median_equals_every_end_oracle(mu, h):
+    # the float masses are not proven monotone, so the bracket must find
+    # the same crossing of 1/2 as the mass at every end: c and W bit for
+    # bit, for m and for h_* m, whose Newton starts from c
+    mixture_median, medians = measures._mixture_median, []
+
+    def both(lo, hi):
+        medians.append((mixture_median(lo, hi), median_every_end(lo, hi)))
+        return medians[-1][1]
+
+    rho = M if h is None else DiffeoInvariantDensity(h)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_mixture_median", both)
+        want = wasserstein(mu, rho)
+    (got_c, want_c), = medians
+    assert got_c.hex() == want_c.hex()
+    assert wasserstein(mu, rho).hex() == want.hex()
 
 
 @LAWS
