@@ -24,7 +24,8 @@ its invariant means can be taken as integrals over h_* m
 (response.fd_response) and its orbits in closed form through
 ConjugatedRotation; TunedFamily.orbit itself still iterates f.  The
 rotation number evaluates the displacement on such an orbit as one
-array.  Newton for h^-1 starts from a table of h^-1 built once per h.
+array.  Newton for h^-1 starts from a cubic table of h^-1 built once
+per h.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ _BLOCK = 1 << 14
 _CYCLE_BLOCK = 1 << 12   # stepped points per repeat check, and its window
 _INVERSE_TOL = 1e-14     # Newton for h^-1 stops at |h(z) - y| <= this
 _INVERSE_STEPS = 50      # and fails after this many steps
-_INVERSE_NODES = 1 << 12  # Newton for h^-1 starts from a table at k / this
+_INVERSE_NODES = 1 << 12  # h^-1 starts from a cubic between nodes k / this
 
 
 def _check_orbit_len(n: int, burn_in: int = 0) -> None:
@@ -316,9 +317,11 @@ class ConjugacyDiffeo:
     """h(x) = x + sum_n (a_n sin(2 pi n x) + b_n cos(2 pi n x)) / (2 pi n).
 
     Requires sum(|a_n| + |b_n|) < 1 so that h' >= 1 - sum > 0 and h is a
-    degree-1 circle diffeomorphism.  The inverse is found by Newton from a
-    table of h^-1 at k/2^12, built once per h, until the residual
-    |h(z) - y| is at most 1e-14 at every point.
+    degree-1 circle diffeomorphism.  The inverse is found by Newton until
+    the residual |h(z) - y| is at most 1e-14 at every point, from a cubic
+    Hermite start between the nodes k/2^12, built once per h from the
+    values and slopes of h^-1 there; on a mild h the start already meets
+    the residual, and one evaluation of h and h' decides each point.
     """
 
     def __init__(self, a, b=None):
@@ -372,10 +375,23 @@ class ConjugacyDiffeo:
 
     @functools.cached_property
     def _inverse_table(self):
-        """(k/M, h^-1(k/M) by Newton from k/M) for k <= M = _INVERSE_NODES;
-        only a start, so a node left unconverged is kept, never raised."""
-        nodes = np.arange(_INVERSE_NODES + 1) / _INVERSE_NODES
-        return nodes, self._newton(nodes, nodes.copy())[0]
+        """The cubic Hermite start of h^-1 on each [k/M, (k+1)/M], k < M =
+        _INVERSE_NODES: rows c3, c2, c1, c0 of p(t) = ((c3 t + c2) t + c1)
+        t + c0 at t = M y - k, from z_k = h^-1(k/M) and the slopes
+        1/h'(z_k).  z_k is Newton from k/M and then two more updates at
+        every node: _newton leaves a node anywhere within 1e-14, and the
+        start inherits that.  Only a start, so a node left unconverged
+        is kept, never raised."""
+        y = np.arange(_INVERSE_NODES + 1) / _INVERSE_NODES
+        z = self._newton(y, y.copy())[0]
+        for _ in range(2):
+            r, dh = _trig_sums(self._eta_dh, z)
+            z = z - (r + z - y) / dh
+        d = 1.0 / self.deriv(z) / _INVERSE_NODES  # dz/dt at each node
+        dz = z[1:] - z[:-1]
+        c1 = d[:-1]
+        return np.array([c1 + d[1:] - 2.0 * dz, 3.0 * dz - 2.0 * c1 - d[1:],
+                         c1, z[:-1]])
 
     def _newton(self, y, z):  # from z in place; (z, whether all stopped)
         for _ in range(_INVERSE_STEPS):
@@ -394,11 +410,25 @@ class ConjugacyDiffeo:
 
     @_pointwise
     def inverse(self, y):
-        """z with h(z) = y by Newton from floor(y) + the table interpolated
-        at y - floor(y), each point stopping at |h(z) - y| <= 1e-14.  A
-        ConvergenceError describes only the points of this call."""
+        """z with h(z) = y by Newton from floor(y) + the table's cubic at
+        y - floor(y), each point stopping at |h(z) - y| <= 1e-14.  A
+        non-finite y is a ValueError; a ConvergenceError describes only
+        the points of this call."""
+        finite = np.isfinite(y)
+        if not finite.all():
+            raise ValueError(f"y must be finite, got {float(y[~finite][0])!r}")
         z = np.floor(y, out=np.empty_like(y))  # out= keeps a 0-d z an array
-        z += np.interp(y - z, *self._inverse_table)
+        t = y - z
+        t *= _INVERSE_NODES  # exact: M is a power of 2
+        # floor, as t >= 0; y - floor(y) rounds to 1.0 for a tiny y < 0
+        k = np.minimum(t.astype(np.intp), _INVERSE_NODES - 1)
+        t -= k
+        c3, *rest = self._inverse_table
+        p = c3.take(k)
+        for c in rest:  # Horner
+            p *= t
+            p += c.take(k)
+        z += p
         if not self._newton(y, z)[1]:  # z is stepped in place
             worst = float(np.max(np.abs(z + self.displacement_fn(z) - y)))
             raise ConvergenceError(

@@ -343,8 +343,8 @@ def _w_lebesgue_charted(h: ConjugacyDiffeo) -> float:
         return 0.0
     d = 2.0 ** -24  # eta'' by a central difference, ample for an extremum
 
-    def turn(x):
-        left, right = h.deriv(x - d), h.deriv(x + d)
+    def turn(x):  # h' at x - d and x + d from one pass
+        left, right = np.split(h.deriv(np.concatenate((x - d, x + d))), 2)
         return (sgn * (0.5 * (left + right) - 1.0),
                 sgn * (left - right) / (2.0 * d))
 

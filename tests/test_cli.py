@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from circlestab.invariant import birkhoff_average, birkhoff_measure
 from circlestab.maps import (
     AttractorRepeller,
     ConjugacyDiffeo,
+    ConjugatedRotation,
     Rotation,
     TunedFamily,
     rotation_number,
@@ -47,6 +49,7 @@ from circlestab.maps import (
 from circlestab.measures import (
     AtomicMeasure,
     BVObservable,
+    DiffeoInvariantDensity,
     cesaro_average,
     discrepancy,
     dk_check,
@@ -210,6 +213,18 @@ OUT_OF_DOMAIN_SAMPLES.update({
     for name, run in NONFINITE_ALPHA_ENTRY_POINTS.items()
     for a in (math.nan, math.inf, -math.inf)})
 
+# every map of the conjugacy h^-1 evaluates at a point
+H = ConjugacyDiffeo([0.2], [0.05])
+INVERSE_ENTRY_POINTS = {
+    "ConjugacyDiffeo.inverse": H.inverse,
+    "ConjugatedRotation.eval": ConjugatedRotation(GOLDEN_MEAN, H).eval,
+    "DiffeoInvariantDensity.cdf": DiffeoInvariantDensity(H).cdf,
+}
+OUT_OF_DOMAIN_SAMPLES.update({
+    f"{name} {y}": functools.partial(run, y)
+    for name, run in INVERSE_ENTRY_POINTS.items()
+    for y in (math.nan, math.inf, -math.inf)})
+
 # a tol that no error bound can exceed (nan) or always exceeds (negative)
 # is refused before the exact Rotation shortcut, too
 BAD_TOLS = (math.nan, math.inf, -math.inf, -1e-9)
@@ -234,6 +249,19 @@ def test_samples_reject_nonfinite(run):
 def test_nonfinite_alpha_is_named(run, alpha):
     with pytest.raises(ValueError, match="^alpha must be finite"):
         run(alpha)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("run", INVERSE_ENTRY_POINTS.values(),
+                         ids=INVERSE_ENTRY_POINTS.keys())
+def test_nonfinite_y_is_named_before_newton(run, y):
+    # refused before any Newton step, which would warn on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^y must be finite, got {y}$"):
+            run(y)
+        with pytest.raises(ValueError, match=f"^y must be finite, got {y}$"):
+            run(np.array([0.25, y, 0.75]))
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)

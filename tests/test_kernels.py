@@ -8,8 +8,9 @@ for `_frac_into`, the three-color walk of the
 functional graph, `dk_check` on a fresh orbit per case for the
 Denjoy-Koksma suite (whose bound differs where it decides a case at
 the discrepancy floor 1/N), the Newton inverse of a `ConjugacyDiffeo`
-that evaluated its modes twice per step (from the same table start,
-and within the residual tolerance from the old start z = y) and iterated
+that evaluated its modes twice per step (from the same cubic table
+start, within the residual tolerance from the old start z = y, and with
+the grid images of the old linear table start) and iterated
 `eval`, point by point with no repeat check, for `CircleMap.orbit`.
 Equality is bit for bit, except for the least-squares fits: the
 closed-form slopes of the Holder fit agree with the per-resample
@@ -604,9 +605,31 @@ def newton_two_calls(h, y, z, tol=1e-14, max_iter=50):
 
 
 def inverse_two_calls(h, y):
+    """newton_two_calls from floor(y) + a cubic Hermite start at
+    y - floor(y): on [k/M, (k+1)/M] the cubic in t = M (y - floor(y)) - k
+    through z_k = h^-1(k/M) and z_k+1 with the slopes 1/h' there.  Each
+    z_k is newton_two_calls from k/M followed by two more Newton updates
+    at every node."""
+    M = _INVERSE_NODES
+    nodes = np.arange(M + 1) / M
+    z = newton_two_calls(h, nodes, nodes.copy())
+    z = newton_two_calls(h, nodes, z, tol=-1.0, max_iter=2)  # no node stops
+    d = 1.0 / deriv_loop(h, z) / M  # dz/dt at each node
+    fl = np.floor(y)
+    u = (y - fl) * M
+    k = np.minimum(np.floor(u), M - 1).astype(int)  # y - fl may be 1.0
+    t = u - k
+    z0, z1, d0, d1 = z[k], z[k + 1], d[k], d[k + 1]
+    dz = z1 - z0
+    cubic = (((d0 + d1 - 2.0 * dz) * t + (3.0 * dz - 2.0 * d0 - d1)) * t
+             + d0) * t + z0
+    return newton_two_calls(h, y, fl + cubic)
+
+
+def inverse_linear_start(h, y):
     """newton_two_calls from floor(y) + a table of h^-1 at the nodes k/M,
-    k = 0..M, interpolated at y - floor(y); the table is newton_two_calls
-    from the nodes."""
+    k = 0..M, interpolated linearly at y - floor(y), the start before the
+    cubic one; the table is newton_two_calls from the nodes."""
     nodes = np.arange(_INVERSE_NODES + 1) / _INVERSE_NODES
     table = newton_two_calls(h, nodes, nodes.copy())
     fl = np.floor(y)
@@ -671,6 +694,19 @@ def test_grid_image_equals_the_one_from_y(h):
     z = newton_two_calls(h, x, x.copy())
     from_y = T._project(frac(h.eval(frac(z) + T.inner.alpha)))
     assert np.array_equal(T.grid_image(), from_y)
+
+
+@pytest.mark.parametrize("k", [0, 7, 8, 10, 17, 19, 22, 24, 28, 46])
+def test_grid_image_equals_the_linear_start_one(k):
+    # the ten conjugacies of the discretize benchmark: the cubic start
+    # moves no node of a grid image against the linear one
+    rng = np.random.default_rng([k, 99])
+    h = ConjugacyDiffeo([rng.uniform(0.1, 0.3)], [rng.uniform(-0.1, 0.1)])
+    for N in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5):
+        T = Discretized(ConjugatedRotation(GOLDEN_MEAN, h), N)
+        z = inverse_linear_start(h, np.arange(N) / N)
+        linear = T._project(frac(h.eval(frac(z) + T.inner.alpha)))
+        assert np.array_equal(T.grid_image(), linear)
 
 
 # ------------------------------------------------------------ stepped orbits

@@ -207,10 +207,9 @@ def test_discretization_scan_records_a_block_failure(monkeypatch):
     assert scan.failures == [(N, f"ConvergenceError: {one_pass.value}")]
 
 
-def test_inverse_of_a_block_takes_two_trig_passes(monkeypatch):
-    # from the table start, one Newton update and the residual check;
-    # Newton from z = y took five passes on this h
-    h = ConjugacyDiffeo([0.2], [0.05])
+def trig_passes(monkeypatch, h, y):
+    """The _trig_sums passes of h.inverse(y) once h's table is built;
+    each pass must cover all of y."""
     h.inverse(0.5)  # builds the table
     calls = []
 
@@ -220,8 +219,27 @@ def test_inverse_of_a_block_takes_two_trig_passes(monkeypatch):
 
     trig_sums = maps._trig_sums
     monkeypatch.setattr(maps, "_trig_sums", counted)
-    h.inverse(np.arange(_BLOCK) / _BLOCK)
-    assert calls == [_BLOCK] * len(calls) and 1 <= len(calls) <= 2
+    h.inverse(y)
+    monkeypatch.undo()
+    assert calls == [len(y)] * len(calls)
+    return len(calls)
+
+
+def test_inverse_of_a_block_takes_one_trig_pass(monkeypatch):
+    # the cubic table start passes the residual check as it is; Newton
+    # from z = y took five passes on this h, the linear table start two
+    h = ConjugacyDiffeo([0.2], [0.05])
+    assert trig_passes(monkeypatch, h, np.arange(_BLOCK) / _BLOCK) == 1
+
+
+def test_inverse_of_a_steep_block_converges(monkeypatch):
+    # sum(|a_n| + |b_n|) = 0.9 over three modes, so h' comes down to 0.1
+    # and the start may need Newton updates, within the step cap
+    h = ConjugacyDiffeo([0.3, -0.1, 0.05], [0.2, 0.15, -0.1])
+    y = np.arange(_BLOCK) / _BLOCK
+    assert 1 <= trig_passes(monkeypatch, h, y) <= maps._INVERSE_STEPS
+    z = h.inverse(y)
+    assert np.all(np.abs(z + h.displacement_fn(z) - y) <= 1e-14)
 
 
 def test_discretize_rejects_bad_n():
