@@ -38,7 +38,7 @@ from .experiments import (
     stability_scan,
     write_records_csv,
 )
-from .fourier import FourierDensity, FourierSeries, pairing
+from .fourier import FourierSeries, pairing
 from .invariant import (
     DiffeoInvariantDensity,
     FunctionalGraphAnalysis,

@@ -95,7 +95,6 @@ def _build_parser() -> _Parser:
                  "finite-difference linear response", "--alpha", "--json")
     sp.add_argument("--eps", type=float, nargs="+", default=[1e-2, 1e-3])
     sp.add_argument("--orbit-len", type=int, default=10 ** 7)
-    sp.add_argument("--burn-in", type=int, default=10 ** 3)
 
     sp = command("holder-fit", _cmd_holder_fit,
                  "log-log slope of a records CSV")
@@ -190,11 +189,9 @@ def _cmd_response(args) -> int:
     alpha, _ = resolve_alpha(args.alpha)
     u = FourierSeries.cosine(1)
     formula = response_pairing(u, alpha, u)
-    est, recs = fd_response(u, alpha, u, args.eps,
-                            orbit_len=args.orbit_len, burn_in=args.burn_in)
+    est, recs = fd_response(u, alpha, u, args.eps, orbit_len=args.orbit_len)
     rep = ResponseReport(alpha=alpha, formula_value=formula, estimate=est,
-                         per_eps=recs, orbit_len=args.orbit_len,
-                         burn_in=args.burn_in)
+                         per_eps=recs, orbit_len=args.orbit_len)
     _write(args.json_out, rep.to_json())
     return 0
 

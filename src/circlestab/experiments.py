@@ -28,6 +28,7 @@ from .arithmetic import (
 )
 from .errors import CircleStabError, InsufficientDataError
 from .invariant import (
+    _BURN_IN,
     analyze_functional_graph,
     birkhoff_measure,
     invariant_measure_of_diffeo,
@@ -77,8 +78,13 @@ ALPHA_PRESETS = {
 }
 
 
+def _is_a(v, kind) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def resolve_alpha(spec: Union[str, float]) -> Tuple[float, str]:
-    """(value, label) for a preset name or a finite numeric literal."""
+    """(value, label) for a preset name or a finite numeric literal; a
+    bool or any other type is refused."""
     if isinstance(spec, str):
         key = spec.strip().lower()
         if key in ALPHA_PRESETS:
@@ -89,8 +95,10 @@ def resolve_alpha(spec: Union[str, float]) -> Tuple[float, str]:
             raise ValueError(
                 f"unknown alpha spec {spec!r}; presets: "
                 f"{sorted(ALPHA_PRESETS)}")
-    else:
+    elif _is_a(spec, Real):
         value, label = float(spec), repr(float(spec))
+    else:
+        raise ValueError("alpha must be a preset name or a number")
     if not math.isfinite(value):
         raise ValueError(f"alpha must be finite, got {spec!r}")
     return value, label
@@ -155,10 +163,6 @@ STABILITY_FAMILIES = ("attractor_repeller", "rational_snap")
 DISCRETIZATION_FAMILIES = ("rotation", "diffeo")
 
 
-def _is_a(v, kind) -> bool:
-    return isinstance(v, kind) and not isinstance(v, bool)
-
-
 @dataclass
 class ExperimentConfig:
     """Declarative description of one scan."""
@@ -171,14 +175,11 @@ class ExperimentConfig:
     h_a: Tuple[float, ...] = (0.2,)
     h_b: Tuple[float, ...] = ()
     orbit_len: int = 0       # > 0 adds birkhoff records to stability scans
-    burn_in: int = 1000
 
     def validate(self) -> "ExperimentConfig":
-        if not (isinstance(self.alpha, str) or _is_a(self.alpha, Real)):
-            raise ValueError("alpha must be a preset name or a number")
         if not isinstance(self.family, str):
             raise ValueError("family must be a string")
-        _check_count("depth", self.depth)  # orbit_len, burn_in below
+        _check_count("depth", self.depth)  # alpha, orbit_len below
         if not _is_a(self.bump_strength, Real):
             raise ValueError("bump_strength must be a number")
         for name, kind, what in (("ladder", Integral, "integers"),
@@ -208,7 +209,7 @@ class ExperimentConfig:
             if min(lad) < 1:
                 raise ValueError("grid sizes must be >= 1")
         ConjugacyDiffeo(self.h_a, self.h_b or None)
-        _check_orbit_len(self.orbit_len, self.burn_in)
+        _check_orbit_len(self.orbit_len, _BURN_IN)
         return self
 
     def to_json(self) -> str:
@@ -244,8 +245,10 @@ def stability_scan(config: ExperimentConfig) -> ScanResult:
     """W(m, mu_delta) over the convergent ladder of a stability family.
 
     attractor_repeller records both invariant orbit measures (the
-    attractor as "physical", the repeller as "worst-cycle"); the
-    rational snap T_delta = R_{p/q} records the grid orbit measure.
+    attractor as "physical", the repeller as "worst-cycle") and, for
+    orbit_len > 0, the Birkhoff measure of orbit_len points from 0.123
+    after 1000 burn-in steps; the rational snap T_delta = R_{p/q}
+    records the grid orbit measure.
     """
     config.validate()
     if config.family not in STABILITY_FAMILIES:
@@ -271,8 +274,7 @@ def stability_scan(config: ExperimentConfig) -> ScanResult:
                 "attractor_repeller", cv.delta, wasserstein(m, rep),
                 "worst-cycle", meta))
             if config.orbit_len > 0:
-                bm = birkhoff_measure(ar, 0.123, config.orbit_len,
-                                      config.burn_in)
+                bm = birkhoff_measure(ar, 0.123, config.orbit_len, _BURN_IN)
                 recs.append(ScalingRecord(
                     "attractor_repeller", cv.delta, wasserstein(m, bm),
                     "birkhoff", meta))
@@ -342,6 +344,7 @@ def discretization_scan(config: ExperimentConfig) -> ScanResult:
 
 # ------------------------------------------------------------ regression
 
+_BOOTSTRAP = 1000        # resamples behind each CI
 _BOOTSTRAP_SEED = 12345  # fixed, so a fit is a function of its records
 
 
@@ -352,18 +355,17 @@ class HolderFit(NamedTuple):
     ci: Tuple[float, float]
 
 
-def holder_fit(records, bootstrap: int = 1000) -> HolderFit:
+def holder_fit(records) -> HolderFit:
     """Closed-form OLS of log w_distance on log size_param, bootstrap CI.
 
     Accepts ScalingRecords or bare finite (size > 0, w >= 0) pairs; zero
     distances are excluded with a notice.  Reordering the input cannot
     change the result: points are canonicalized before fitting.  The CI
     is an estimate, not a rigorous bound: the 2.5 and 97.5 percentiles
-    of the slopes of `bootstrap` resamples, drawn from a fixed seed in
-    one call (one per 2^20 indices) and fitted row by row, less those at
-    a single size.
+    of the slopes of 1000 resamples, drawn from a fixed seed in one call
+    (one per 2^20 indices) and fitted row by row, less those at a single
+    size.
     """
-    _check_count("bootstrap", bootstrap)
     pts = []
     dropped = 0
     for r in records:
@@ -397,8 +399,8 @@ def holder_fit(records, bootstrap: int = 1000) -> HolderFit:
     rng = np.random.default_rng(_BOOTSTRAP_SEED)
     slopes, n = [], len(pts)
     rows = max(1, (1 << 20) // n)  # resamples per draw of <= 2^20 indices
-    for start in range(0, bootstrap, rows):
-        idx = rng.integers(0, n, (min(rows, bootstrap - start), n))
+    for start in range(0, _BOOTSTRAP, rows):
+        idx = rng.integers(0, n, (min(rows, _BOOTSTRAP - start), n))
         idx = idx[np.ptp(lx[idx], axis=1) != 0.0]
         slopes.extend(_ols(lx[idx], ly[idx])[0])
     lo, hi = np.percentile(slopes, [2.5, 97.5]) if slopes else (slope, slope)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arithmetic import _check_count, _pointwise, frac
 
-__all__ = ["FourierSeries", "FourierDensity", "pairing"]
+__all__ = ["FourierSeries", "pairing"]
 
 
 def _nonzero_modes(spectra):
@@ -163,26 +163,6 @@ class FourierSeries:
 
     def is_zero(self) -> bool:
         return bool(np.all(self._c == 0))
-
-
-class FourierDensity(FourierSeries):
-    """Real trig-polynomial density of a measure on the circle.
-
-    c_hat(0) must be 1 (probability density) or 0 (signed zero-mass
-    density, e.g. a linear-response derivative); anything else is
-    rejected.  Signed values of the density itself are allowed.
-    """
-
-    def __init__(self, coeffs):
-        super().__init__(coeffs)
-        c0 = self._c[0].real
-        if abs(c0 - 1.0) <= 1e-12:
-            self._c[0] = 1.0
-        elif abs(c0) <= 1e-12:
-            self._c[0] = 0.0
-        else:
-            raise ValueError(
-                f"density mean must be 0 or 1, got {c0!r}")
 
 
 def pairing(psi: FourierSeries, rho: FourierSeries) -> float:

@@ -50,6 +50,10 @@ __all__ = [
 # 3.11, numpy 2.4, x86-64 Linux.
 GRID_NODE_CAP = 10 ** 7
 
+# Steps taken before the first kept point of the orbits that the scans'
+# Birkhoff records and fd_response's direct path average over.
+_BURN_IN = 1000
+
 
 @dataclass(frozen=True)
 class FunctionalGraphAnalysis:

@@ -328,6 +328,11 @@ class ConjugacyDiffeo:
         a = np.atleast_1d(np.array(a, dtype=float))
         b = np.zeros_like(a) if b is None else np.atleast_1d(
             np.array(b, dtype=float))
+        for name, c in (("a", a), ("b", b)):
+            if c.ndim != 1:
+                raise ValueError(
+                    f"{name} must be a 1d coefficient list, got shape "
+                    f"{c.shape}")
         # read-only copies: the spectra below are derived from them once
         a.flags.writeable = b.flags.writeable = False
         if len(a) != len(b):

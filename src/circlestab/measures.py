@@ -408,8 +408,8 @@ def wasserstein(mu, nu) -> float:
 
     Takes an atomic measure against an atomic one, m or h_* m (a
     DiffeoInvariantDensity), and m against m or h_* m, in either order.
-    Any other pair, such as a FourierDensity side or two h_* m sides,
-    has no closed form here and raises TypeError.
+    Any other pair, such as two h_* m sides or a side that is no measure
+    (a trig-polynomial density, say), raises TypeError.
     """
     sides = (AtomicMeasure, LebesgueMeasure, DiffeoInvariantDensity)
     if not (isinstance(mu, sides) and isinstance(nu, sides)) or (
@@ -509,6 +509,16 @@ def _extreme_discrepancy_exact(x_sorted: np.ndarray, star: float) -> float:
     return float(max(over, under, star))
 
 
+def _point_array(points) -> np.ndarray:
+    """points as a float array, refused unless it is nonempty and 1d."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if pts.ndim != 1:
+        raise ValueError(f"points must be 1d, got shape {pts.shape}")
+    if len(pts) == 0:
+        raise ValueError("empty point set")
+    return pts
+
+
 def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
     """Extreme discrepancy sup_{arcs} |count/N - length| of finite points.
 
@@ -517,9 +527,7 @@ def discrepancy(points, mode: str = "auto") -> DiscrepancyResult:
     discrepancy.  The value lies in [1/N, 1].  The points are checked,
     and reduced mod 1 into a fresh array that is sorted in place.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if len(pts) == 0:
-        raise ValueError("empty point set")
+    pts = _point_array(points)
     if not np.isfinite(pts).all():
         raise ValueError("non-finite points")
     if mode not in ("auto", "exact", "enclosure"):
@@ -750,9 +758,7 @@ def dk_check(f: BVObservable, points) -> DKCheck:
     Uses the exact discrepancy when available and the upper end of the
     [D*, 2D*] enclosure otherwise, so `ok` is a sound verdict either way.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if len(pts) == 0:
-        raise ValueError("empty point set")
+    pts = _point_array(points)
     return _dk_verdict(f, float(np.mean(f.eval(pts))), discrepancy(pts),
                        len(pts))
 

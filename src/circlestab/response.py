@@ -30,8 +30,8 @@ from .arithmetic import (
     frac,
 )
 from .errors import ConvergenceError, TuningError
-from .fourier import FourierDensity, FourierSeries, pairing
-from .invariant import birkhoff_average
+from .fourier import FourierSeries, pairing
+from .invariant import _BURN_IN, birkhoff_average
 from .maps import ConjugacyDiffeo, _check_orbit_len, tune_rotation_number
 
 __all__ = [
@@ -60,9 +60,13 @@ def solve_homological(u: FourierSeries, alpha: float) -> FourierSeries:
     return FourierSeries(coeffs)
 
 
-def linear_response_density(u: FourierSeries, alpha: float) -> FourierDensity:
-    """Signed density d = -v' of the homological solution v of u."""
-    return FourierDensity(-solve_homological(u, alpha).derivative()._c)
+def linear_response_density(u: FourierSeries, alpha: float) -> FourierSeries:
+    """Signed density d = -v' of the homological solution v of u, of mean
+    +0.0: negating v' leaves -0.0 there, which would make the pairing of
+    a constant psi with d read -0.0."""
+    d = -solve_homological(u, alpha).derivative()._c
+    d[0] = 0.0
+    return FourierSeries(d)
 
 
 def response_pairing(u: FourierSeries, alpha: float,
@@ -118,8 +122,8 @@ def _spectral_mean(h: ConjugacyDiffeo,
 
 
 def fd_response(u: FourierSeries, alpha: float, psi: FourierSeries,
-                eps_ladder: Sequence[float], orbit_len: int = 10 ** 7,
-                burn_in: int = 10 ** 3) -> Tuple[float, List[EpsRecord]]:
+                eps_ladder: Sequence[float],
+                orbit_len: int = 10 ** 7) -> Tuple[float, List[EpsRecord]]:
     """Finite-difference response along a tuned family.
 
     Each ladder point is tuned to rotation number alpha, and <psi> is
@@ -128,8 +132,8 @@ def fd_response(u: FourierSeries, alpha: float, psi: FourierSeries,
     the spectral mean of psi o h on a theta grid (see _spectral_mean),
     an estimate since h is solved numerically.  Otherwise f is iterated
     from 0 and psi is averaged over a weighted-Birkhoff orbit of
-    orbit_len points after burn_in steps; orbit_len and burn_in act only
-    on this direct path.  The two smallest eps are
+    orbit_len points after 1000 steps; orbit_len acts only on this
+    direct path.  The two smallest eps are
     Richardson-extrapolated under the first-order error model.
     """
     alpha = float(alpha)
@@ -143,7 +147,7 @@ def fd_response(u: FourierSeries, alpha: float, psi: FourierSeries,
     if any(e <= 0 for e in ladder):
         raise ValueError("eps values must be positive")
     _check_count("orbit_len", orbit_len, 1)  # birkhoff_average's floor
-    _check_orbit_len(orbit_len, burn_in)  # before any tuning
+    _check_orbit_len(orbit_len, _BURN_IN)  # before any tuning
 
     psi0 = psi.mean
     records = []
@@ -155,7 +159,7 @@ def fd_response(u: FourierSeries, alpha: float, psi: FourierSeries,
                 f"rotation-number tuning failed at eps = {eps:g}: {exc}",
                 estimate=exc.estimate, error_bound=exc.error_bound) from exc
         if fam.conjugacy is None:
-            avg = birkhoff_average(fam, psi.eval, orbit_len, burn_in=burn_in)
+            avg = birkhoff_average(fam, psi.eval, orbit_len, burn_in=_BURN_IN)
             path, points = "direct", orbit_len
         else:
             avg, points = _spectral_mean(fam.conjugacy, psi)
@@ -182,7 +186,6 @@ class ResponseReport:
     estimate: float
     per_eps: List[EpsRecord]
     orbit_len: int
-    burn_in: int
 
     def relative_error(self) -> float:
         if self.formula_value == 0.0:
@@ -204,5 +207,5 @@ class ResponseReport:
                 for r in self.per_eps],
         }
         if any(r.orbit == "direct" for r in self.per_eps):
-            doc["orbit"] = {"length": self.orbit_len, "burn_in": self.burn_in}
+            doc["orbit"] = {"length": self.orbit_len, "burn_in": _BURN_IN}
         return json.dumps(doc, indent=2)

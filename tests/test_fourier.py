@@ -6,7 +6,6 @@ import pytest
 from circlestab import fourier
 from circlestab.arithmetic import frac
 from circlestab.fourier import (
-    FourierDensity,
     FourierSeries,
     _nonzero_modes,
     _trig_sums,
@@ -77,13 +76,6 @@ def test_sup_norm_bound_dominates_grid_max():
 def test_is_zero():
     assert FourierSeries([0.0]).is_zero()
     assert not FourierSeries.cosine().is_zero()
-
-
-def test_density_mean_validation():
-    FourierDensity({0: 1.0, 1: 0.1})
-    FourierDensity({0: 0.0, 1: 0.1})
-    with pytest.raises(ValueError):
-        FourierDensity({0: 0.5, 1: 0.1})
 
 
 def test_pairing_matches_quadrature():

@@ -581,6 +581,20 @@ def test_diffeo_admissibility():
     assert np.all(h.deriv(grid) > 0)
 
 
+@pytest.mark.parametrize("a, b, name, shape", [
+    ([[0.1]], None, "a", (1, 1)),
+    ([[0.1, 0.05]], None, "a", (1, 2)),
+    ([0.1], [[0.05]], "b", (1, 1)),
+], ids=["a (1, 1)", "a (1, 2)", "b (1, 1)"])
+def test_diffeo_refuses_coefficients_that_are_not_1d(a, b, name, shape):
+    # [[0.1]] used to pass as a (1, 1) a, and [[0.1, 0.05]] to fail in a
+    # numpy broadcast
+    with pytest.raises(ValueError, match=rf"^{name} must be a 1d "
+                       rf"coefficient list, got shape \({shape[0]}, "
+                       rf"{shape[1]}\)$"):
+        ConjugacyDiffeo(a, b)
+
+
 def test_diffeo_coefficients_are_read_only_copies():
     # h evaluates through spectra built from a and b once, so neither
     # the caller's arrays nor h.a and h.b may change afterwards

@@ -493,6 +493,22 @@ def test_discrepancy_rejects_empty():
         discrepancy([])
 
 
+GOLDEN_9 = np.arange(1, 10) * GOLDEN_MEAN % 1.0
+
+
+@pytest.mark.parametrize("shape", [(9, 1), (1, 9), (3, 3)])
+def test_discrepancy_and_dk_check_refuse_points_that_are_not_1d(shape):
+    # a (9, 1) column used to read D = 0.965 and a (3, 3) block n = 3
+    pts = GOLDEN_9.reshape(shape)
+    match = rf"^points must be 1d, got shape \({shape[0]}, {shape[1]}\)$"
+    with pytest.raises(ValueError, match=match):
+        discrepancy(pts)
+    with pytest.raises(ValueError, match=match):
+        dk_check(BVObservable.indicator(0.0, 0.5), pts)
+    assert discrepancy(GOLDEN_9).n == 9
+    assert discrepancy(GOLDEN_9[0]).n == 1  # a scalar is one point
+
+
 # ------------------------------------------------------------ DK check
 
 def test_dk_example_golden_13():

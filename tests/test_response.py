@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from circlestab.arithmetic import GOLDEN_MEAN, frac
+from circlestab.arithmetic import (
+    GOLDEN_MEAN,
+    SQRT2_MINUS_ONE,
+    _checked_divisor,
+    frac,
+)
 from circlestab.errors import (
     ConvergenceError,
     ResourceLimitError,
@@ -13,6 +18,7 @@ from circlestab.errors import (
 from circlestab.fourier import FourierSeries, pairing
 from circlestab.invariant import birkhoff_average
 from circlestab.maps import (
+    ORBIT_LEN_CAP,
     ConjugatedRotation,
     TunedFamily,
     tune_rotation_number,
@@ -103,6 +109,42 @@ def test_density_of_constant_u_is_zero():
     assert d.is_zero()
 
 
+def density_bits(u, alpha):
+    """The bits of -v' coefficient by coefficient: v_hat(n) = u_hat(n) /
+    divisor at each nonzero mode of u (0j elsewhere), times 2 pi i n as
+    a complex array, negated, and +0.0 in place of the mean, which the
+    negation leaves at -0.0."""
+    top = max((n for n in range(1, u.n_max + 1) if u.coeff(n) != 0),
+              default=0)
+    v = np.zeros(top + 1, dtype=complex)
+    for n in range(1, top + 1):
+        if u.coeff(n) != 0:
+            v[n] = u.coeff(n) / _checked_divisor(alpha, n)
+    d = -(v * (2.0j * math.pi * np.arange(top + 1)))
+    d[0] = 0.0
+    return d.view(np.uint64)
+
+
+def test_density_bits_over_random_u():
+    rng = np.random.default_rng(14)
+    for k in range(1200):
+        n_max = int(rng.integers(1, 17))
+        c = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+        c[rng.uniform(size=n_max + 1) < 0.3] = 0.0  # zero modes, mean too
+        c[0] = c[0].real
+        u = FourierSeries(c)
+        alpha = (G, SQRT2_MINUS_ONE, rng.uniform(0.05, 0.95))[k % 3]
+        d = linear_response_density(u, alpha)
+        got = np.array([d.coeff(n) for n in range(d.n_max + 1)])
+        assert np.array_equal(got.view(np.uint64), density_bits(u, alpha))
+        assert math.copysign(1.0, d.mean) == 1.0
+
+
+def test_pairing_of_a_constant_with_the_density_is_plus_zero():
+    val = response_pairing(FourierSeries.cosine(1), G, FourierSeries({0: 2.5}))
+    assert val == 0.0 and math.copysign(1.0, val) == 1.0
+
+
 def test_density_is_minus_derivative_of_v():
     rng = np.random.default_rng(12)
     u = random_series(rng, 8)
@@ -178,6 +220,9 @@ def test_fd_response_falls_back_to_direct_iteration():
     assert rec.orbit == "direct"
     assert rec.points == 10 ** 4
     assert math.isfinite(est) and math.isfinite(rec.mean_psi)
+    # the orbit from 0 after 1000 burn-in steps, bit for bit
+    assert rec.mean_psi == birkhoff_average(TunedFamily(u, 0.15, rec.c),
+                                            u.eval, 10 ** 4, burn_in=1000)
 
 
 def test_fd_response_validation(monkeypatch):
@@ -192,8 +237,6 @@ def test_fd_response_validation(monkeypatch):
         fd_response(u, G, u, [])
     with pytest.raises(ValueError):
         fd_response(u, G, u, [-1e-2])
-    with pytest.raises(ValueError):
-        fd_response(u, G, u, [1e-2], orbit_len=10 ** 3, burn_in=-5)
     with pytest.raises(ValueError):
         fd_response(u, G, u, [1e-2], orbit_len=-1)
     with pytest.raises(ValueError, match=">= 1"):
@@ -218,6 +261,9 @@ def test_fd_response_caps_the_orbit_before_tuning(monkeypatch):
     u = FourierSeries.cosine(1)
     with pytest.raises(ResourceLimitError):
         fd_response(u, G, u, [1e-2], orbit_len=10 ** 15)
+    # the cap counts the 1000 burn-in steps
+    with pytest.raises(ResourceLimitError, match="after 1000 burn-in"):
+        fd_response(u, G, u, [1e-2], orbit_len=ORBIT_LEN_CAP - 999)
 
 
 def test_response_report_json():
@@ -225,8 +271,7 @@ def test_response_report_json():
     u = FourierSeries.cosine(1)
     est, recs = fd_response(u, G, u, [1e-2], orbit_len=10 ** 4)
     rep = ResponseReport(alpha=G, formula_value=response_pairing(u, G, u),
-                         estimate=est, per_eps=recs,
-                         orbit_len=10 ** 4, burn_in=10 ** 3)
+                         estimate=est, per_eps=recs, orbit_len=10 ** 4)
     doc = json.loads(rep.to_json())
     # no eps took the direct path, so no orbit ran and none is reported
     assert set(doc) == {"alpha", "formula_value", "extrapolated_estimate",
@@ -247,9 +292,9 @@ def test_response_report_json_orbit_block_when_some_eps_is_direct(paths):
                       points=10 ** 4 if path == "direct" else 512)
             for k, path in enumerate(paths)]
     rep = ResponseReport(alpha=G, formula_value=1.0, estimate=1.0,
-                         per_eps=recs, orbit_len=10 ** 4, burn_in=10 ** 3)
+                         per_eps=recs, orbit_len=10 ** 4)
     doc = json.loads(rep.to_json())
-    assert doc["orbit"] == {"length": 10 ** 4, "burn_in": 10 ** 3}
+    assert doc["orbit"] == {"length": 10 ** 4, "burn_in": 1000}
     assert [r["orbit"] for r in doc["per_eps"]] == paths
 
 

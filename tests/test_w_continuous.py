@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from circlestab import measures
 from circlestab.arithmetic import GOLDEN_MEAN, frac
-from circlestab.fourier import FourierDensity, FourierSeries
+from circlestab.fourier import FourierSeries
 from circlestab.invariant import analyze_functional_graph
 from circlestab.maps import (
     ConjugacyDiffeo,
@@ -361,10 +361,10 @@ def test_identity_conjugacy_is_at_distance_zero():
 
 
 @pytest.mark.parametrize("mu, nu", [
-    (FourierDensity({0: 0.0, 1: 0.2}), M),               # signed
-    (M, FourierDensity({0: 1.0, 1: 0.8})),               # negative
-    (FourierDensity({0: 1.0, 1: 0.2}), M),               # probability
-    (AtomicMeasure.dirac(0.1), FourierDensity({0: 1.0, 1: 0.2})),
+    (FourierSeries({0: 0.0, 1: 0.2}), M),                # signed
+    (M, FourierSeries({0: 1.0, 1: 0.8})),                # negative
+    (FourierSeries({0: 1.0, 1: 0.2}), M),                # probability
+    (AtomicMeasure.dirac(0.1), FourierSeries({0: 1.0, 1: 0.2})),
     (DiffeoInvariantDensity(CONJUGACIES["h_a=0.2"]),
      DiffeoInvariantDensity(CONJUGACIES["two-mode"])),   # two h_* m sides
 ], ids=["signed density", "negative density", "probability density",
